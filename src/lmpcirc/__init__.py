@@ -14,6 +14,7 @@ from .analysis import (
     NegativePriceReport,
     RecoveredPrices,
     congestion_impact,
+    load_limited_info,
     predict_negative_prices,
     recover_lmps,
 )

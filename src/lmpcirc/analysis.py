@@ -15,6 +15,7 @@ from .circuit import (
     solve_circuit,
     superpose,
 )
+from .network import SchemaError, _is_int, _is_number, _read_json, _reject_unknown
 
 _NEG_EPS = 1e-9
 
@@ -46,6 +47,53 @@ class LimitedInfo:
     def __post_init__(self):
         if (self.ground is None) != (self.offset is None):
             raise ValueError("ground and offset must be given together")
+
+
+def _limited_edges(items, value_key: str, where: str) -> list[tuple[int, int, float]]:
+    edges = []
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaError(f"{where}[{k}]: must be an object")
+        _reject_unknown(item, {"from", "to", value_key}, f"{where}[{k}]")
+        i, j, value = item.get("from"), item.get("to"), item.get(value_key)
+        if not (_is_int(i) and _is_int(j) and _is_number(value)):
+            raise SchemaError(f"{where}[{k}]: needs integer from/to and numeric {value_key}")
+        if i == j:
+            raise SchemaError(f"{where}[{k}]: self loop at node {i}")
+        edges.append((i, j, float(value)))
+    return edges
+
+
+def load_limited_info(path) -> LimitedInfo:
+    """Read a limited-info JSON document under the same strict rules as
+    ``parse_network``: known keys only, integer ids, finite numbers, no self loops."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("limited-info document must be an object")
+    _reject_unknown(doc, {"topology", "sources", "ground", "offset"}, "limited info")
+    topo = doc.get("topology")
+    if not isinstance(topo, dict) or not isinstance(topo.get("lines"), list):
+        raise SchemaError("limited info: topology.lines array is required")
+    _reject_unknown(topo, {"lines"}, "topology")
+    if not isinstance(doc.get("sources", []), list):
+        raise SchemaError("limited info: sources must be an array")
+    lines = _limited_edges(topo["lines"], "susceptance", "topology.lines")
+    sources = _limited_edges(doc.get("sources", []), "mu", "sources")
+    nodes = {e for ln in lines for e in ln[:2]}
+    if not lines or sorted(nodes) != list(range(max(nodes) + 1)):
+        raise SchemaError("topology must use contiguous 0-based node ids")
+    ground, offset = doc.get("ground"), doc.get("offset")
+    if ground is not None and not _is_int(ground):
+        raise SchemaError("ground must be an integer bus id")
+    if offset is not None and not _is_number(offset):
+        raise SchemaError("offset must be a finite number")
+    try:
+        return LimitedInfo(
+            n_nodes=max(nodes) + 1, lines=tuple(lines), sources=tuple(sources),
+            ground=ground, offset=None if offset is None else float(offset),
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network
+from .lp import _refined_solve
+from .network import Network, _connected
 
 BINDING_EPS = 1e-7
 
@@ -77,11 +78,10 @@ class EquivalentCircuit:
             g[r.to_node, r.to_node] += w
         return g
 
-    def injections(self, which: int | None = None) -> np.ndarray:
-        """Net source current into each node (all sources, or a single one)."""
+    def injections(self) -> np.ndarray:
+        """Net source current into each node."""
         j = np.zeros(self.n_nodes)
-        sources = self.current_sources if which is None else (self.current_sources[which],)
-        for s in sources:
+        for s in self.current_sources:
             j[s.to_node] += s.amps
             j[s.from_node] -= s.amps
         return j
@@ -153,59 +153,44 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset, *, require_sourc
     )
 
 
-def _check_connected(c: EquivalentCircuit) -> None:
-    adj = [[] for _ in range(c.n_nodes)]
-    for r in c.resistors:
-        adj[r.from_node].append(r.to_node)
-        adj[r.to_node].append(r.from_node)
-    seen = [False] * c.n_nodes
-    stack = [c.ground]
-    seen[c.ground] = True
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
+def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
+    """Node voltages for each column of ``injections``: one ground-reduced
+    conductance matrix, one batched solve, one refinement step."""
+    if not _connected(c.n_nodes, [(r.from_node, r.to_node) for r in c.resistors]):
         raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
-
-
-def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.linalg.solve(a, b)
-    return x + np.linalg.solve(a, b - a @ x)
-
-
-def _reduced_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
     keep = [i for i in range(c.n_nodes) if i != c.ground]
-    g_red = c.conductance_matrix()[np.ix_(keep, keep)]
-    v = np.zeros(c.n_nodes)
-    v[keep] = _solve_refined(g_red, injections[keep])
+    v = np.zeros(injections.shape)
+    v[keep] = _refined_solve(c.conductance_matrix()[np.ix_(keep, keep)], injections[keep])
     return v
+
+
+def _branch_currents(c: EquivalentCircuit, v: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    return tuple(
+        (r.from_node, r.to_node, float((v[r.from_node] - v[r.to_node]) / r.ohms))
+        for r in c.resistors
+    )
 
 
 def solve_circuit(c: EquivalentCircuit) -> CircuitSolution:
     """Nodal solve: ground-reduced conductance system, one refinement step."""
-    _check_connected(c)
-    v = _reduced_solve(c, c.injections())
-    currents = tuple(
-        (r.from_node, r.to_node, float((v[r.from_node] - v[r.to_node]) / r.ohms))
-        for r in c.resistors
-    )
-    return CircuitSolution(voltages=v, branch_currents=currents)
+    v = _nodal_solve(c, c.injections())
+    return CircuitSolution(voltages=v, branch_currents=_branch_currents(c, v))
 
 
 def superpose(c: EquivalentCircuit) -> CircuitSolution:
-    """Full solve plus one nodal solve per source with the others open-circuited."""
+    """Full solve plus one solve per source with the others open-circuited,
+    all as columns of a single nodal solve."""
     if not c.current_sources:
         raise NoCongestion("superposition needs at least one source")
-    full = solve_circuit(c)
-    parts = []
-    for k in range(len(c.current_sources)):
-        parts.append(_reduced_solve(c, c.injections(which=k)))
+    j = np.zeros((c.n_nodes, 1 + len(c.current_sources)))
+    j[:, 0] = c.injections()
+    for k, s in enumerate(c.current_sources, start=1):
+        j[s.to_node, k] += s.amps
+        j[s.from_node, k] -= s.amps
+    v = _nodal_solve(c, j)
     return CircuitSolution(
-        voltages=full.voltages, branch_currents=full.branch_currents,
-        per_source_voltages=tuple(parts),
+        voltages=v[:, 0], branch_currents=_branch_currents(c, v[:, 0]),
+        per_source_voltages=tuple(v[:, 1:].T),
     )
 
 
@@ -270,13 +255,8 @@ def solve_voltage_view(view: VoltageSourceView) -> CircuitSolution:
     a[c.ground, c.ground] = 1.0
     rhs[c.ground] = 0.0
 
-    sol = _solve_refined(a, rhs)
-    v = sol[:n]
-    currents = tuple(
-        (r.from_node, r.to_node, float((v[r.from_node] - v[r.to_node]) / r.ohms))
-        for r in c.resistors
-    )
-    return CircuitSolution(voltages=v, branch_currents=currents)
+    v = _refined_solve(a, rhs)[:n]
+    return CircuitSolution(voltages=v, branch_currents=_branch_currents(c, v))
 
 
 def kcl_residuals(c: EquivalentCircuit, s: CircuitSolution) -> np.ndarray:
@@ -340,12 +320,7 @@ def kvl_loop_sums(net_or_edges, lmps) -> list[LoopSum]:
         edges = list(net_or_edges)
         n = max(max(u, v) for u, v in edges) + 1
     lam = np.asarray(lmps, dtype=float)
-    out = []
-    for cyc in fundamental_cycles(n, edges):
-        walk = cyc + [cyc[0]]
-        terms = tuple(float(lam[walk[i]] - lam[walk[i + 1]]) for i in range(len(cyc)))
-        out.append(LoopSum(nodes=tuple(cyc), terms=terms, total=float(sum(terms))))
-    return out
+    return [loop_sum_along(cyc, lam) for cyc in fundamental_cycles(n, edges)]
 
 
 def loop_sum_along(nodes: list[int], lmps) -> LoopSum:

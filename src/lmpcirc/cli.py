@@ -9,17 +9,17 @@
     lmpcirc gen --seed N -n N [--edge-prob P] [-o net.json]
 
 Exit codes: 0 ok, 1 parse/schema error, 2 infeasible, 3 unbounded,
-4 no congestion / no marginal injector (circuit undefined), 5 check failed.
+4 no congestion / no marginal injector (circuit undefined), 5 check failed,
+6 numerical failure (the simplex iteration cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import reports
-from .analysis import LimitedInfo, congestion_impact, predict_negative_prices, recover_lmps
+from .analysis import congestion_impact, load_limited_info, predict_negative_prices, recover_lmps
 from .circuit import CircuitError, NoCongestion, build_circuit, solve_circuit
 from .dcopf import NoMarginalInjector, OpfInfeasible, OpfUnbounded, solve_opf
 from .network import NetworkError, SchemaError, generate_random_network, load_network, network_to_doc
@@ -30,6 +30,7 @@ EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_NO_CIRCUIT = 4
 EXIT_CHECK_FAILED = 5
+EXIT_NUMERICAL = 6
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -126,59 +127,8 @@ def _cmd_predict_negative(args) -> int:
     return EXIT_OK
 
 
-def _load_limited_info(path) -> LimitedInfo:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("limited-info document must be an object")
-    unknown = set(doc) - {"topology", "sources", "ground", "offset"}
-    if unknown:
-        raise SchemaError(f"limited info: unknown key(s) {sorted(unknown)}")
-    topo = doc.get("topology")
-    if not isinstance(topo, dict) or not isinstance(topo.get("lines"), list):
-        raise SchemaError("limited info: topology.lines array is required")
-    unknown = set(topo) - {"lines"}
-    if unknown:
-        raise SchemaError(f"topology: unknown key(s) {sorted(unknown)}")
-    lines = []
-    for k, item in enumerate(topo["lines"]):
-        try:
-            lines.append((int(item["from"]), int(item["to"]), float(item["susceptance"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"topology.lines[{k}]: needs integer from/to and numeric susceptance") from exc
-        unknown = set(item) - {"from", "to", "susceptance"}
-        if unknown:
-            raise SchemaError(f"topology.lines[{k}]: unknown key(s) {sorted(unknown)}")
-    sources = []
-    for k, item in enumerate(doc.get("sources", [])):
-        try:
-            sources.append((int(item["from"]), int(item["to"]), float(item["mu"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"sources[{k}]: needs integer from/to and numeric mu") from exc
-        unknown = set(item) - {"from", "to", "mu"}
-        if unknown:
-            raise SchemaError(f"sources[{k}]: unknown key(s) {sorted(unknown)}")
-    nodes = {e for ln in lines for e in ln[:2]}
-    if not lines or sorted(nodes) != list(range(max(nodes) + 1)):
-        raise SchemaError("topology must use contiguous 0-based node ids")
-    ground = doc.get("ground")
-    offset = doc.get("offset")
-    if ground is not None and not isinstance(ground, int):
-        raise SchemaError("ground must be an integer bus id")
-    try:
-        return LimitedInfo(
-            n_nodes=max(nodes) + 1, lines=tuple(lines), sources=tuple(sources),
-            ground=ground, offset=None if offset is None else float(offset),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def _cmd_recover(args) -> int:
-    info = _load_limited_info(args.input)
+    info = load_limited_info(args.input)
     res = recover_lmps(info)
     _emit(args, reports.recover_text(res) if args.format == "text" else reports.dumps(reports.recover_doc(res)))
     return EXIT_OK
@@ -231,6 +181,9 @@ def main(argv=None) -> int:
     except CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -81,11 +81,10 @@ def _pivot(tableau: np.ndarray, pr: int, pc: int) -> None:
 
 
 def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        x = np.linalg.solve(a, b)
-        return x + np.linalg.solve(a, b - a @ x)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    """Solve a x = b (b may hold several columns) with one refinement step;
+    raises LinAlgError on a singular a."""
+    x = np.linalg.solve(a, b)
+    return x + np.linalg.solve(a, b - a @ x)
 
 
 def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float = 1e-9,
@@ -214,8 +213,12 @@ def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float
 
     # recompute the vertex and its duals from a fresh factorization of the basis
     basis_mat = m_std[:, basis]
-    x_basic = _refined_solve(basis_mat, rhs)
-    y_rows = sigma * _refined_solve(basis_mat.T, c_struct[basis])
+    try:
+        x_basic = _refined_solve(basis_mat, rhs)
+        y_rows = sigma * _refined_solve(basis_mat.T, c_struct[basis])
+    except np.linalg.LinAlgError:
+        x_basic = np.linalg.lstsq(basis_mat, rhs, rcond=None)[0]
+        y_rows = sigma * np.linalg.lstsq(basis_mat.T, c_struct[basis], rcond=None)[0]
 
     x_std = np.zeros(n_struct)
     x_std[basis] = x_basic

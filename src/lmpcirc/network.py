@@ -63,6 +63,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Network:
     """Immutable bus/line/injector collection; validates invariants on construction."""
 
@@ -91,13 +95,6 @@ class Network:
             if inj.bus == bus and inj.kind == kind:
                 return inj
         return None
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for ln in self.lines:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-        return adj
 
     def is_connected(self) -> bool:
         return _connected(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])
@@ -209,9 +206,6 @@ class OpfLp:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def slot_of(self, bus: int, kind: str) -> int:
-        return bus if kind == KIND_GENERATOR else self.n + bus
 
 
 def assemble_lp(net: Network) -> OpfLp:
@@ -360,7 +354,7 @@ def parse_network(doc) -> Network:
         if not isinstance(item, dict):
             raise SchemaError(f"buses[{k}]: must be an object")
         _reject_unknown(item, _BUS_KEYS, f"buses[{k}]")
-        if not isinstance(item.get("id"), int) or isinstance(item.get("id"), bool):
+        if not _is_int(item.get("id")):
             raise SchemaError(f"buses[{k}]: id must be an integer")
         demand = item.get("demand", 0.0)
         if not _is_number(demand):
@@ -373,7 +367,7 @@ def parse_network(doc) -> Network:
             raise SchemaError(f"lines[{k}]: must be an object")
         _reject_unknown(item, _LINE_KEYS, f"lines[{k}]")
         for key in ("from", "to"):
-            if not isinstance(item.get(key), int) or isinstance(item.get(key), bool):
+            if not _is_int(item.get(key)):
                 raise SchemaError(f"lines[{k}]: {key} must be an integer")
         if not _is_number(item.get("susceptance")):
             raise SchemaError(f"lines[{k}]: susceptance must be a number")
@@ -388,7 +382,7 @@ def parse_network(doc) -> Network:
         if not isinstance(item, dict):
             raise SchemaError(f"injectors[{k}]: must be an object")
         _reject_unknown(item, _INJ_KEYS, f"injectors[{k}]")
-        if not isinstance(item.get("bus"), int) or isinstance(item.get("bus"), bool):
+        if not _is_int(item.get("bus")):
             raise SchemaError(f"injectors[{k}]: bus must be an integer")
         if item.get("kind") not in (KIND_GENERATOR, KIND_LOAD):
             raise SchemaError(f"injectors[{k}]: kind must be 'generator' or 'load'")
@@ -404,13 +398,16 @@ def parse_network(doc) -> Network:
         raise SchemaError(str(exc)) from exc
 
 
-def load_network(path) -> Network:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_network(doc)
+
+
+def load_network(path) -> Network:
+    return parse_network(_read_json(path))
 
 
 def network_to_doc(net: Network) -> dict:

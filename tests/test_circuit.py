@@ -185,6 +185,12 @@ def test_superposition_identity_random_multisource(corpus200):
             continue
         s = superpose(c)
         assert np.abs(sum(s.per_source_voltages) - s.voltages).max() <= 1e-8
+        # each column must be its own source's response, in source order
+        lines = [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines]
+        for src, part in zip(c.current_sources, s.per_source_voltages, strict=True):
+            alone = circuit_from_parts(c.n_nodes, lines, [(src.from_node, src.to_node, src.amps)],
+                                       c.ground, c.offset)
+            assert np.abs(part - solve_circuit(alone).voltages).max() <= 1e-9
         seen_multi += 1
         if seen_multi >= 10:
             break

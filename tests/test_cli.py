@@ -2,7 +2,9 @@ import json
 import os
 from pathlib import Path
 
-from lmpcirc.cli import main
+import pytest
+
+from lmpcirc.cli import EXIT_NUMERICAL, main
 
 from conftest import case_path
 
@@ -231,6 +233,43 @@ def test_uncongested_circuit_exit4(capsys):
     assert code == 4
     code, _, _ = run_cli(capsys, "predict-negative", "-i", str(DATA / "uncongested_3bus.json"))
     assert code == 4
+
+
+def _limited_doc(edit):
+    doc = json.loads((DATA / "case7_limited.json").read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["topology"]["lines"][0].update({"to": 1.7}), id="float-node-id"),
+    pytest.param(lambda d: d["topology"]["lines"][0].update({"from": "0"}), id="string-node-id"),
+    pytest.param(lambda d: d["topology"]["lines"][2].update({"from": True}), id="bool-node-id"),
+    pytest.param(lambda d: d.update({"ground": True}), id="bool-ground"),
+    pytest.param(lambda d: d["topology"]["lines"][0].update({"susceptance": "NaN"}), id="nan-susceptance"),
+    pytest.param(lambda d: d["sources"][0].update({"mu": "nan"}), id="nan-mu"),
+    pytest.param(lambda d: d.update({"offset": "1e999"}), id="infinite-offset"),
+    pytest.param(lambda d: d.update({"sources": 5}), id="non-array-sources"),
+    pytest.param(lambda d: d["topology"]["lines"].append({"from": 1, "to": 1, "susceptance": 1}),
+                 id="self-loop-line"),
+])
+def test_recover_rejects_malformed_limited_info(capsys, tmp_path, edit):
+    path = tmp_path / "limited.json"
+    path.write_text(json.dumps(_limited_doc(edit)))
+    code, out, err = run_cli(capsys, "recover", "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_iteration_cap_exit6(capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise ArithmeticError("simplex iteration limit in phase 2")
+
+    monkeypatch.setattr("lmpcirc.cli.solve_opf", capped)
+    code, _, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
+    assert code == EXIT_NUMERICAL == 6
+    assert err == "error: simplex iteration limit in phase 2\n"
 
 
 def test_check_failure_exit5(capsys):
