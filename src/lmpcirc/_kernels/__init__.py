@@ -1,11 +1,8 @@
 """Backend selection for the simplex pivot kernel.
 
-The compiled extension is used when importable; set LMPCIRC_BACKEND=python to
-force the numpy fallback (the benchmark and parity tests import both modules
-directly).
+The compiled extension is used exactly when it imports; the benchmark and the
+parity tests select kernels through ``available_backends()``.
 """
-
-import os
 
 from . import _simplex_py
 
@@ -13,16 +10,12 @@ STATUS_OPTIMAL = _simplex_py.STATUS_OPTIMAL
 STATUS_UNBOUNDED = _simplex_py.STATUS_UNBOUNDED
 STATUS_ITER_LIMIT = _simplex_py.STATUS_ITER_LIMIT
 
-if os.environ.get("LMPCIRC_BACKEND", "").lower() == "python":
+try:
+    from . import _simplex_cy as _impl
+    BACKEND = "cython"
+except ImportError:
     _impl = _simplex_py
     BACKEND = "python"
-else:
-    try:
-        from . import _simplex_cy as _impl
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _simplex_py
-        BACKEND = "python"
 
 run_simplex = _impl.run_simplex
 

@@ -17,6 +17,17 @@ STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 
 
+def _pivot(tableau, pr, pc):
+    """Gauss-Jordan pivot on (pr, pc) in place: the pivot row is scaled to a
+    unit pivot and eliminated from every other row, cost row included."""
+    tableau[pr, :] /= tableau[pr, pc]
+    factors = tableau[:, pc].copy()
+    factors[pr] = 0.0
+    tableau -= factors[:, None] * tableau[pr, None, :]
+    tableau[:, pc] = 0.0
+    tableau[pr, pc] = 1.0
+
+
 def run_simplex(tableau, basis, n_eligible, tol_entering, tol_pivot, stall_limit, max_iter):
     """Pivot the tableau to optimality in place.
 
@@ -55,13 +66,7 @@ def run_simplex(tableau, basis, n_eligible, tol_entering, tol_pivot, stall_limit
         else:
             pr = int(tied[0])
 
-        piv = tableau[pr, pc]
-        tableau[pr, :] /= piv
-        factors = tableau[:, pc].copy()
-        factors[pr] = 0.0
-        tableau -= factors[:, None] * tableau[pr, None, :]
-        tableau[:, pc] = 0.0
-        tableau[pr, pc] = 1.0
+        _pivot(tableau, pr, pc)
         basis[pr] = pc
         iters += 1
         if iters >= max_iter:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
 from .lp import _refined_solve
-from .network import Network, _connected
+from .network import Network, _laplacian, _spanning_tree
 
 BINDING_EPS = 1e-7
 
@@ -69,14 +69,7 @@ class EquivalentCircuit:
     meshed: bool = True
 
     def conductance_matrix(self) -> np.ndarray:
-        g = np.zeros((self.n_nodes, self.n_nodes))
-        for r in self.resistors:
-            w = 1.0 / r.ohms
-            g[r.from_node, r.to_node] -= w
-            g[r.to_node, r.from_node] -= w
-            g[r.from_node, r.from_node] += w
-            g[r.to_node, r.to_node] += w
-        return g
+        return _laplacian(self.n_nodes, _branches(self.resistors))
 
     def injections(self) -> np.ndarray:
         """Net source current into each node."""
@@ -107,56 +100,57 @@ class LoopSum:
     total: float
 
 
+def _branches(resistors) -> list[tuple[int, int, float]]:
+    return [(r.from_node, r.to_node, 1.0 / r.ohms) for r in resistors]
+
+
 def build_circuit(net: Network, sol: DcopfSolution, *, binding_eps: float = BINDING_EPS) -> EquivalentCircuit:
     """Convert a congested optimal solution into its equivalent circuit."""
-    sources = []
-    for dual in sol.mu:
-        if dual.value <= binding_eps:
-            continue
-        sources.append(CurrentSource(dual.export_bus, dual.import_bus, dual.value))
+    sources = [(d.export_bus, d.import_bus, d.value) for d in sol.mu if d.value > binding_eps]
     if not sources:
         raise NoCongestion(
             "no binding flow limit: every bus price equals the cheapest marginal "
             "cost, so the network has no congestion source to convert"
         )
     ground, offset = cheapest_marginal(sol, net)
-    resistors = tuple(Resistor(ln.from_bus, ln.to_bus, 1.0 / ln.susceptance) for ln in net.lines)
-    return EquivalentCircuit(
-        n_nodes=net.n, resistors=resistors, current_sources=tuple(sources),
-        ground=ground, offset=offset, meshed=len(net.lines) >= net.n,
-    )
+    lines = [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines]
+    return _assemble(net.n, lines, sources, ground, offset)
 
 
-def circuit_from_parts(n_nodes, lines, sources, ground, offset, *, require_source: bool = True) -> EquivalentCircuit:
+def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Assemble a circuit directly from (from, to, susceptance) lines and
     (from, to, amps) sources; used by recovery and by direct constructions."""
-    resistors = []
+    if not sources:
+        raise NoCongestion("a circuit needs at least one source")
+    return _assemble(n_nodes, lines, sources, ground, offset)
+
+
+def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
+    """Validate (from, to, susceptance) lines and (from, to, amps) sources and
+    build the circuit: one resistor of 1/susceptance ohms per line."""
     pairs = set()
     for i, j, sus in lines:
         if sus <= 0:
             raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
         pairs.add((min(i, j), max(i, j)))
-        resistors.append(Resistor(i, j, 1.0 / sus))
     for i, j, amps in sources:
         if amps <= 0:
             raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
         if (min(i, j), max(i, j)) not in pairs:
             raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
-    if require_source and not sources:
-        raise NoCongestion("a circuit needs at least one source")
     if not 0 <= ground < n_nodes:
         raise CircuitError(f"ground node {ground} out of range")
     return EquivalentCircuit(
-        n_nodes=n_nodes, resistors=tuple(resistors),
+        n_nodes=n_nodes, resistors=tuple(Resistor(i, j, 1.0 / sus) for i, j, sus in lines),
         current_sources=tuple(CurrentSource(i, j, a) for i, j, a in sources),
-        ground=ground, offset=offset, meshed=len(resistors) >= n_nodes,
+        ground=ground, offset=offset, meshed=len(lines) >= n_nodes,
     )
 
 
 def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
     """Node voltages for each column of ``injections``: one ground-reduced
     conductance matrix, one batched solve, one refinement step."""
-    if not _connected(c.n_nodes, [(r.from_node, r.to_node) for r in c.resistors]):
+    if len(_spanning_tree(c.n_nodes, [(r.from_node, r.to_node) for r in c.resistors])) < c.n_nodes:
         raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
     keep = [i for i in range(c.n_nodes) if i != c.ground]
     v = np.zeros(injections.shape)
@@ -225,24 +219,14 @@ def solve_voltage_view(view: VoltageSourceView) -> CircuitSolution:
     n = c.n_nodes
     k = len(view.elements)
     size = n + k + k   # node voltages, internal nodes, source currents
-    a = np.zeros((size, size))
+    plain = [r for r in c.resistors
+             if (min(r.from_node, r.to_node), max(r.from_node, r.to_node)) not in transformed_pairs]
+    series = [Resistor(n + idx, e.to_node, e.series_ohms) for idx, e in enumerate(view.elements)]
+    a = _laplacian(size, _branches(plain + series))
     rhs = np.zeros(size)
-
-    def stamp_resistor(i, j, ohms):
-        w = 1.0 / ohms
-        a[i, i] += w
-        a[j, j] += w
-        a[i, j] -= w
-        a[j, i] -= w
-
-    for r in c.resistors:
-        pair = (min(r.from_node, r.to_node), max(r.from_node, r.to_node))
-        if pair not in transformed_pairs:
-            stamp_resistor(r.from_node, r.to_node, r.ohms)
     for idx, e in enumerate(view.elements):
         mid = n + idx
         cur = n + k + idx
-        stamp_resistor(mid, e.to_node, e.series_ohms)
         # branch current variable runs from from_node through the source into
         # the internal node; constraint row enforces v[mid] - v[from] = volts
         a[e.from_node, cur] += 1.0
@@ -270,24 +254,7 @@ def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[
 
     Each cycle is returned as a closed node walk without repeating the start.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(n_nodes)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for i in adj:
-        adj[i].sort()
-
-    parent = {0: None}
-    order = [0]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-
+    parent = _spanning_tree(n_nodes, edges)
     tree_edges = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
     chords = sorted(
         {(min(u, v), max(u, v)) for u, v in edges} - tree_edges

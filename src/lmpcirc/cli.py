@@ -1,21 +1,27 @@
 """Command-line front end.
 
-    lmpcirc solve            -i net.json [-o out.json] [--format json|text]
-    lmpcirc circuit          -i net.json [--voltage-sources]
-    lmpcirc check            -i net.json [--tol X]
-    lmpcirc superpose        -i net.json
-    lmpcirc predict-negative -i net.json
-    lmpcirc recover          -i limited_info.json
-    lmpcirc gen --seed N -n N [--edge-prob P] [-o net.json]
+    lmpcirc solve            -i net.json [-o PATH] [--format json|text] [--ref-bus K]
+    lmpcirc circuit          -i net.json [-o PATH] [--format json|text] [--ref-bus K]
+                             [--tol X] [--voltage-sources]
+    lmpcirc check            -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
+    lmpcirc superpose        -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
+    lmpcirc predict-negative -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
+    lmpcirc recover          -i limited_info.json [-o PATH] [--format json|text]
+    lmpcirc gen --seed N -n N [--edge-prob P] [-o PATH]
 
-Exit codes: 0 ok, 1 parse/schema error, 2 infeasible, 3 unbounded,
-4 no congestion / no marginal injector (circuit undefined), 5 check failed,
-6 numerical failure (the simplex iteration cap).
+--tol is the residual tolerance of check and the binding threshold of circuit,
+superpose and predict-negative; it must be a finite number > 0.
+
+Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
+unwritable path), 2 infeasible, 3 unbounded, 4 no congestion / no marginal
+injector (circuit undefined), 5 check failed, 6 numerical failure (the
+simplex iteration cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import reports
@@ -38,25 +44,26 @@ def _parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", "-i", required=True, help="input file path")
+    def command(name, help_text, *, opf=True, tol=True):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", "-i", required=True, help="input file path")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--tol", type=float, default=1e-7, help="check/binding tolerance (> 0)")
-        p.add_argument("--ref-bus", type=int, default=0, help="angle reference bus")
+        if opf:
+            p.add_argument("--ref-bus", type=int, default=0, help="angle reference bus")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-7, help="check/binding tolerance (finite, > 0)")
+        return p
 
-    common(sub.add_parser("solve", help="solve the OPF and report prices"))
-    pc = sub.add_parser("circuit", help="convert the dual solution to a circuit")
-    common(pc)
-    pc.add_argument("--voltage-sources", action="store_true",
-                    help="render the netlist with series voltage sources")
-    common(sub.add_parser("check", help="verify optimality, node balances, loop sums"))
-    common(sub.add_parser("superpose", help="per-congestion price contributions"))
-    common(sub.add_parser("predict-negative", help="negative-price prediction"))
-    common(sub.add_parser("recover", help="recover prices from limited information"))
+    command("solve", "solve the OPF and report prices", tol=False)
+    command("circuit", "convert the dual solution to a circuit").add_argument(
+        "--voltage-sources", action="store_true", help="render the netlist with series voltage sources")
+    command("check", "verify optimality, node balances, loop sums")
+    command("superpose", "per-congestion price contributions")
+    command("predict-negative", "negative-price prediction")
+    command("recover", "recover prices from limited information", opf=False, tol=False)
     pg = sub.add_parser("gen", help="generate a random network file")
-    common(pg, needs_input=False)
+    pg.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     pg.add_argument("--seed", type=int, required=True)
     pg.add_argument("-n", type=int, required=True, dest="n_buses", help="bus count (>= 3)")
     pg.add_argument("--edge-prob", type=float, default=0.4)
@@ -152,13 +159,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_SCHEMA if exc.code else EXIT_OK
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be a finite number > 0", file=sys.stderr)
         return EXIT_SCHEMA
     try:
         return _COMMANDS[args.command](args)
-    except (SchemaError, NetworkError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, NetworkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OpfInfeasible as exc:

@@ -74,7 +74,6 @@ class DcopfSolution:
     gamma: np.ndarray             # per bound row, aligned with OpfLp.C
     marginal_slots: tuple[int, ...]
     degenerate: bool
-    ref_bus: int
 
     def marginal_buses(self, net: Network) -> tuple[int, ...]:
         n = net.n
@@ -165,7 +164,7 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
     return DcopfSolution(
         p=p, theta=theta, objective=sol.objective, lmp=lmp, mu=tuple(mu),
         mu_rows=mu_rows, gamma=gamma, marginal_slots=marginal,
-        degenerate=sol.degenerate, ref_bus=ref_bus,
+        degenerate=sol.degenerate,
     )
 
 

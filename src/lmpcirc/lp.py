@@ -19,12 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels._simplex_py import _pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _DEGENERACY_EPS = 1e-9
+_TOL_ENTERING = 1e-9    # a reduced cost below -this enters
+_TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
+_STALL_LIMIT = 60       # pivots without progress before Bland's rule
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,6 @@ class LpSolution:
     infeasible_rows: tuple = ()
 
 
-def _pivot(tableau: np.ndarray, pr: int, pc: int) -> None:
-    # cold-path pivot; arithmetic matches the kernels
-    tableau[pr, :] /= tableau[pr, pc]
-    factors = tableau[:, pc].copy()
-    factors[pr] = 0.0
-    tableau -= factors[:, None] * tableau[pr, None, :]
-    tableau[:, pc] = 0.0
-    tableau[pr, pc] = 1.0
-
-
 def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b (b may hold several columns) with one refinement step;
     raises LinAlgError on a singular a."""
@@ -87,8 +81,7 @@ def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x + np.linalg.solve(a, b - a @ x)
 
 
-def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float = 1e-9,
-             stall_limit: int = 60, max_iter: int | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
     nv = problem.n_vars
     c = problem.c
@@ -145,8 +138,7 @@ def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float
     tableau[:m, -1] = rhs
 
     c_struct = np.concatenate([c, -c, np.zeros(mg)])
-    if max_iter is None:
-        max_iter = 200 + 40 * (m + n_struct)
+    max_iter = 200 + 40 * (m + n_struct)
 
     total_iters = 0
     if n_art:
@@ -155,8 +147,8 @@ def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float
         # reduced-cost cells are left unnormalized)
         for i in art_rows:
             tableau[m, :] -= tableau[i, :]
-        status, iters = _kernels.run_simplex(tableau, basis, n_struct, tol_entering,
-                                             tol_pivot, stall_limit, max_iter)
+        status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
+                                             _TOL_PIVOT, _STALL_LIMIT, max_iter)
         total_iters += iters
         if status == _kernels.STATUS_ITER_LIMIT:
             raise ArithmeticError("simplex iteration limit in phase 1")
@@ -203,8 +195,8 @@ def solve_lp(problem: LpProblem, *, tol_entering: float = 1e-9, tol_pivot: float
             costrow -= cb * tableau[i, :]
     tableau[m, :] = costrow
 
-    status, iters = _kernels.run_simplex(tableau, basis, n_struct, tol_entering,
-                                         tol_pivot, stall_limit, max_iter)
+    status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
+                                         _TOL_PIVOT, _STALL_LIMIT, max_iter)
     total_iters += iters
     if status == _kernels.STATUS_ITER_LIMIT:
         raise ArithmeticError("simplex iteration limit in phase 2")

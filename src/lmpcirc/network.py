@@ -19,8 +19,9 @@ Conventions
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class Network:
         return None
 
     def is_connected(self) -> bool:
-        return _connected(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])
+        return len(_spanning_tree(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])) == self.n
 
     def _validate(self) -> None:
         n = len(self.buses)
@@ -150,23 +151,34 @@ class Network:
             raise NetworkError("network graph is not connected")
 
 
-def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n == 0:
-        return False
+def _spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, int | None]:
+    """Breadth-first spanning tree from node 0, lowest id first: node -> parent
+    (the root maps to None). Covers only node 0's component."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    parent: dict[int, int | None] = {0: None} if n else {}
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def _laplacian(size: int, branches: Iterable[tuple[int, int, float]]) -> np.ndarray:
+    """Weighted Laplacian of (i, j, weight) branches, stamped in the given order
+    (the order fixes every floating-point sum, so the matrix is reproducible)."""
+    g = np.zeros((size, size))
+    for i, j, w in branches:
+        g[i, j] -= w
+        g[j, i] -= w
+        g[i, i] += w
+        g[j, j] += w
+    return g
 
 
 def build_b_matrix(net: Network) -> np.ndarray:
@@ -174,13 +186,7 @@ def build_b_matrix(net: Network) -> np.ndarray:
 
     Symmetric with zero row sums (the all-ones vector is in the null space).
     """
-    b = np.zeros((net.n, net.n))
-    for ln in net.lines:
-        i, j, s = ln.from_bus, ln.to_bus, ln.susceptance
-        b[i, j] -= s
-        b[j, i] -= s
-        b[i, i] += s
-        b[j, j] += s
+    b = _laplacian(net.n, ((ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines))
     b.flags.writeable = False
     return b
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .circuit import EquivalentCircuit, kvl_loop_sums, to_voltage_sources
+from .circuit import BINDING_EPS, EquivalentCircuit, kvl_loop_sums, to_voltage_sources
 from .dcopf import DcopfSolution, verify_optimality
 from .network import KIND_GENERATOR, Network
 from .analysis import CongestionImpact, NegativePriceReport, RecoveredPrices
@@ -155,7 +155,7 @@ def netlist_lines(c: EquivalentCircuit, voltage_sources: bool = False) -> list[s
 # check report: optimality residuals + dual KCL ledger + KVL loop sums
 # ---------------------------------------------------------------------------
 
-def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float, binding_eps: float = 1e-7):
+def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
     """Per-bus ledger of price-flow terms: inflows, outflows, residual.
 
     Works for uncongested solutions too (no source terms, zero flows).
@@ -175,7 +175,7 @@ def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float, binding_eps: f
         net_in[ln.from_bus] -= cur
         net_in[ln.to_bus] += cur
     for d in sol.mu:
-        if d.value <= binding_eps:
+        if d.value <= BINDING_EPS:
             continue
         lo, hi = d.export_bus, d.import_bus
         inflows[hi].append(d.value)

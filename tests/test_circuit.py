@@ -7,6 +7,7 @@ from lmpcirc import (
     Line,
     Network,
     NoCongestion,
+    build_b_matrix,
     build_circuit,
     cheapest_marginal,
     circuit_from_parts,
@@ -125,6 +126,13 @@ def test_matches_pinv_nodal_oracle():
         c = circuit_from_parts(n, lines, sources, ground=ground, offset=0.0)
         want = oracles.nodal_voltages_pinv(n, lines, sources, ground)
         assert solve_circuit(c).voltages == pytest.approx(want, abs=1e-8)
+
+
+def test_conductance_matrix_is_susceptance_laplacian(corpus200):
+    # the paper's identity: the circuit's conductance matrix is the OPF's B
+    for net, sol in corpus200:
+        g = build_circuit(net, sol).conductance_matrix()
+        np.testing.assert_allclose(g, build_b_matrix(net), rtol=1e-12, atol=0.0)
 
 
 def test_ohm_consistency_and_ground_zero(corpus200):
@@ -300,12 +308,27 @@ def test_tree_has_empty_cycle_basis():
     assert kvl_loop_sums(edges, [1.0, 2.0, 3.0, 4.0]) == []
 
 
+def _random_connected_edges(rng, n):
+    """Random recursive tree on n nodes plus about n extra distinct edges."""
+    edges = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    while len(edges) < 2 * n - 1:
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((u, v))
+    edges = sorted(edges)
+    return [edges[k] for k in rng.permutation(len(edges))]   # unsorted input order
+
+
 def test_fundamental_cycles_close_via_chords():
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
-    cycles = fundamental_cycles(4, edges)
-    edge_set = {tuple(sorted(e)) for e in edges}
-    assert len(cycles) == len(edges) - 3  # chords = m - (n - 1)
-    for cyc in cycles:
-        walk = cyc + [cyc[0]]
-        for a, b in zip(walk, walk[1:]):
-            assert tuple(sorted((a, b))) in edge_set
+    rng = np.random.default_rng(5)
+    graphs = [(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])]
+    for n in (50, 120, 400, *rng.integers(50, 401, size=3)):
+        graphs.append((int(n), _random_connected_edges(rng, int(n))))
+    for n, edges in graphs:
+        cycles = fundamental_cycles(n, edges)
+        edge_set = {tuple(sorted(e)) for e in edges}
+        assert len(cycles) == len(edges) - n + 1  # chords = m - (n - 1)
+        for cyc in cycles:
+            assert len(set(cyc)) == len(cyc) >= 3
+            walk = cyc + [cyc[0]]
+            for a, b in zip(walk, walk[1:]):
+                assert tuple(sorted((a, b))) in edge_set

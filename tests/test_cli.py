@@ -295,6 +295,42 @@ def test_bad_tol_rejected(capsys):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],                                                  # missing -i
+    ["gen", "--seed", "1", "-n", "5", "--format", "text"],      # gen writes JSON only
+])
+def test_usage_error_exit1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exit0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert "Exit codes" in out
+
+
+@pytest.mark.parametrize("flag", ["-i", "-o"])
+def test_directory_path_exit1(capsys, tmp_path, flag):
+    args = ["-i", str(tmp_path)] if flag == "-i" else \
+        ["-i", str(case_path("fig1_3bus.json")), "-o", str(tmp_path)]
+    code, out, err = run_cli(capsys, "solve", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_rejects_nonfinite_or_nonpositive_tol(capsys, tol):
+    code, out, err = run_cli(capsys, "check", "-i", str(case_path("case7_reconstructed.json")),
+                             "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --tol must be a finite number > 0\n"
+
+
 def test_ref_bus_override(capsys):
     code1, out1, _ = run_cli(capsys, "solve", "-i", str(case_path("case7_reconstructed.json")),
                              "--ref-bus", "3")
