@@ -66,7 +66,11 @@ class EquivalentCircuit:
     current_sources: tuple[CurrentSource, ...]
     ground: int
     offset: float
-    meshed: bool = True
+
+    @property
+    def meshed(self) -> bool:
+        """At least as many lines as nodes, so the graph has a cycle."""
+        return len(self.resistors) >= self.n_nodes
 
     def conductance_matrix(self) -> np.ndarray:
         return _laplacian(self.n_nodes, _branches(self.resistors))
@@ -104,9 +108,14 @@ def _branches(resistors) -> list[tuple[int, int, float]]:
     return [(r.from_node, r.to_node, 1.0 / r.ohms) for r in resistors]
 
 
-def build_circuit(net: Network, sol: DcopfSolution, *, binding_eps: float = BINDING_EPS) -> EquivalentCircuit:
+def _binding_sources(sol: DcopfSolution) -> list[tuple[int, int, float]]:
+    """(export, import, amps) of every flow limit whose price exceeds BINDING_EPS."""
+    return [(d.export_bus, d.import_bus, d.value) for d in sol.mu if d.value > BINDING_EPS]
+
+
+def build_circuit(net: Network, sol: DcopfSolution) -> EquivalentCircuit:
     """Convert a congested optimal solution into its equivalent circuit."""
-    sources = [(d.export_bus, d.import_bus, d.value) for d in sol.mu if d.value > binding_eps]
+    sources = _binding_sources(sol)
     if not sources:
         raise NoCongestion(
             "no binding flow limit: every bus price equals the cheapest marginal "
@@ -143,7 +152,7 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     return EquivalentCircuit(
         n_nodes=n_nodes, resistors=tuple(Resistor(i, j, 1.0 / sus) for i, j, sus in lines),
         current_sources=tuple(CurrentSource(i, j, a) for i, j, a in sources),
-        ground=ground, offset=offset, meshed=len(lines) >= n_nodes,
+        ground=ground, offset=offset,
     )
 
 

@@ -2,20 +2,21 @@
 
     lmpcirc solve            -i net.json [-o PATH] [--format json|text] [--ref-bus K]
     lmpcirc circuit          -i net.json [-o PATH] [--format json|text] [--ref-bus K]
-                             [--tol X] [--voltage-sources]
+                             [--voltage-sources]
     lmpcirc check            -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
-    lmpcirc superpose        -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
-    lmpcirc predict-negative -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
+    lmpcirc superpose        -i net.json [-o PATH] [--format json|text] [--ref-bus K]
+    lmpcirc predict-negative -i net.json [-o PATH] [--format json|text] [--ref-bus K]
     lmpcirc recover          -i limited_info.json [-o PATH] [--format json|text]
     lmpcirc gen --seed N -n N [--edge-prob P] [-o PATH]
 
---tol is the residual tolerance of check and the binding threshold of circuit,
-superpose and predict-negative; it must be a finite number > 0.
+--tol is the residual tolerance of check; it must be a finite number > 0. A
+flow limit is binding, and becomes a circuit source, when its congestion price
+exceeds 1e-7.
 
 Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
 unwritable path), 2 infeasible, 3 unbounded, 4 no congestion / no marginal
 injector (circuit undefined), 5 check failed, 6 numerical failure (the
-simplex iteration cap).
+simplex iteration cap or a singular final basis).
 """
 
 from __future__ import annotations
@@ -44,24 +45,23 @@ def _parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *, opf=True, tol=True):
+    def command(name, help_text, *, opf=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="input file path")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if opf:
             p.add_argument("--ref-bus", type=int, default=0, help="angle reference bus")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-7, help="check/binding tolerance (finite, > 0)")
         return p
 
-    command("solve", "solve the OPF and report prices", tol=False)
+    command("solve", "solve the OPF and report prices")
     command("circuit", "convert the dual solution to a circuit").add_argument(
         "--voltage-sources", action="store_true", help="render the netlist with series voltage sources")
-    command("check", "verify optimality, node balances, loop sums")
+    command("check", "verify optimality, node balances, loop sums").add_argument(
+        "--tol", type=float, default=1e-7, help="residual tolerance (finite, > 0)")
     command("superpose", "per-congestion price contributions")
     command("predict-negative", "negative-price prediction")
-    command("recover", "recover prices from limited information", opf=False, tol=False)
+    command("recover", "recover prices from limited information", opf=False)
     pg = sub.add_parser("gen", help="generate a random network file")
     pg.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     pg.add_argument("--seed", type=int, required=True)
@@ -97,7 +97,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_circuit(args) -> int:
     net, sol = _solved(args)
-    circ = build_circuit(net, sol, binding_eps=args.tol)
+    circ = build_circuit(net, sol)
     if args.format == "text":
         _emit(args, "\n".join(reports.netlist_lines(circ, voltage_sources=args.voltage_sources)) + "\n")
     else:
@@ -119,7 +119,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_superpose(args) -> int:
     net, sol = _solved(args)
-    circ = build_circuit(net, sol, binding_eps=args.tol)
+    circ = build_circuit(net, sol)
     doc = reports.superpose_doc(circ, congestion_impact(circ))
     _emit(args, reports.superpose_text(doc) if args.format == "text" else reports.dumps(doc))
     return EXIT_OK
@@ -127,7 +127,7 @@ def _cmd_superpose(args) -> int:
 
 def _cmd_predict_negative(args) -> int:
     net, sol = _solved(args)
-    circ = build_circuit(net, sol, binding_eps=args.tol)
+    circ = build_circuit(net, sol)
     rep = predict_negative_prices(circ, solve_circuit(circ))
     doc = reports.negative_doc(rep, sol.lmp)
     _emit(args, reports.negative_text(doc) if args.format == "text" else reports.dumps(doc))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .network import KIND_GENERATOR, KIND_LOAD, Network, OpfLp, assemble_lp, line_flows
+from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, line_flows
 
 MARGINAL_EPS = 1e-6
 
@@ -231,15 +231,9 @@ def verify_optimality(net: Network, sol: DcopfSolution, tol: float = 1e-7) -> Ch
 
 def cheapest_marginal(sol: DcopfSolution, net: Network) -> tuple[int, float]:
     """Bus and quoted cost of the cheapest marginal injector (lowest bus id on ties)."""
-    n = net.n
-    candidates = []
-    for slot in sol.marginal_slots:
-        bus = slot % n
-        kind = KIND_GENERATOR if slot < n else KIND_LOAD
-        inj = net.injector_at(bus, kind)
-        if inj is None:
-            continue
-        candidates.append((inj.cost, inj.bus, 0 if kind == KIND_GENERATOR else 1))
+    marginal = set(sol.marginal_slots)
+    candidates = [(inj.cost, inj.bus, 0 if inj.kind == KIND_GENERATOR else 1)
+                  for inj in net.injectors if _slot(net.n, inj) in marginal]
     if not candidates:
         raise NoMarginalInjector("every injector is at a bound; no marginal price setter")
     cost, bus, _ = min(candidates)

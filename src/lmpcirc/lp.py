@@ -9,7 +9,9 @@ breaking throughout, so results are reproducible.
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
 factorization of the final basis (one step of iterative refinement), so the
-reported solution does not carry accumulated tableau drift.
+reported solution does not carry accumulated tableau drift. A singular final
+basis has no such solution and raises ``ArithmeticError``, as does the
+iteration cap.
 """
 
 from __future__ import annotations
@@ -209,8 +211,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x_basic = _refined_solve(basis_mat, rhs)
         y_rows = sigma * _refined_solve(basis_mat.T, c_struct[basis])
     except np.linalg.LinAlgError:
-        x_basic = np.linalg.lstsq(basis_mat, rhs, rcond=None)[0]
-        y_rows = sigma * np.linalg.lstsq(basis_mat.T, c_struct[basis], rcond=None)[0]
+        raise ArithmeticError("singular final basis") from None
 
     x_std = np.zeros(n_struct)
     x_std[basis] = x_basic

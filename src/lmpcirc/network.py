@@ -91,12 +91,6 @@ class Network:
         """Indices into self.lines of lines carrying a flow limit."""
         return [k for k, ln in enumerate(self.lines) if ln.flow_limit is not None]
 
-    def injector_at(self, bus: int, kind: str) -> Injector | None:
-        for inj in self.injectors:
-            if inj.bus == bus and inj.kind == kind:
-                return inj
-        return None
-
     def is_connected(self) -> bool:
         return len(_spanning_tree(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])) == self.n
 
@@ -169,6 +163,11 @@ def _spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, int | 
     return parent
 
 
+def _slot(n: int, inj: Injector) -> int:
+    """Dense-layout slot of an injector: its bus for a generator, n + bus for a load."""
+    return inj.bus if inj.kind == KIND_GENERATOR else n + inj.bus
+
+
 def _laplacian(size: int, branches: Iterable[tuple[int, int, float]]) -> np.ndarray:
     """Weighted Laplacian of (i, j, weight) branches, stamped in the given order
     (the order fixes every floating-point sum, so the matrix is reproducible)."""
@@ -223,7 +222,7 @@ def assemble_lp(net: Network) -> OpfLp:
     p_min = np.zeros(2 * n)
     p_max = np.zeros(2 * n)
     for inj in net.injectors:
-        j = inj.bus if inj.kind == KIND_GENERATOR else n + inj.bus
+        j = _slot(n, inj)
         c[j] = inj.cost if inj.kind == KIND_GENERATOR else -inj.cost
         p_min[j] = inj.p_min
         p_max[j] = inj.p_max

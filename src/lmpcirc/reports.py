@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from .circuit import BINDING_EPS, EquivalentCircuit, kvl_loop_sums, to_voltage_sources
+from .circuit import EquivalentCircuit, _binding_sources, kvl_loop_sums, to_voltage_sources
 from .dcopf import DcopfSolution, verify_optimality
-from .network import KIND_GENERATOR, Network
+from .network import Network, _slot
 from .analysis import CongestionImpact, NegativePriceReport, RecoveredPrices
 from . import dcopf as _dcopf
 
@@ -61,7 +61,7 @@ def solution_doc(net: Network, sol: DcopfSolution) -> dict:
     n = net.n
     p_entries, gamma_entries = [], []
     for inj in net.injectors:
-        slot = inj.bus if inj.kind == KIND_GENERATOR else n + inj.bus
+        slot = _slot(n, inj)
         p_entries.append({"bus": inj.bus, "kind": inj.kind, "value": float(sol.p[slot])})
         gamma_entries.append({
             "bus": inj.bus, "kind": inj.kind,
@@ -174,14 +174,11 @@ def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
             inflows[ln.from_bus].append(-cur)
         net_in[ln.from_bus] -= cur
         net_in[ln.to_bus] += cur
-    for d in sol.mu:
-        if d.value <= BINDING_EPS:
-            continue
-        lo, hi = d.export_bus, d.import_bus
-        inflows[hi].append(d.value)
-        outflows[lo].append(d.value)
-        net_in[hi] += d.value
-        net_in[lo] -= d.value
+    for lo, hi, amps in _binding_sources(sol):
+        inflows[hi].append(amps)
+        outflows[lo].append(amps)
+        net_in[hi] += amps
+        net_in[lo] -= amps
     ledger = []
     for i in range(n):
         residual = float(-net_in[i])  # sum of currents out minus sources in

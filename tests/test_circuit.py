@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lmpcirc import (
     Bus,
+    CurrentSource,
+    EquivalentCircuit,
     Injector,
     Line,
     Network,
     NoCongestion,
+    Resistor,
     build_b_matrix,
     build_circuit,
     cheapest_marginal,
@@ -86,6 +91,13 @@ def test_radial_network_allowed_but_flagged():
     assert not c.meshed
     v = solve_circuit(c).voltages
     assert np.abs(v + c.offset - sol.lmp).max() <= 1e-9
+
+
+def test_meshed_follows_topology():
+    radial = EquivalentCircuit(3, (Resistor(0, 1, 1.0), Resistor(1, 2, 1.0)),
+                               (CurrentSource(0, 1, 5.0),), ground=0, offset=0.0)
+    assert not radial.meshed
+    assert replace(radial, resistors=radial.resistors + (Resistor(0, 2, 1.0),)).meshed
 
 
 # ---------------------------------------------------------------------------

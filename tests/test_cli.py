@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lmpcirc.cli import EXIT_NUMERICAL, main
@@ -272,6 +273,17 @@ def test_iteration_cap_exit6(capsys, monkeypatch):
     assert err == "error: simplex iteration limit in phase 2\n"
 
 
+def test_singular_final_basis_exit6(capsys, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
+    code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err == "error: singular final basis\n"
+
+
 def test_check_failure_exit5(capsys):
     code, out, _ = run_cli(capsys, "check", "-i", str(case_path("fig1_3bus.json")),
                            "--tol", "1e-30", "--format", "text")
@@ -298,6 +310,9 @@ def test_bad_tol_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve"],                                                  # missing -i
     ["gen", "--seed", "1", "-n", "5", "--format", "text"],      # gen writes JSON only
+    # the binding rule is fixed: a threshold above a congestion price would drop a source
+    *([cmd, "-i", str(case_path("case7_reconstructed.json")), "--tol", "150"]
+      for cmd in ("circuit", "superpose", "predict-negative")),
 ])
 def test_usage_error_exit1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -55,6 +55,16 @@ def test_empty_row_presolve():
     assert sol.status == INFEASIBLE
 
 
+def test_singular_final_basis_raises(monkeypatch):
+    # no least-squares stand-in: a basis that cannot be factored is a numerical failure
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
+    with pytest.raises(ArithmeticError, match="^singular final basis$"):
+        solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0]))
+
+
 def test_deterministic_repeat():
     prob = _lp([1.0, -2.0, 0.5],
                a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
