@@ -46,6 +46,7 @@ from .dcopf import (
     NoMarginalInjector,
     OpfError,
     OpfInfeasible,
+    OpfNumerical,
     OpfUnbounded,
     ResidualCheck,
     cheapest_marginal,
@@ -53,7 +54,7 @@ from .dcopf import (
     solve_opf,
     verify_optimality,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve_lp
+from .lp import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve_lp
 from .network import (
     Bus,
     Injector,

@@ -1,7 +1,7 @@
 """Backend selection for the simplex pivot kernel.
 
-The compiled extension is used exactly when it imports; the benchmark and the
-parity tests select kernels through ``available_backends()``.
+The compiled extension is used exactly when it imports; the parity tests select
+kernels through ``available_backends()``.
 """
 
 from . import _simplex_py
@@ -21,11 +21,5 @@ run_simplex = _impl.run_simplex
 
 
 def available_backends() -> dict:
-    """Name -> kernel module, for benchmarks and cross-checks."""
-    out = {"python": _simplex_py}
-    try:
-        from . import _simplex_cy
-        out["cython"] = _simplex_cy
-    except ImportError:
-        pass
-    return out
+    """Name -> kernel module, for cross-checks."""
+    return {"python": _simplex_py, BACKEND: _impl}

@@ -7,7 +7,7 @@ without FMA contraction for this reason).
 Tableau layout: rows 0..m-1 are constraints, the last row is the reduced-cost
 row; the last column is the right-hand side, with tableau[-1, -1] holding the
 negated objective. ``basis[i]`` is the column basic in row i. Columns with
-index >= n_eligible never enter (artificials, once driven out).
+index >= n_eligible never enter.
 """
 
 import numpy as np

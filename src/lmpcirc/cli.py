@@ -16,7 +16,8 @@ exceeds 1e-7.
 Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
 unwritable path), 2 infeasible, 3 unbounded, 4 no congestion / no marginal
 injector (circuit undefined), 5 check failed, 6 numerical failure (the
-simplex iteration cap or a singular final basis).
+simplex iteration cap, a singular final basis, or a solution that fails its
+optimality certificate).
 """
 
 from __future__ import annotations

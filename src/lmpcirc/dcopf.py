@@ -32,6 +32,10 @@ class OpfUnbounded(OpfError):
     pass
 
 
+class OpfNumerical(OpfError, ArithmeticError):
+    """The LP solution fails its optimality certificate."""
+
+
 class NoMarginalInjector(OpfError):
     """Every injector sits at a bound; ground placement is undefined."""
 
@@ -127,7 +131,8 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
 
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
-    """Solve the network's OPF; raises OpfInfeasible/OpfUnbounded with diagnostics."""
+    """Solve the network's OPF; raises OpfInfeasible/OpfUnbounded with diagnostics,
+    OpfNumerical when the solution fails its optimality certificate."""
     if not 0 <= ref_bus < net.n:
         raise ValueError(f"reference bus {ref_bus} out of range")
     opf = assemble_lp(net)
@@ -137,6 +142,10 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
         raise OpfInfeasible(*_infeasibility_details(net, sol))
     if sol.status == lp.UNBOUNDED:
         raise OpfUnbounded("objective unbounded below (pathological costs/bounds)")
+    if sol.status == lp.NUMERICAL:
+        residuals = ", ".join(f"{name} {value:.3g}" for name, value in sol.residuals.items())
+        raise OpfNumerical(f"numerical failure: the LP solution fails its optimality certificate "
+                           f"(residuals: {residuals})")
 
     n = net.n
     p = sol.x[:2 * n]

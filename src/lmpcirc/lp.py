@@ -11,7 +11,9 @@ primal point and the row duals are recomputed from a fresh partial-pivot
 factorization of the final basis (one step of iterative refinement), so the
 reported solution does not carry accumulated tableau drift. A singular final
 basis has no such solution and raises ``ArithmeticError``, as does the
-iteration cap.
+iteration cap; a vertex whose residuals exceed their limits gets status
+``numerical``. Artificial variables exist only as basis markers
+(``basis[i] >= n_struct``), never as tableau columns.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from ._kernels._simplex_py import _pivot
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+NUMERICAL = "numerical"
 
 _DEGENERACY_EPS = 1e-9
 _TOL_ENTERING = 1e-9    # a reduced cost below -this enters
 _TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
 _STALL_LIMIT = 60       # pivots without progress before Bland's rule
+_CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 
 
 @dataclass(frozen=True)
@@ -131,22 +135,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         else:
             basis[i] = n_struct + len(art_rows)
             art_rows.append(i)
-    n_art = len(art_rows)
 
-    tableau = np.zeros((m + 1, n_struct + n_art + 1))
+    tableau = np.zeros((m + 1, n_struct + 1))
     tableau[:m, :n_struct] = m_std
-    for k, i in enumerate(art_rows):
-        tableau[i, n_struct + k] = 1.0
     tableau[:m, -1] = rhs
 
     c_struct = np.concatenate([c, -c, np.zeros(mg)])
     max_iter = 200 + 40 * (m + n_struct)
 
     total_iters = 0
-    if n_art:
-        # phase 1: reduced costs for min(sum of artificials) under the crash
-        # basis (artificial columns are never eligible to enter, so their own
-        # reduced-cost cells are left unnormalized)
+    if art_rows:
+        # phase 1: reduced costs for min(sum of artificials) under the crash basis
         for i in art_rows:
             tableau[m, :] -= tableau[i, :]
         status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
@@ -189,10 +188,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             m = len(keep)
 
     # phase 2 cost row
-    c_full = np.concatenate([c_struct, np.zeros(tableau.shape[1] - n_struct - 1), [0.0]])
-    costrow = c_full.copy()
+    costrow = np.concatenate([c_struct, [0.0]])
     for i in range(m):
-        cb = c_struct[basis[i]] if basis[i] < n_struct else 0.0
+        cb = c_struct[basis[i]]
         if cb != 0.0:
             costrow -= cb * tableau[i, :]
     tableau[m, :] = costrow
@@ -237,8 +235,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         "dual_sign": float(max(0.0, -np.min(ge_duals, initial=0.0))),
         "gap": float(abs(objective - (problem.b_eq @ eq_duals + problem.b_ge @ ge_duals))),
     }
+    data_scale = max(float(np.max(np.abs(v), initial=0.0)) for v in (problem.c, problem.b_eq, problem.b_ge))
+    certified = all(
+        value <= _CERT_RTOL * (1.0 + (abs(objective) if name == "gap" else data_scale))
+        for name, value in residuals.items()
+    )
 
     return LpSolution(
-        status=OPTIMAL, x=x, objective=objective, eq_duals=eq_duals, ge_duals=ge_duals,
+        status=OPTIMAL if certified else NUMERICAL, x=x, objective=objective,
+        eq_duals=eq_duals, ge_duals=ge_duals,
         degenerate=degenerate, iterations=total_iters, residuals=residuals,
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lmpcirc import generate_random_network, network_to_doc
 from lmpcirc.cli import EXIT_NUMERICAL, main
 
 from conftest import case_path
@@ -282,6 +283,16 @@ def test_singular_final_basis_exit6(capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert err == "error: singular final basis\n"
+
+
+def test_uncertified_solution_exit6(capsys, tmp_path):
+    # full float precision: `gen` rounds to 9 digits, which gives a network that solves
+    path = tmp_path / "net13.json"
+    path.write_text(json.dumps(network_to_doc(generate_random_network(13, 35, 0.35))))
+    code, out, err = run_cli(capsys, "solve", "-i", str(path))
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
 
 
 def test_check_failure_exit5(capsys):

@@ -9,7 +9,9 @@ from lmpcirc import (
     Line,
     Network,
     NoMarginalInjector,
+    OpfError,
     OpfInfeasible,
+    OpfNumerical,
     cheapest_marginal,
     generate_random_network,
     solution_flows,
@@ -247,3 +249,12 @@ def test_infeasible_capacity_shortfall():
     )
     with pytest.raises(OpfInfeasible, match="capacity"):
         solve_opf(net)
+
+
+@pytest.mark.parametrize("seed", [13, 15])
+def test_uncertified_optimum_raises_numerical(seed):
+    # these end on a nearly singular basis whose vertex breaks its bounds and
+    # dual signs; the factorization succeeds, the certificate does not
+    with pytest.raises(OpfNumerical, match="fails its optimality certificate") as exc:
+        solve_opf(generate_random_network(seed, 35, 0.35))
+    assert isinstance(exc.value, OpfError) and isinstance(exc.value, ArithmeticError)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lmpcirc import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, solve_lp
+import lmpcirc._kernels as kernels
+from lmpcirc import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, lp, solve_lp
 from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
@@ -63,6 +64,34 @@ def test_singular_final_basis_raises(monkeypatch):
     monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
     with pytest.raises(ArithmeticError, match="^singular final basis$"):
         solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0]))
+
+
+def test_uncertified_vertex_is_numerical(monkeypatch):
+    # a factored vertex whose residuals fail the certificate is never labelled optimal
+    refined = lp._refined_solve
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda a, b: refined(a, b) + 1e-3)
+    sol = solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0]))
+    assert sol.status == NUMERICAL
+    assert sol.residuals["stationarity"] > 1e-7
+
+
+def test_tableau_holds_only_enterable_columns(monkeypatch, fig1_net):
+    # artificials are basis markers only: both phases see n_eligible + 1 columns
+    seen = []
+    run = kernels.run_simplex
+
+    def spy(tableau, basis, n_eligible, *rest):
+        seen.append((tableau.shape[1], n_eligible))
+        return run(tableau, basis, n_eligible, *rest)
+
+    monkeypatch.setattr(kernels, "run_simplex", spy)
+    c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
+    for prob in (opf_lp_problem(assemble_lp(fig1_net), ref_bus=0), _lp(c, a_eq, b_eq, a_ge, b_ge)):
+        assert prob.a_eq.shape[0] > 0
+        seen.clear()
+        assert solve_lp(prob).status == OPTIMAL
+        assert len(seen) == 2
+        assert all(cols == n_eligible + 1 for cols, n_eligible in seen)
 
 
 def test_deterministic_repeat():
