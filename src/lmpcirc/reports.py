@@ -38,19 +38,63 @@ def fnum(x: float) -> str:
 
 
 def dumps(doc) -> str:
-    return json.dumps(_rounded(doc), indent=2) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, every float through
+    ``round9`` first, plus a final newline. numpy integers are written as ints.
+    """
+    return _emit(doc, "\n") + "\n"
 
 
-def _rounded(doc):
-    if isinstance(doc, dict):
-        return {k: _rounded(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_rounded(v) for v in doc]
-    if isinstance(doc, (np.floating, float)):
-        return round9(float(doc))
-    if isinstance(doc, np.integer):
-        return int(doc)
-    return doc
+def _emit(x, nl: str) -> str:
+    """JSON text of ``x``; ``nl`` is a newline plus the indentation of x's line."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = [_key(k) + ": " + _emit(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        types = set(map(type, x))
+        if types == {float}:
+            items = _float_tokens(x)
+        elif types == {int}:
+            items = map(str, x)
+        else:
+            items = [_emit(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, (float, np.floating)):
+        x = round9(x)
+    elif isinstance(x, np.integer):
+        x = int(x)
+    return json.dumps(x)  # str, int, bool, None; raises TypeError on the rest
+
+
+def _key(k) -> str:
+    # json turns int, float, bool and None keys into strings and refuses other types
+    return json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
+
+
+def _float_tokens(row) -> list[str]:
+    """json's text of ``round9(x)`` for each float x of ``row``.
+
+    One ``%.9g`` pass over the row does round9's rounding, and numpy parses
+    the tokens back once. A token is already json's ``repr`` of the rounded
+    value v unless v is NaN, ``|v| < 1e-12`` (snapped to ``0.0``) or v is
+    integral: ``123`` against ``123.0``, ``inf`` against ``Infinity``, and
+    ``1e+09`` against ``1000000000.0`` (9 significant digits are integral from
+    1e9 up, and repr writes no exponent below 1e16). Those few take the scalar
+    path.
+    """
+    text = ("%.9g\n" * len(row)) % tuple(row)
+    tokens = text.split("\n")
+    tokens.pop()  # the empty string after the last newline
+    v = np.array(tokens, dtype=float)
+    odd = (v == np.trunc(v)) | ~(np.abs(v) >= 1e-12)
+    for i in np.flatnonzero(odd).tolist():
+        tokens[i] = json.dumps(round9(row[i]))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +119,7 @@ def solution_doc(net: Network, sol: DcopfSolution) -> dict:
         ],
         "gamma": gamma_entries,
         "p": p_entries,
-        "theta": [float(t) for t in sol.theta],
+        "theta": sol.theta.tolist(),
         "objective": float(sol.objective),
         "marginal": list(sol.marginal_buses(net)),
         "degenerate": sol.degenerate,
@@ -258,9 +302,9 @@ def superpose_doc(c: EquivalentCircuit, impact: CongestionImpact) -> dict:
                 impact.sources, impact.min_contribution, impact.max_contribution,
                 impact.negative_buses)
         ],
-        "contributions": [[float(x) for x in v] for v in impact.vectors],
-        "totals": [float(x) for x in impact.totals],
-        "lmp": [float(x) for x in impact.totals + c.offset],
+        "contributions": [v.tolist() for v in impact.vectors],
+        "totals": impact.totals.tolist(),
+        "lmp": (impact.totals + c.offset).tolist(),
     }
 
 
@@ -292,7 +336,7 @@ def negative_doc(rep: NegativePriceReport, lmp: np.ndarray) -> dict:
         "offset": rep.offset,
         "min_price": rep.min_price,
         "min_price_bus": rep.min_price_bus,
-        "lmp": [float(x) for x in lmp],
+        "lmp": lmp.tolist(),
     }
 
 
@@ -310,7 +354,7 @@ def negative_text(doc: dict) -> str:
 def recover_doc(res: RecoveredPrices) -> dict:
     if res.lmp is not None:
         return {"lmp": {str(i): float(v) for i, v in enumerate(res.lmp)}}
-    return {"delta": [[float(x) for x in row] for row in res.delta]}
+    return {"delta": res.delta.tolist()}
 
 
 def recover_text(res: RecoveredPrices) -> str:
