@@ -95,6 +95,7 @@ class CircuitSolution:
 class VoltageSourceView:
     base: EquivalentCircuit
     elements: tuple[SeriesVoltageSource, ...]
+    plain_resistors: tuple[Resistor, ...]   # base resistors no source replaced, in base order
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,21 @@ def superpose(c: EquivalentCircuit) -> CircuitSolution:
 
 def to_voltage_sources(c: EquivalentCircuit) -> VoltageSourceView:
     """Source transformation: each parallel current source becomes volts = amps * ohms
-    in series with the same resistor (+ terminal toward the import end)."""
-    by_pair = {(min(r.from_node, r.to_node), max(r.from_node, r.to_node)): r for r in c.resistors}
-    elements = []
+    in series with the first resistor on its pair that no earlier source took
+    (+ terminal toward the import end); parallel siblings stay plain resistors."""
+    unused: dict[frozenset, list[int]] = {}   # pair -> indices of its untaken resistors
+    for k, r in enumerate(c.resistors):
+        unused.setdefault(frozenset((r.from_node, r.to_node)), []).append(k)
+    elements, taken = [], set()
     for s in c.current_sources:
-        r = by_pair[(min(s.from_node, s.to_node), max(s.from_node, s.to_node))]
+        free = unused.get(frozenset((s.from_node, s.to_node)))
+        if not free:
+            raise CircuitError(f"source {s.from_node}->{s.to_node} has no untaken resistor on its pair")
+        taken.add(free[0])
+        r = c.resistors[free.pop(0)]
         elements.append(SeriesVoltageSource(s.from_node, s.to_node, s.amps * r.ohms, r.ohms))
-    return VoltageSourceView(base=c, elements=tuple(elements))
+    plain = tuple(r for k, r in enumerate(c.resistors) if k not in taken)
+    return VoltageSourceView(base=c, elements=tuple(elements), plain_resistors=plain)
 
 
 def from_voltage_sources(view: VoltageSourceView) -> EquivalentCircuit:
@@ -220,18 +229,15 @@ def solve_voltage_view(view: VoltageSourceView) -> CircuitSolution:
     """Modified nodal analysis of the voltage-source form (series V + R chains).
 
     Each transformed line is replaced by from -[V]- internal -[R]- to; the
-    remaining lines keep their plain resistors. Used to check that the
-    transformation leaves all node voltages unchanged.
+    plain resistors stay as they are. Used to check that the transformation
+    leaves all node voltages unchanged.
     """
     c = view.base
-    transformed_pairs = {(min(e.from_node, e.to_node), max(e.from_node, e.to_node)) for e in view.elements}
     n = c.n_nodes
     k = len(view.elements)
     size = n + k + k   # node voltages, internal nodes, source currents
-    plain = [r for r in c.resistors
-             if (min(r.from_node, r.to_node), max(r.from_node, r.to_node)) not in transformed_pairs]
     series = [Resistor(n + idx, e.to_node, e.series_ohms) for idx, e in enumerate(view.elements)]
-    a = _laplacian(size, _branches(plain + series))
+    a = _laplacian(size, _branches(view.plain_resistors + tuple(series)))
     rhs = np.zeros(size)
     for idx, e in enumerate(view.elements):
         mid = n + idx

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, line_flows
+from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, balance_residual, line_flows
 
 MARGINAL_EPS = 1e-6
 
@@ -211,7 +211,7 @@ def verify_optimality(net: Network, sol: DcopfSolution, tol: float = 1e-7) -> Ch
             or sol.mu_rows.size != opf.D.shape[0]:
         raise ValueError("solution dimensions do not match the network")
 
-    balance = opf.A @ sol.p + opf.B @ sol.theta - opf.a
+    balance = balance_residual(opf, sol.p, sol.theta)
     bound_slack = opf.C @ sol.p - opf.b
     angle_slack = opf.D @ sol.theta - opf.d
     primal = max(

@@ -169,14 +169,14 @@ def _slot(n: int, inj: Injector) -> int:
 
 
 def _laplacian(size: int, branches: Iterable[tuple[int, int, float]]) -> np.ndarray:
-    """Weighted Laplacian of (i, j, weight) branches, stamped in the given order
-    (the order fixes every floating-point sum, so the matrix is reproducible)."""
+    """Weighted Laplacian of (i, j, weight) branches: one unbuffered ``np.add.at``
+    stamps (i, j), (j, i), (i, i), (j, j) branch after branch, so every
+    floating-point sum keeps the given order and the matrix is reproducible."""
+    ijw = np.array(list(branches), dtype=float).reshape(-1, 3)
+    i, j, w = ijw[:, 0].astype(np.intp), ijw[:, 1].astype(np.intp), ijw[:, 2]
     g = np.zeros((size, size))
-    for i, j, w in branches:
-        g[i, j] -= w
-        g[j, i] -= w
-        g[i, i] += w
-        g[j, j] += w
+    np.add.at(g, (np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()),
+              np.stack([-w, -w, w, w], 1).ravel())
     return g
 
 

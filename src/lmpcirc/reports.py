@@ -175,18 +175,12 @@ def netlist_lines(c: EquivalentCircuit, voltage_sources: bool = False) -> list[s
         out.append("* radial network: conversion valid, but the analogy is stated for meshed grids")
     if voltage_sources:
         view = to_voltage_sources(c)
-        transformed = {(min(e.from_node, e.to_node), max(e.from_node, e.to_node)) for e in view.elements}
-        k = 1
-        for r in c.resistors:
-            pair = (min(r.from_node, r.to_node), max(r.from_node, r.to_node))
-            if pair not in transformed:
-                out.append(f"R{k} {r.from_node} {r.to_node} {fnum(r.ohms)}")
-                k += 1
+        plain = view.plain_resistors
+        for k, r in enumerate(plain, start=1):
+            out.append(f"R{k} {r.from_node} {r.to_node} {fnum(r.ohms)}")
         for i, e in enumerate(view.elements, start=1):
-            mid = f"m{i}"
-            out.append(f"V{i} {e.from_node} {mid} {fnum(e.volts)}")
-            out.append(f"R{k} {mid} {e.to_node} {fnum(e.series_ohms)}")
-            k += 1
+            out.append(f"V{i} {e.from_node} m{i} {fnum(e.volts)}")
+            out.append(f"R{len(plain) + i} m{i} {e.to_node} {fnum(e.series_ohms)}")
     else:
         for k, r in enumerate(c.resistors, start=1):
             out.append(f"R{k} {r.from_node} {r.to_node} {fnum(r.ohms)}")

@@ -5,6 +5,7 @@ import pytest
 
 from lmpcirc import (
     Bus,
+    CircuitError,
     CurrentSource,
     EquivalentCircuit,
     Injector,
@@ -27,6 +28,7 @@ from lmpcirc import (
     to_voltage_sources,
 )
 from lmpcirc.circuit import fundamental_cycles
+from lmpcirc.reports import netlist_lines
 
 import oracles
 
@@ -217,6 +219,28 @@ def test_superposition_identity_random_multisource(corpus200):
     assert seen_multi >= 3
 
 
+def test_superposition_is_the_transfer_resistance_decomposition(corpus200):
+    # With X the inverse of the OPF's B reduced at the ground (zero row and
+    # column there), source k from i to j contributes amps * (X[:, j] - X[:, i])
+    # and offset + sum of contributions is the LMP: the energy/congestion
+    # decomposition of LMPs (Litvinov et al., IEEE TPWRS 2004) read as superposition.
+    seen = 0
+    for net, sol in corpus200:
+        c = build_circuit(net, sol)
+        if len(c.current_sources) < 3:
+            continue
+        keep = [i for i in range(net.n) if i != c.ground]
+        x = np.zeros((net.n, net.n))
+        x[np.ix_(keep, keep)] = np.linalg.inv(build_b_matrix(net)[np.ix_(keep, keep)])
+        s = superpose(c)
+        for src, part in zip(c.current_sources, s.per_source_voltages, strict=True):
+            want = src.amps * (x[:, src.to_node] - x[:, src.from_node])
+            assert np.abs(part - want).max() <= 1e-9
+        assert np.abs(c.offset + sum(s.per_source_voltages) - sol.lmp).max() <= 1e-6
+        seen += 1
+    assert seen >= 10
+
+
 # ---------------------------------------------------------------------------
 # source transformation
 # ---------------------------------------------------------------------------
@@ -249,6 +273,33 @@ def test_voltage_view_solves_identically(corpus200):
         base = solve_circuit(c).voltages
         transformed = solve_voltage_view(to_voltage_sources(c)).voltages
         assert np.abs(base - transformed).max() <= 1e-9
+
+
+def test_voltage_view_keeps_parallel_sibling():
+    # the source takes the first resistor on its pair; the parallel 0.5-ohm
+    # line stays a plain resistor in both the solve and the netlist
+    c = circuit_from_parts(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)],
+                           [(0, 1, 5.0)], 2, 0.0)
+    view = to_voltage_sources(c)
+    assert [(e.from_node, e.to_node, e.volts, e.series_ohms) for e in view.elements] == [(0, 1, 5.0, 1.0)]
+    assert view.plain_resistors == c.resistors[1:]
+    want = solve_circuit(c).voltages
+    assert want == pytest.approx([-5 / 7, 5 / 7, 0.0], abs=1e-12)
+    assert np.abs(solve_voltage_view(view).voltages - want).max() <= 1e-12
+    assert netlist_lines(c, voltage_sources=True)[1:] == [
+        "R1 0 1 0.5", "R2 1 2 1", "R3 0 2 1", "V1 0 m1 5", "R4 m1 1 1"]
+
+
+def test_voltage_view_gives_each_source_its_own_resistor():
+    lines = [(0, 1, 1.0), (1, 0, 4.0), (1, 2, 1.0), (0, 2, 1.0)]
+    c = circuit_from_parts(3, lines, [(1, 0, 8.0), (0, 1, 2.0)], 2, 0.0)
+    view = to_voltage_sources(c)
+    assert [(e.volts, e.series_ohms) for e in view.elements] == [(8.0, 1.0), (0.5, 0.25)]
+    assert view.plain_resistors == c.resistors[2:]
+    assert np.abs(solve_voltage_view(view).voltages - solve_circuit(c).voltages).max() <= 1e-12
+    crowded = circuit_from_parts(3, lines[2:] + [(0, 1, 1.0)], [(0, 1, 1.0), (1, 0, 2.0)], 2, 0.0)
+    with pytest.raises(CircuitError, match="no untaken resistor"):
+        to_voltage_sources(crowded)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lmpcirc import (
     parse_network,
     solve_opf,
 )
-from lmpcirc.network import balance_residual
+from lmpcirc.network import _laplacian, balance_residual
 
 
 def triangle(limits=(None, None, None), b=(1.0, 1.0, 1.0)):
@@ -64,6 +64,39 @@ def test_b_matrix_singular_reduced_nonsingular():
             reduced = b[np.ix_(keep, keep)]
             rsv = np.linalg.svd(reduced, compute_uv=False)
             assert rsv[-1] > 1e-9 * rsv[0]
+
+
+def _loop_laplacian(size, branches):
+    """The per-branch stamping loop the vectorized Laplacian must reproduce bit for bit."""
+    g = np.zeros((size, size))
+    for i, j, w in branches:
+        g[i, j] -= w
+        g[j, i] -= w
+        g[i, i] += w
+        g[j, j] += w
+    return g
+
+
+def test_laplacian_keeps_the_loop_summation_order():
+    # repeated pairs and high-degree nodes make the floating-point sums order
+    # dependent, so equality here pins the order the golden files rely on
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        size = int(rng.integers(2, 12))
+        m = int(rng.integers(0, 60))
+        branches = []
+        for _ in range(m):
+            i, j = rng.choice(size, 2, replace=False)
+            branches.append((int(i), int(j), float(rng.uniform(0.01, 10.0) ** rng.choice([1, 3]))))
+        branches += branches[: m // 3]  # parallel copies of earlier branches
+        assert np.array_equal(_laplacian(size, branches), _loop_laplacian(size, branches))
+    assert np.array_equal(_laplacian(3, []), np.zeros((3, 3)))
+    # the perfbench OPF networks: 17 dense (35 buses) and 17 grid-like (50 buses)
+    for seed in range(17):
+        for n, p in ((35, 0.35), (50, 0.022)):
+            net = generate_random_network(seed, n, p)
+            want = _loop_laplacian(n, [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines])
+            assert np.array_equal(build_b_matrix(net), want)
 
 
 # ---------------------------------------------------------------------------
