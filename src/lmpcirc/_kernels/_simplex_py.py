@@ -1,8 +1,15 @@
-"""Dense simplex pivot loop, numpy backend.
+"""Simplex pivot loop on a dense tableau, numpy backend.
 
-Mirrors ``_simplex_cy.pyx`` operation for operation; both backends must make
-identical pivot choices and produce identical tableaus (the extension is built
-without FMA contraction for this reason).
+Mirrors ``_simplex_cy.pyx``; both backends must make identical pivot choices
+and produce equal tableaus (the extension is built without FMA contraction for
+this reason). A pivot eliminates only the block where both the pivot column
+and the pivot row are nonzero, computing each of those entries as ``t - f * p``
+exactly as the dense rank-1 update does. Every skipped entry would have had
+``f * p == ±0`` subtracted from it, which leaves a nonzero entry unchanged and
+at most flips the sign of a zero. Nothing downstream can tell ``-0.0`` from
+``0.0``: every comparison, argmin, argmax and ratio treats them alike, and no
+tableau entry that may be zero is ever a divisor. So the pivot choices, the
+iteration counts and every nonzero entry are those of the dense update.
 
 Tableau layout: rows 0..m-1 are constraints, the last row is the reduced-cost
 row; the last column is the right-hand side, with tableau[-1, -1] holding the
@@ -19,11 +26,20 @@ STATUS_ITER_LIMIT = 2
 
 def _pivot(tableau, pr, pc):
     """Gauss-Jordan pivot on (pr, pc) in place: the pivot row is scaled to a
-    unit pivot and eliminated from every other row, cost row included."""
+    unit pivot and eliminated from every other row, cost row included.
+
+    The tableau must be C-contiguous: the block update writes through a flat
+    view, which for any other layout would be a copy that is silently lost."""
+    if not tableau.flags.c_contiguous:
+        raise ValueError("simplex tableau must be C-contiguous")
+    ncols = tableau.shape[1]
     tableau[pr, :] /= tableau[pr, pc]
-    factors = tableau[:, pc].copy()
-    factors[pr] = 0.0
-    tableau -= factors[:, None] * tableau[pr, None, :]
+    rows = np.flatnonzero(tableau[:, pc])
+    rows = rows[rows != pr]
+    cols = np.flatnonzero(tableau[pr])
+    idx = rows[:, None] * ncols + cols
+    flat = tableau.reshape(-1)
+    flat[idx] -= tableau[rows, pc][:, None] * tableau[pr, cols]
     tableau[:, pc] = 0.0
     tableau[pr, pc] = 1.0
 
@@ -54,13 +70,11 @@ def run_simplex(tableau, basis, n_eligible, tol_entering, tol_pivot, stall_limit
                 return STATUS_OPTIMAL, iters
 
         col = tableau[:m, pc]
-        eligible = col > tol_pivot
-        if not eligible.any():
+        eligible = np.flatnonzero(col > tol_pivot)
+        if eligible.size == 0:
             return STATUS_UNBOUNDED, iters
-        ratios = np.full(m, np.inf)
-        np.divide(tableau[:m, -1], col, out=ratios, where=eligible)
-        best = ratios.min()
-        tied = np.nonzero(ratios == best)[0]
+        ratios = tableau[eligible, -1] / col[eligible]
+        tied = eligible[ratios == ratios.min()]
         if bland and tied.size > 1:
             pr = int(tied[np.argmin(basis[tied])])
         else:

@@ -138,12 +138,21 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Validate (from, to, susceptance) lines and (from, to, amps) sources and
     build the circuit: one resistor of 1/susceptance ohms per line."""
+    def check_ends(what, i, j):
+        for k in (i, j):
+            if not 0 <= k < n_nodes:
+                raise CircuitError(f"{what} ({i}, {j}): node {k} out of range [0, {n_nodes})")
+        if i == j:
+            raise CircuitError(f"{what} ({i}, {j}): both ends on node {i}")
+
     pairs = set()
     for i, j, sus in lines:
+        check_ends("line", i, j)
         if sus <= 0:
             raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
         pairs.add((min(i, j), max(i, j)))
     for i, j, amps in sources:
+        check_ends("source", i, j)
         if amps <= 0:
             raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
         if (min(i, j), max(i, j)) not in pairs:

@@ -101,6 +101,12 @@ def test_recover_validates_inputs():
     with pytest.raises(CircuitError, match="no parallel line"):
         recover_lmps(LimitedInfo(n_nodes=3, lines=((0, 1, 1.0), (1, 2, 1.0)),
                                  sources=((0, 2, 3.0),)))
+    with pytest.raises(CircuitError, match="both ends on node 1"):
+        recover_lmps(LimitedInfo(n_nodes=2, lines=((0, 1, 1.0), (1, 1, 1.0)),
+                                 sources=((0, 1, 3.0),)))
+    with pytest.raises(CircuitError, match="node 2 out of range"):
+        recover_lmps(LimitedInfo(n_nodes=2, lines=((0, 1, 1.0), (1, 2, 1.0)),
+                                 sources=((0, 1, 3.0),)))
 
 
 def test_recover_roundtrip_on_corpus(corpus200):

@@ -176,6 +176,20 @@ def test_disconnected_circuit_raises():
         solve_circuit(c)
 
 
+@pytest.mark.parametrize("lines, sources, match", [
+    ([(0, 1, 1.0), (-1, 1, 1.0)], [(0, 1, 3.0)], r"line \(-1, 1\): node -1 out of range"),
+    ([(0, 1, 1.0), (5, 1, 1.0)], [(0, 1, 3.0)], r"line \(5, 1\): node 5 out of range"),
+    ([(0, 1, 1.0), (1, 1, 1.0)], [(0, 1, 3.0)], r"line \(1, 1\): both ends on node 1"),
+    ([(0, 1, 1.0)], [(1, 1, 3.0)], r"source \(1, 1\): both ends on node 1"),
+    ([(0, 1, 1.0)], [(0, 2, 3.0)], r"source \(0, 2\): node 2 out of range"),
+])
+def test_assembly_rejects_bad_branch_ends(lines, sources, match):
+    # a negative id would otherwise wrap to another node, a large one raise IndexError,
+    # and a self-loop source would silently contribute nothing
+    with pytest.raises(CircuitError, match=match):
+        circuit_from_parts(2, lines, sources, ground=0, offset=0.0)
+
+
 # ---------------------------------------------------------------------------
 # superposition
 # ---------------------------------------------------------------------------
