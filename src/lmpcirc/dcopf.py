@@ -1,9 +1,11 @@
 """DC optimal power flow: solve, classify marginal injectors, verify optimality.
 
 The OPF LP is the assembled network problem plus one equality row pinning the
-reference angle to zero. That row's multiplier is provably zero (the
+reference angle to zero. The LP presolve reads that row as a fixed variable,
+whose multiplier is its reduced cost. That cost is zero up to rounding (the
 susceptance matrix and the angle-constraint rows both annihilate the all-ones
-vector), so the reported duals satisfy the angle-stationarity block without it.
+vector, and every other angle is free, so its reduced cost is zero), so the
+reported duals satisfy the angle-stationarity block without it.
 """
 
 from __future__ import annotations

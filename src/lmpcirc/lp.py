@@ -1,10 +1,24 @@
 """Self-contained dense linear-program solver with exact basis duals.
 
-Solves ``min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge`` with free variables
-(all bounds belong in the inequality block). Primal simplex on the standard
-form (free variables split, slacks added), Dantzig entering rule with a
-permanent switch to Bland's rule after a stall window, lowest-index tie
-breaking throughout, so results are reproducible.
+Solves ``min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge`` with free variables;
+a bound on a variable is a row with one nonzero. A presolve reads those
+singleton rows as bounds, the first step of standard LP presolve (Andersen &
+Andersen, Math. Programming 71, 1995):
+
+- the tightest lower bound ``l`` on a variable (lowest row on ties) makes it
+  ``l + x'`` with one column ``x' >= 0``, and its row leaves the LP;
+- an equality singleton, or a tightest lower and upper bound that are equal,
+  fixes the variable: its column and those rows leave, and its other rows
+  become empty rows, infeasible if they demand anything;
+- a lower bound above an upper bound is infeasible, naming both rows;
+- upper bounds stay rows; their slacks start basic.
+
+A row that left is priced afterwards from its variable's reduced cost over
+the kept rows, so every dual and ``infeasible_rows`` use the problem's row
+numbering. The rest is primal simplex on the standard form (free variables
+split, slacks added), Dantzig entering rule with a permanent switch to
+Bland's rule after a stall window, lowest-index tie breaking throughout, so
+results are reproducible.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
@@ -35,6 +49,7 @@ _TOL_ENTERING = 1e-9    # a reduced cost below -this enters
 _TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
 _STALL_LIMIT = 60       # pivots without progress before Bland's rule
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
+_TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
 
 
 @dataclass(frozen=True)
@@ -87,40 +102,121 @@ def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x + np.linalg.solve(a, b - a @ x)
 
 
+def _tightest(rows: np.ndarray, var: np.ndarray, bound: np.ndarray, nv: int, largest: bool) -> np.ndarray:
+    """Per variable, the row holding its largest (or smallest) bound, the lowest
+    row on ties; -1 for a variable with no such row."""
+    order = np.lexsort((rows, -bound if largest else bound, var))
+    var = var[order]
+    first = np.ones(var.size, dtype=bool)
+    first[1:] = var[1:] != var[:-1]
+    best = np.full(nv, -1, dtype=np.intp)
+    best[var[first]] = rows[order[first]]
+    return best
+
+
+@dataclass(frozen=True)
+class _Presolved:
+    """Singleton rows read as bounds. Variable j is ``shift[j] + x'`` with
+    ``x' >= 0`` when its lower bound is absorbed, ``shift[j]`` when fixed and
+    free otherwise; the rows behind those bounds leave the LP. Rows are numbered
+    as in the problem, with -1 where a variable has no such row."""
+
+    low_row: np.ndarray    # tightest lower bound (a > 0 in a >= row)
+    up_row: np.ndarray     # tightest upper bound (a < 0 in a >= row); stays a row
+    fix_row: np.ndarray    # first equality singleton
+    absorbed: np.ndarray   # lower bound absorbed into x'
+    pinned: np.ndarray     # fixed by equal tightest lower and upper bounds
+    fixed: np.ndarray      # pinned or fixed by an equality singleton
+    shift: np.ndarray
+    b_eq: np.ndarray       # right-hand sides once x is shift + x'
+    b_ge: np.ndarray
+    eq_keep: np.ndarray    # rows that stay, each with a nonzero on a column that stays
+    ge_keep: np.ndarray
+
+
+def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
+    """Read singleton rows as bounds and drop empty rows; an ``INFEASIBLE``
+    solution when the bounds conflict or an empty row demands anything."""
+    nv = problem.n_vars
+    a_eq, b_eq, a_ge, b_ge = problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge
+    nz_eq = np.count_nonzero(a_eq, axis=1)
+    nz_ge = np.count_nonzero(a_ge, axis=1)
+
+    rows = np.flatnonzero(nz_eq == 1)
+    var = np.argmax(a_eq[rows] != 0.0, axis=1)
+    fix_row = np.full(nv, -1, dtype=np.intp)
+    first_var, first = np.unique(var, return_index=True)
+    fix_row[first_var] = rows[first]
+
+    rows = np.flatnonzero(nz_ge == 1)
+    var = np.argmax(a_ge[rows] != 0.0, axis=1)
+    bound = b_ge[rows] / a_ge[rows, var]
+    up = a_ge[rows, var] < 0.0
+    low_row = _tightest(rows[~up], var[~up], bound[~up], nv, largest=True)
+    up_row = _tightest(rows[up], var[up], bound[up], nv, largest=False)
+
+    lo, hi = np.full(nv, -np.inf), np.full(nv, np.inf)
+    for row, value in ((low_row, lo), (up_row, hi)):
+        j = np.flatnonzero(row >= 0)
+        value[j] = b_ge[row[j]] / a_ge[row[j], j]
+    conflicts = []
+    for j in np.flatnonzero(lo - hi > _TOL_RHS):
+        # each row's violation where the other bound holds
+        conflicts += [("ge", int(low_row[j]), float(b_ge[low_row[j]] - a_ge[low_row[j], j] * hi[j])),
+                      ("ge", int(up_row[j]), float(b_ge[up_row[j]] - a_ge[up_row[j], j] * lo[j]))]
+    if conflicts:
+        return LpSolution(status=INFEASIBLE, infeasible_rows=tuple(conflicts))
+
+    pinned = (fix_row < 0) & (lo == hi)
+    fixed = pinned | (fix_row >= 0)
+    absorbed = ~fixed & (low_row >= 0)
+    shift = np.where(absorbed | pinned, lo, 0.0)
+    j = np.flatnonzero(fix_row >= 0)
+    shift[j] = b_eq[fix_row[j]] / a_eq[fix_row[j], j]
+    b_eq, b_ge = b_eq - a_eq @ shift, b_ge - a_ge @ shift
+
+    eq_gone = np.zeros(nz_eq.size, dtype=bool)
+    eq_gone[fix_row[fix_row >= 0]] = True
+    ge_gone = np.zeros(nz_ge.size, dtype=bool)
+    ge_gone[low_row[absorbed | pinned]] = True
+    ge_gone[up_row[pinned]] = True
+    # a row whose variables are all fixed is empty: infeasible if its rhs demands anything
+    eq_kept = nz_eq > np.count_nonzero(a_eq[:, fixed], axis=1)
+    ge_kept = nz_ge > np.count_nonzero(a_ge[:, fixed], axis=1)
+    for kind, gone, kept, rhs, demand in (("eq", eq_gone, eq_kept, b_eq, np.abs(b_eq)),
+                                          ("ge", ge_gone, ge_kept, b_ge, b_ge)):
+        bad = np.flatnonzero(~gone & ~kept & (demand > _TOL_RHS))
+        if bad.size:
+            i = int(bad[0])
+            return LpSolution(status=INFEASIBLE, infeasible_rows=((kind, i, float(rhs[i])),))
+    return _Presolved(low_row=low_row, up_row=up_row, fix_row=fix_row, absorbed=absorbed, pinned=pinned,
+                      fixed=fixed, shift=shift, b_eq=b_eq, b_ge=b_ge,
+                      eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=np.flatnonzero(~ge_gone & ge_kept))
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
-    nv = problem.n_vars
+    pre = _presolve(problem)
+    if isinstance(pre, LpSolution):
+        return pre
     c = problem.c
-
-    # presolve: drop empty rows (infeasible if their rhs demands anything)
-    eq_keep, ge_keep = [], []
-    for i in range(problem.a_eq.shape[0]):
-        if np.any(problem.a_eq[i] != 0.0):
-            eq_keep.append(i)
-        elif abs(problem.b_eq[i]) > 1e-9:
-            return LpSolution(status=INFEASIBLE, infeasible_rows=(("eq", i, float(problem.b_eq[i])),))
-    for i in range(problem.a_ge.shape[0]):
-        if np.any(problem.a_ge[i] != 0.0):
-            ge_keep.append(i)
-        elif problem.b_ge[i] > 1e-9:
-            return LpSolution(status=INFEASIBLE, infeasible_rows=(("ge", i, float(problem.b_ge[i])),))
-
-    a_eq, b_eq = problem.a_eq[eq_keep], problem.b_eq[eq_keep]
-    a_ge, b_ge = problem.a_ge[ge_keep], problem.b_ge[ge_keep]
-    me, mg = a_eq.shape[0], a_ge.shape[0]
+    a_all = np.vstack([problem.a_eq[pre.eq_keep], problem.a_ge[pre.ge_keep]])
+    me, mg = pre.eq_keep.size, pre.ge_keep.size
     m = me + mg
 
-    # standard form: columns [u, v, slacks]; x = u - v, A_ge x - s = b_ge
-    n_struct = 2 * nv + mg
+    # standard form: columns [x', v, slacks]. A kept variable is shift + x' - v,
+    # with a v column only when it is free; A_ge x - s = b_ge
+    cols = np.flatnonzero(~pre.fixed)
+    split = np.flatnonzero(~pre.fixed & ~pre.absorbed)
+    n_var = cols.size + split.size
+    n_struct = n_var + mg
     m_std = np.zeros((m, n_struct))
-    m_std[:me, :nv] = a_eq
-    m_std[:me, nv:2 * nv] = -a_eq
-    m_std[me:, :nv] = a_ge
-    m_std[me:, nv:2 * nv] = -a_ge
-    m_std[me:, 2 * nv:] = -np.eye(mg)
-    rhs = np.concatenate([b_eq, b_ge])
+    m_std[:, :cols.size] = a_all[:, cols]
+    m_std[:, cols.size:n_var] = -a_all[:, split]
+    m_std[me:, n_var:] = -np.eye(mg)
+    rhs = np.concatenate([pre.b_eq[pre.eq_keep], pre.b_ge[pre.ge_keep]])
     row_kind = ["eq"] * me + ["ge"] * mg
-    row_orig = eq_keep + ge_keep
+    row_orig = pre.eq_keep.tolist() + pre.ge_keep.tolist()
 
     sigma = np.where(rhs < 0, -1.0, 1.0)
     m_std *= sigma[:, None]
@@ -131,7 +227,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     art_rows = []
     for i in range(m):
         if i >= me and sigma[i] < 0:
-            basis[i] = 2 * nv + (i - me)
+            basis[i] = n_var + (i - me)
         else:
             basis[i] = n_struct + len(art_rows)
             art_rows.append(i)
@@ -140,7 +236,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     tableau[:m, :n_struct] = m_std
     tableau[:m, -1] = rhs
 
-    c_struct = np.concatenate([c, -c, np.zeros(mg)])
+    c_struct = np.concatenate([c[cols], -c[split], np.zeros(mg)])
     max_iter = 200 + 40 * (m + n_struct)
 
     total_iters = 0
@@ -195,8 +291,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             costrow -= cb * tableau[i, :]
     tableau[m, :] = costrow
 
-    status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
-                                         _TOL_PIVOT, _STALL_LIMIT, max_iter)
+    status, iters = _kernels.STATUS_OPTIMAL, 0
+    if n_struct:    # with every variable fixed there is nothing to price
+        status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
+                                             _TOL_PIVOT, _STALL_LIMIT, max_iter)
     total_iters += iters
     if status == _kernels.STATUS_ITER_LIMIT:
         raise ArithmeticError("simplex iteration limit in phase 2")
@@ -213,7 +311,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     x_std = np.zeros(n_struct)
     x_std[basis] = x_basic
-    x = x_std[:nv] - x_std[nv:2 * nv]
+    x = pre.shift.copy()
+    x[cols] += x_std[:cols.size]
+    x[split] -= x_std[cols.size:n_var]
 
     eq_duals = np.zeros(problem.a_eq.shape[0])
     ge_duals = np.zeros(problem.a_ge.shape[0])
@@ -222,6 +322,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             eq_duals[row_orig[i]] = y_rows[i]
         else:
             ge_duals[row_orig[i]] = y_rows[i]
+    # a row that left the LP prices its variable's reduced cost over the kept rows
+    d = c - problem.a_eq.T @ eq_duals - problem.a_ge.T @ ge_duals
+    j = np.flatnonzero(pre.fix_row >= 0)
+    eq_duals[pre.fix_row[j]] = d[j] / problem.a_eq[pre.fix_row[j], j]
+    # an absorbed lower row; of a pinned variable's two rows, the lower one when
+    # d_j >= 0, else the upper one
+    j = np.flatnonzero(pre.absorbed | pre.pinned)
+    rows = np.where(pre.pinned[j] & (d[j] < 0.0), pre.up_row[j], pre.low_row[j])
+    ge_duals[rows] = d[j] / problem.a_ge[rows, j]
 
     objective = float(problem.c @ x)
     degenerate = bool(np.any(np.abs(x_basic) <= _DEGENERACY_EPS))

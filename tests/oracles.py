@@ -131,9 +131,8 @@ def nodal_voltages_pinv(n_nodes, lines, sources, ground):
     return v - v[ground]
 
 
-def random_small_lp(seed):
-    """Deterministic small LP (<= 8 vars, <= 10 rows) with a varied status mix."""
-    rng = np.random.default_rng(seed)
+def _small_lp(rng):
+    """random_small_lp's draws: the LP and the point x0 its rows are built around."""
     nv = int(rng.integers(2, 9))
     me_lo = max(0, nv - 4)
     me = int(rng.integers(me_lo, min(nv - 1, me_lo + 2) + 1))
@@ -155,4 +154,52 @@ def random_small_lp(seed):
         bound = abs(c @ x0) + rng.uniform(5.0, 50.0)
         a_ge = np.vstack([a_ge, c])
         b_ge = np.concatenate([b_ge, [-bound]])
-    return c, a_eq, b_eq, a_ge, b_ge
+    return (c, a_eq, b_eq, a_ge, b_ge), x0
+
+
+def random_small_lp(seed):
+    """Deterministic small LP (<= 8 vars, <= 10 rows) with a varied status mix."""
+    return _small_lp(np.random.default_rng(seed))[0]
+
+
+def random_bounded_lp(seed):
+    """random_small_lp(seed) plus singleton rows, each on one variable x_j:
+    a lower bound, an upper bound, a second lower bound (an exact duplicate or a
+    looser one), equal lower and upper bounds (power-of-two coefficients, so both
+    read back as the same value), an equality singleton and, on one seed in
+    six, a lower bound above an upper bound. The variables are drawn with
+    repeats, so one variable can carry several of these."""
+    rng = np.random.default_rng(seed)
+    (c, a_eq, b_eq, a_ge, b_ge), x0 = _small_lp(rng)
+    nv = c.size
+    eq_rows, eq_rhs, ge_rows, ge_rhs = [], [], [], []
+
+    def row(j, coef, bound, rows, rhs):  # coef * x_j >= (or =) coef * bound
+        r = np.zeros(nv)
+        r[j] = coef
+        rows.append(r)
+        rhs.append(coef * bound)
+
+    j = rng.integers(0, nv, size=5)
+    low = x0[j[0]] - rng.uniform(0.1, 2.0)
+    coef = rng.uniform(0.5, 2.0)
+    row(j[0], coef, low, ge_rows, ge_rhs)
+    if rng.random() < 0.5:
+        row(j[0], coef, low, ge_rows, ge_rhs)
+    else:
+        row(j[0], rng.uniform(0.5, 2.0), low - rng.uniform(0.1, 1.0), ge_rows, ge_rhs)
+    row(j[1], -rng.uniform(0.5, 2.0), x0[j[1]] + rng.uniform(0.1, 2.0), ge_rows, ge_rhs)
+    row(j[2], 2.0, x0[j[2]], ge_rows, ge_rhs)
+    row(j[2], -0.5, x0[j[2]], ge_rows, ge_rhs)
+    if rng.random() < 0.5:
+        row(j[3], rng.uniform(0.5, 2.0), x0[j[3]], eq_rows, eq_rhs)
+    if rng.random() < 1 / 6:
+        row(j[4], rng.uniform(0.5, 2.0), x0[j[4]] + 1.0, ge_rows, ge_rhs)
+        row(j[4], -rng.uniform(0.5, 2.0), x0[j[4]] - 1.0, ge_rows, ge_rhs)
+
+    a_eq = np.vstack([a_eq] + eq_rows)
+    b_eq = np.concatenate([b_eq, eq_rhs])
+    a_ge = np.vstack([a_ge] + ge_rows)
+    b_ge = np.concatenate([b_ge, ge_rhs])
+    order = rng.permutation(b_ge.size)
+    return c, a_eq, b_eq, a_ge[order], b_ge[order]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmpcirc import generate_random_network, network_to_doc
+from lmpcirc import lp
 from lmpcirc.cli import EXIT_NUMERICAL, main
 
 from conftest import case_path
@@ -285,18 +285,20 @@ def test_singular_final_basis_exit6(capsys, monkeypatch):
     assert err == "error: singular final basis\n"
 
 
-def test_uncertified_solution_exit6(capsys, tmp_path):
-    # full float precision: `gen` rounds to 9 digits, which gives a network that solves
-    path = tmp_path / "net13.json"
-    path.write_text(json.dumps(network_to_doc(generate_random_network(13, 35, 0.35))))
-    code, out, err = run_cli(capsys, "solve", "-i", str(path))
+def test_uncertified_solution_exit6(capsys, monkeypatch):
+    # a factored vertex that fails the certificate: the refined solve is perturbed,
+    # since no generated network is known to fail it any more
+    refined = lp._refined_solve
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda a, b: refined(a, b) + 1e-3)
+    code, out, err = run_cli(capsys, "solve", "-i", str(case_path("case7_reconstructed.json")))
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
 
 
 def test_check_failure_exit5(capsys):
-    code, out, _ = run_cli(capsys, "check", "-i", str(case_path("fig1_3bus.json")),
+    # case7's residuals are tiny but nonzero (fig1's are exactly zero)
+    code, out, _ = run_cli(capsys, "check", "-i", str(case_path("case7_reconstructed.json")),
                            "--tol", "1e-30", "--format", "text")
     assert code == 5
     assert "FAIL" in out

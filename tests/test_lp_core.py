@@ -63,14 +63,15 @@ def test_singular_final_basis_raises(monkeypatch):
 
     monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
     with pytest.raises(ArithmeticError, match="^singular final basis$"):
-        solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0]))
+        solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
 
 
 def test_uncertified_vertex_is_numerical(monkeypatch):
-    # a factored vertex whose residuals fail the certificate is never labelled optimal
+    # a factored vertex whose residuals fail the certificate is never labelled optimal;
+    # the two-variable row keeps a basis to factor once y >= 0 is presolved away
     refined = lp._refined_solve
     monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda a, b: refined(a, b) + 1e-3)
-    sol = solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0]))
+    sol = solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
     assert sol.status == NUMERICAL
     assert sol.residuals["stationarity"] > 1e-7
 
@@ -92,6 +93,72 @@ def test_tableau_holds_only_enterable_columns(monkeypatch, fig1_net):
         assert solve_lp(prob).status == OPTIMAL
         assert len(seen) == 2
         assert all(cols == n_eligible + 1 for cols, n_eligible in seen)
+
+
+def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net):
+    # fig1's LP has 9 variables (6 injector slots, 3 angles) and 18 rows: 3 balance
+    # rows, the reference row, 12 injector bound rows and 2 flow-limit rows. The
+    # reference row fixes theta_0, equal bounds fix the 3 absent load slots at 0 and
+    # the 3 generators' p_min rows become lower bounds; only the p_max rows, which
+    # start with a basic slack, stay among the singleton rows
+    seen = []
+    run = kernels.run_simplex
+
+    def spy(tableau, basis, n_eligible, *rest):
+        seen.append((tableau.copy(), n_eligible))
+        return run(tableau, basis, n_eligible, *rest)
+
+    monkeypatch.setattr(kernels, "run_simplex", spy)
+    prob = opf_lp_problem(assemble_lp(fig1_net), ref_bus=0)
+    assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (18, 9)
+    assert solve_lp(prob).status == OPTIMAL
+    tableau, n_eligible = seen[0]
+    # rows: 3 balance rows, 3 p_max rows, 2 flow-limit rows
+    assert tableau.shape[0] - 1 == 8
+    # columns: 3 generators (no v half), 2 free angles split in two, 5 slacks
+    assert n_eligible == tableau.shape[1] - 1 == 12
+    # every constraint row holds a variable column; a p_max row holds exactly one
+    per_row = np.count_nonzero(tableau[:8, :7], axis=1)
+    assert per_row.min() >= 1 and np.count_nonzero(per_row == 1) == 3
+
+
+def test_conflicting_bounds_name_both_rows(monkeypatch):
+    def no_simplex(*args):
+        raise AssertionError("the presolve alone proves these infeasible")
+
+    monkeypatch.setattr(kernels, "run_simplex", no_simplex)
+    # x >= 3 (row 1) above x <= 2 (row 2); each row carries its violation where
+    # the other bound holds
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], b_ge=[0.0, 3.0, -2.0]))
+    assert sol.status == INFEASIBLE and sol.iterations == 0
+    assert sol.infeasible_rows == (("ge", 1, 1.0), ("ge", 2, 1.0))
+    # a fixed variable's other rows become empty and face the empty-row check
+    sol = solve_lp(_lp([1.0], a_eq=[[2.0]], b_eq=[4.0], a_ge=[[1.0]], b_ge=[3.0]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 0, 1.0),)
+
+
+def test_singleton_rows_price_their_variable():
+    # the tightest lower bound (x >= 3, row 1) is absorbed and prices d / a; the
+    # looser one and the upper bound stay as rows and price at zero
+    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0],
+                       a_ge=[[2.0, 0.0], [0.5, 0.0], [-1.0, 0.0]], b_ge=[2.0, 1.5, -5.0]))
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([3.0, 7.0])
+    assert sol.ge_duals == pytest.approx([0.0, 2.0, 0.0])
+    # the tightest lower bound meets the upper bound, so x is fixed without a
+    # pivot; of the two tied lower rows the first one is priced
+    sol = solve_lp(_lp([1.0], a_ge=[[1.0], [1.0], [1.0], [-1.0]], b_ge=[1.0, 3.0, 3.0, -3.0]))
+    assert sol.status == OPTIMAL and sol.iterations == 0 and sol.x == pytest.approx([3.0])
+    assert sol.ge_duals == pytest.approx([0.0, 1.0, 0.0, 0.0])
+    # equal bounds fix x: d = c goes to the lower row when >= 0, else to the upper row
+    for cost, duals in ((3.0, [3.0, 0.0]), (-3.0, [0.0, 1.5])):
+        sol = solve_lp(_lp([cost], a_ge=[[1.0], [-2.0]], b_ge=[4.0, -8.0]))
+        assert sol.status == OPTIMAL and sol.x == pytest.approx([4.0])
+        assert sol.ge_duals == pytest.approx(duals)
+    # an equality singleton prices d / a
+    sol = solve_lp(_lp([3.0, 1.0], a_eq=[[2.0, 0.0]], b_eq=[4.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[5.0, 0.0]))
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([2.0, 3.0])
+    assert sol.eq_duals == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0, 0.0])
 
 
 def test_deterministic_repeat():
@@ -162,8 +229,9 @@ def test_degenerate_flag_set_and_clear():
 
 def test_matches_vertex_enumeration_oracle():
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for seed in range(300):
-        c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(seed)
+    lps = [(seed, oracles.random_small_lp(seed)) for seed in range(300)]
+    lps += [(f"bounded {seed}", oracles.random_bounded_lp(seed)) for seed in range(100)]
+    for seed, (c, a_eq, b_eq, a_ge, b_ge) in lps:
         want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge)
         sol = solve_lp(_lp(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
         assert sol.status == want_status, f"seed {seed}: {sol.status} != {want_status}"
