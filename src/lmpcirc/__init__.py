@@ -7,6 +7,16 @@ KCL/KVL ledgers, superposition, negative-price prediction, and price recovery
 from partial information.
 """
 
+import os
+
+# One BLAS thread unless the user set a count: the package's dense solves are
+# small enough that waking a thread pool costs far more than it saves. BLAS
+# reads these when numpy first loads it, so they act only if lmpcirc imports
+# numpy first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from ._kernels import BACKEND
 from .analysis import (
     CongestionImpact,

@@ -6,6 +6,12 @@ whose multiplier is its reduced cost. That cost is zero up to rounding (the
 susceptance matrix and the angle-constraint rows both annihilate the all-ones
 vector, and every other angle is free, so its reduced cost is zero), so the
 reported duals satisfy the angle-stationarity block without it.
+
+The other angles are basic through the balance rows: the LP solver eliminates
+each free angle on one balance row before the simplex, which is KCL fixing
+``theta = X (d - A p)`` once the injections are known. The simplex therefore
+sees one system-balance row and the flow-limit rows in injection (PTDF) form,
+and never prices an angle column.
 """
 
 from __future__ import annotations

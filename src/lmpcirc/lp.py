@@ -15,19 +15,31 @@ Andersen, Math. Programming 71, 1995):
 
 A row that left is priced afterwards from its variable's reduced cost over
 the kept rows, so every dual and ``infeasible_rows`` use the problem's row
-numbering. The rest is primal simplex on the standard form (free variables
-split, slacks added), Dantzig entering rule with a permanent switch to
-Bland's rule after a stall window, lowest-index tie breaking throughout, so
-results are reproducible.
+numbering.
+
+The standard form adds slacks and splits each free variable into
+``x' - v``. A free variable with an entry on an equality row is then
+eliminated there: one Gauss-Jordan pivot, on the unused equality row with the
+largest absolute entry, makes it basic, and the same pivot substitutes it out
+of the phase-2 costs. Its row and both its columns leave the simplex tableau: a free
+basic variable meets no ratio test, so it never has to leave the basis (Maros,
+*Computational Techniques of the Simplex Method*, 2003, §9; Bertsimas &
+Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8). A free
+variable left with no entry above the pivot tolerance on an unused equality
+row stays split. The rest is primal simplex, Dantzig
+entering rule with a permanent switch to Bland's rule after a stall window,
+lowest-index tie breaking throughout, so results are reproducible.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
-factorization of the final basis (one step of iterative refinement), so the
+factorization of the final basis, the eliminated pairs together with the
+simplex basis over every kept row (one step of iterative refinement), so the
 reported solution does not carry accumulated tableau drift. A singular final
 basis has no such solution and raises ``ArithmeticError``, as does the
 iteration cap; a vertex whose residuals exceed their limits gets status
 ``numerical``. Artificial variables exist only as basis markers
-(``basis[i] >= n_struct``), never as tableau columns.
+(``basis[i]`` at or past the number of tableau columns), never as tableau
+columns.
 """
 
 from __future__ import annotations
@@ -194,6 +206,26 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
                       eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=np.flatnonzero(~ge_gone & ge_kept))
 
 
+def _eliminate_free(tableau: np.ndarray, me: int, x_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot each free variable, in index order, onto the unused equality row
+    (of the first ``me``) with the largest absolute entry in its ``x'`` column
+    ``x_cols[k]``, lowest row on ties; a variable with no entry above
+    ``_TOL_PIVOT`` stays split. Returns the rows pivoted on and the ``k`` of
+    their variables."""
+    used = np.zeros(me, dtype=bool)
+    rows, pivoted = [], []
+    for k, pc in enumerate(x_cols if me else ()):
+        col = np.abs(tableau[:me, pc])
+        col[used] = 0.0
+        pr = int(np.argmax(col))
+        if col[pr] > _TOL_PIVOT:
+            _pivot(tableau, pr, pc)
+            used[pr] = True
+            rows.append(pr)
+            pivoted.append(k)
+    return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
     pre = _presolve(problem)
@@ -215,113 +247,130 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     m_std[:, cols.size:n_var] = -a_all[:, split]
     m_std[me:, n_var:] = -np.eye(mg)
     rhs = np.concatenate([pre.b_eq[pre.eq_keep], pre.b_ge[pre.ge_keep]])
-    row_kind = ["eq"] * me + ["ge"] * mg
-    row_orig = pre.eq_keep.tolist() + pre.ge_keep.tolist()
+    row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
+    c_struct = np.concatenate([c[cols], -c[split], np.zeros(mg)])
 
-    sigma = np.where(rhs < 0, -1.0, 1.0)
-    m_std *= sigma[:, None]
-    rhs = rhs * sigma
+    # free variables become basic on equality rows, with the phase-2 cost row
+    # substituted by the same pivots; their rows and their x' and v columns then
+    # leave the tableau (a free basic variable needs no ratio test)
+    full = np.zeros((m + 1, n_struct + 1))
+    full[:m, :n_struct] = m_std
+    full[:m, -1] = rhs
+    full[m, :n_struct] = c_struct
+    x_cols = np.searchsorted(cols, split)
+    elim_rows, k = _eliminate_free(full, me, x_cols)
+    elim_cols = x_cols[k]
+    gone = np.zeros(n_struct + 1, dtype=bool)
+    gone[elim_cols] = True
+    gone[cols.size + k] = True
+    kcols = np.flatnonzero(~gone)[:-1]
+    eliminated = np.zeros(m, dtype=bool)
+    eliminated[elim_rows] = True
+    krows = np.flatnonzero(~eliminated)
+    tableau = np.zeros((krows.size + 1, kcols.size + 1))
+    tableau[:-1] = full[np.ix_(krows, ~gone)]
+    cost = full[m, ~gone]    # reduced phase-2 costs, objective offset in the last entry
+    mk, nk = tableau.shape[0] - 1, kcols.size
+    me_k = me - elim_rows.size
+    n_var_k = nk - mg
+
+    sigma = np.where(tableau[:mk, -1] < 0, -1.0, 1.0)
+    tableau[:mk] *= sigma[:, None]
 
     # crash basis: flipped ge-rows have a +1 slack; everything else gets an artificial
-    basis = np.empty(m, dtype=np.intp)
+    basis = np.empty(mk, dtype=np.intp)
     art_rows = []
-    for i in range(m):
-        if i >= me and sigma[i] < 0:
-            basis[i] = n_var + (i - me)
+    for i in range(mk):
+        if i >= me_k and sigma[i] < 0:
+            basis[i] = n_var_k + (i - me_k)
         else:
-            basis[i] = n_struct + len(art_rows)
+            basis[i] = nk + len(art_rows)
             art_rows.append(i)
 
-    tableau = np.zeros((m + 1, n_struct + 1))
-    tableau[:m, :n_struct] = m_std
-    tableau[:m, -1] = rhs
+    max_iter = 200 + 40 * (mk + nk)
 
-    c_struct = np.concatenate([c[cols], -c[split], np.zeros(mg)])
-    max_iter = 200 + 40 * (m + n_struct)
+    def run_kernel():
+        if not nk:    # with no column left there is nothing to price
+            return _kernels.STATUS_OPTIMAL, 0
+        return _kernels.run_simplex(tableau, basis, nk, _TOL_ENTERING, _TOL_PIVOT, _STALL_LIMIT, max_iter)
 
     total_iters = 0
     if art_rows:
         # phase 1: reduced costs for min(sum of artificials) under the crash basis
         for i in art_rows:
-            tableau[m, :] -= tableau[i, :]
-        status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
-                                             _TOL_PIVOT, _STALL_LIMIT, max_iter)
+            tableau[mk, :] -= tableau[i, :]
+        status, iters = run_kernel()
         total_iters += iters
         if status == _kernels.STATUS_ITER_LIMIT:
             raise ArithmeticError("simplex iteration limit in phase 1")
         if status == _kernels.STATUS_UNBOUNDED:
             raise ArithmeticError("phase-1 objective unbounded (numerical failure)")
-        phase1_obj = -tableau[m, -1]
-        if phase1_obj > 1e-7 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
+        phase1_obj = -tableau[mk, -1]
+        if phase1_obj > 1e-7 * (1.0 + float(np.max(np.abs(tableau[:mk, -1]), initial=0.0))):
             bad = tuple(
-                (row_kind[i], row_orig[i], float(tableau[i, -1]))
-                for i in range(m)
-                if basis[i] >= n_struct and tableau[i, -1] > 1e-9
+                ("eq" if krows[i] < me else "ge", int(row_orig[krows[i]]), float(tableau[i, -1]))
+                for i in range(mk)
+                if basis[i] >= nk and tableau[i, -1] > 1e-9
             )
             return LpSolution(status=INFEASIBLE, iterations=total_iters, infeasible_rows=bad)
 
         # drive leftover artificials out of the basis; rows with no structural
         # pivot are redundant and dropped (their duals are reported as zero)
         drop = []
-        for i in range(m):
-            if basis[i] >= n_struct:
-                row = np.abs(tableau[i, :n_struct])
-                pc = int(np.argmax(row))
-                if row[pc] > 1e-7:
+        for i in range(mk):
+            if basis[i] >= nk:
+                row = np.abs(tableau[i, :nk])
+                if row.size and row.max() > 1e-7:
+                    pc = int(np.argmax(row))
                     _pivot(tableau, i, pc)
                     basis[i] = pc
                 else:
                     drop.append(i)
         if drop:
-            keep = [i for i in range(m) if i not in set(drop)]
-            tableau = np.ascontiguousarray(np.delete(tableau, drop, axis=0))
-            basis = basis[keep]
-            m_std = m_std[keep]
-            rhs = rhs[keep]
-            sigma = sigma[keep]
-            row_kind = [row_kind[i] for i in keep]
-            row_orig = [row_orig[i] for i in keep]
-            m = len(keep)
+            keep = np.delete(np.arange(mk), drop)
+            tableau = np.ascontiguousarray(tableau[np.append(keep, mk)])
+            basis, krows = basis[keep], krows[keep]
+            mk = keep.size
 
     # phase 2 cost row
-    costrow = np.concatenate([c_struct, [0.0]])
-    for i in range(m):
-        cb = c_struct[basis[i]]
+    costrow = cost.copy()
+    for i in range(mk):
+        cb = cost[basis[i]]
         if cb != 0.0:
             costrow -= cb * tableau[i, :]
-    tableau[m, :] = costrow
+    tableau[mk, :] = costrow
 
-    status, iters = _kernels.STATUS_OPTIMAL, 0
-    if n_struct:    # with every variable fixed there is nothing to price
-        status, iters = _kernels.run_simplex(tableau, basis, n_struct, _TOL_ENTERING,
-                                             _TOL_PIVOT, _STALL_LIMIT, max_iter)
+    status, iters = run_kernel()
     total_iters += iters
     if status == _kernels.STATUS_ITER_LIMIT:
         raise ArithmeticError("simplex iteration limit in phase 2")
     if status == _kernels.STATUS_UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=total_iters)
 
-    # recompute the vertex and its duals from a fresh factorization of the basis
-    basis_mat = m_std[:, basis]
+    # the final basis is the eliminated pairs plus the kernel's; recompute the
+    # vertex and its duals from a fresh factorization over every kept row
+    basis_col = np.full(m, -1, dtype=np.intp)
+    basis_col[elim_rows] = elim_cols
+    basis_col[krows] = kcols[basis]
+    kept = np.flatnonzero(basis_col >= 0)
+    basis_mat = m_std[np.ix_(kept, basis_col[kept])]
     try:
-        x_basic = _refined_solve(basis_mat, rhs)
-        y_rows = sigma * _refined_solve(basis_mat.T, c_struct[basis])
+        x_basic = _refined_solve(basis_mat, rhs[kept])
+        y_rows = _refined_solve(basis_mat.T, c_struct[basis_col[kept]])
     except np.linalg.LinAlgError:
         raise ArithmeticError("singular final basis") from None
 
     x_std = np.zeros(n_struct)
-    x_std[basis] = x_basic
+    x_std[basis_col[kept]] = x_basic
     x = pre.shift.copy()
     x[cols] += x_std[:cols.size]
     x[split] -= x_std[cols.size:n_var]
 
     eq_duals = np.zeros(problem.a_eq.shape[0])
     ge_duals = np.zeros(problem.a_ge.shape[0])
-    for i in range(m):
-        if row_kind[i] == "eq":
-            eq_duals[row_orig[i]] = y_rows[i]
-        else:
-            ge_duals[row_orig[i]] = y_rows[i]
+    is_eq = kept < me
+    eq_duals[row_orig[kept[is_eq]]] = y_rows[is_eq]
+    ge_duals[row_orig[kept[~is_eq]]] = y_rows[~is_eq]
     # a row that left the LP prices its variable's reduced cost over the kept rows
     d = c - problem.a_eq.T @ eq_duals - problem.a_ge.T @ ge_duals
     j = np.flatnonzero(pre.fix_row >= 0)
@@ -333,7 +382,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     ge_duals[rows] = d[j] / problem.a_ge[rows, j]
 
     objective = float(problem.c @ x)
-    degenerate = bool(np.any(np.abs(x_basic) <= _DEGENERACY_EPS))
+    # a free basic variable has no bound to sit at
+    degenerate = bool(np.any(np.abs(x_basic[~eliminated[kept]]) <= _DEGENERACY_EPS))
 
     slack = problem.a_ge @ x - problem.b_ge
     residuals = {

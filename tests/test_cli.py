@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -366,3 +368,55 @@ def test_ref_bus_override(capsys):
     doc = json.loads(out1)
     assert doc["lmp"]["3"] == 90.0
     assert doc["theta"][3] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# process environment
+# ---------------------------------------------------------------------------
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# imports lmpcirc first, then prints the BLAS variables and the thread count
+# OpenBLAS reports through its own C API (null where it cannot be asked)
+_BLAS_CHILD = """
+import ctypes, json, os, sys
+import lmpcirc.cli
+
+count = None
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = [line.split()[-1] for line in fh if "openblas" in line.lower()]
+except OSError:
+    paths = []
+if paths:
+    lib = ctypes.CDLL(paths[0])
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            count = int(fn())
+            break
+print(json.dumps({"env": [os.environ.get(v) for v in sys.argv[1:]], "blas": count}))
+"""
+
+
+def _blas_in_child(**overrides) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(overrides)
+    src = str(Path(lp.__file__).parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD, *_BLAS_VARS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_blas_defaults_to_one_thread():
+    out = _blas_in_child()
+    assert out["env"] == ["1", "1", "1"]
+    assert out["blas"] in (None, 1)
+
+
+def test_blas_thread_count_set_by_the_user_wins():
+    out = _blas_in_child(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+    assert out["env"] == ["2", "1", "3"]

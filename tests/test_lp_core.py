@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lmpcirc._kernels as kernels
-from lmpcirc import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, lp, solve_lp
+from lmpcirc import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, generate_random_network,
+                     lp, solve_lp)
 from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
@@ -100,7 +101,8 @@ def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net)
     # rows, the reference row, 12 injector bound rows and 2 flow-limit rows. The
     # reference row fixes theta_0, equal bounds fix the 3 absent load slots at 0 and
     # the 3 generators' p_min rows become lower bounds; only the p_max rows, which
-    # start with a basic slack, stay among the singleton rows
+    # start with a basic slack, stay among the singleton rows. The two free angles
+    # are then eliminated on two balance rows, which leave with them
     seen = []
     run = kernels.run_simplex
 
@@ -113,13 +115,96 @@ def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net)
     assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (18, 9)
     assert solve_lp(prob).status == OPTIMAL
     tableau, n_eligible = seen[0]
-    # rows: 3 balance rows, 3 p_max rows, 2 flow-limit rows
-    assert tableau.shape[0] - 1 == 8
-    # columns: 3 generators (no v half), 2 free angles split in two, 5 slacks
-    assert n_eligible == tableau.shape[1] - 1 == 12
-    # every constraint row holds a variable column; a p_max row holds exactly one
-    per_row = np.count_nonzero(tableau[:8, :7], axis=1)
+    # rows: 1 system-balance row, 3 p_max rows, 2 flow-limit rows
+    assert tableau.shape[0] - 1 == 6
+    # columns: 3 generators (no v half), 5 slacks; no angle column
+    assert n_eligible == tableau.shape[1] - 1 == 8
+    # every constraint row holds a generator column; a p_max row holds exactly one
+    per_row = np.count_nonzero(tableau[:6, :3], axis=1)
     assert per_row.min() >= 1 and np.count_nonzero(per_row == 1) == 3
+
+
+def _kernel_shapes(monkeypatch):
+    """Record (tableau shape, n_eligible) of every kernel call."""
+    seen = []
+    run = kernels.run_simplex
+
+    def spy(tableau, basis, n_eligible, *rest):
+        seen.append((tableau.shape, n_eligible))
+        return run(tableau, basis, n_eligible, *rest)
+
+    monkeypatch.setattr(kernels, "run_simplex", spy)
+    return seen
+
+
+def _assert_matches_oracle(prob, sol):
+    status, value, x = oracles.brute_force_lp(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge)
+    assert status == sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(value, abs=1e-9)
+    assert sol.x == pytest.approx(x, abs=1e-9)
+    eq_duals, ge_duals, resid = oracles.kkt_duals(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge, x)
+    assert resid < 1e-9
+    assert sol.eq_duals == pytest.approx(eq_duals, abs=1e-9)
+    assert sol.ge_duals == pytest.approx(ge_duals, abs=1e-9)
+
+
+def test_free_variables_are_eliminated_on_equality_rows(monkeypatch):
+    # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z free:
+    # both become basic on the two equality rows and leave the tableau, so the
+    # kernel sees one row (y <= 5) and two columns (y' and its slack). At the
+    # optimum y = 5 and both free variables are negative: x = -1, z = -3
+    seen = _kernel_shapes(monkeypatch)
+    prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
+               a_ge=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], b_ge=[0.0, -5.0])
+    sol = solve_lp(prob)
+    assert seen and all(shape == (2, 3) and n_eligible == 2 for shape, n_eligible in seen)
+    assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
+    assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.ge_duals == pytest.approx([0.0, 1.5])
+    _assert_matches_oracle(prob, sol)
+
+
+def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
+    # min x + 2y  s.t.  x + y >= -1,  x - y >= -3,  y + w = 4,  y >= 0,  w >= 0
+    # with x free: the equality row holds no x, so x keeps its x' and v columns
+    # next to y', w' and two slacks. At the optimum x = -1 < 0
+    seen = _kernel_shapes(monkeypatch)
+    prob = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
+               a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               b_ge=[-1.0, -3.0, 0.0, 0.0])
+    sol = solve_lp(prob)
+    assert seen and all(shape == (4, 7) and n_eligible == 6 for shape, n_eligible in seen)
+    assert sol.x == pytest.approx([-1.0, 0.0, 4.0])
+    assert sol.ge_duals == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    _assert_matches_oracle(prob, sol)
+
+
+def test_every_column_eliminated():
+    # x and y free on three equality rows: both are eliminated and the third row
+    # is left with no column, infeasible when it still demands anything
+    rows = [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]]
+    sol = solve_lp(_lp([1.0, 1.0], a_eq=rows, b_eq=[1.0, 0.0, 3.0]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("eq", 2, 1.5),)
+    # and redundant otherwise: it is dropped and prices at zero
+    sol = solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0]))
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([0.5, 0.5])
+    assert sol.objective == pytest.approx(1.0) and sol.residuals["stationarity"] <= 1e-12
+
+
+def test_opf_tableau_holds_no_angle_column(monkeypatch):
+    # on perfbench's opf_grid networks every non-reference angle is eliminated on
+    # a balance row: the kernel sees the system-balance row, the p_max rows and
+    # the flow-limit rows, over the injector columns and one slack per row
+    seen = _kernel_shapes(monkeypatch)
+    for seed in range(17):
+        net = generate_random_network(seed, 50, 0.022)
+        opf = assemble_lp(net)
+        n_inj = sum(inj.p_min < inj.p_max for inj in net.injectors)
+        n_ge = n_inj + opf.D.shape[0]
+        seen.clear()
+        assert solve_lp(opf_lp_problem(opf, ref_bus=0)).status == OPTIMAL
+        (shape, n_eligible), *_ = seen
+        assert shape == (1 + n_ge + 1, n_inj + n_ge + 1) and n_eligible == n_inj + n_ge
+        assert all(n == n_eligible for _, n in seen)
 
 
 def test_conflicting_bounds_name_both_rows(monkeypatch):
@@ -221,6 +306,11 @@ def test_degenerate_flag_set_and_clear():
     deg = solve_lp(_lp([1.0, 1.0],
                        a_ge=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ge=[1.0, 1.0, 2.0]))
     assert deg.status == OPTIMAL and deg.degenerate
+    # a free basic variable at zero sits at no bound: min y, x + y = 1, y >= 1
+    # has two active rows in two variables, with the eliminated x at 0
+    free_zero = solve_lp(_lp([0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[0.0, 1.0]], b_ge=[1.0]))
+    assert free_zero.status == OPTIMAL and free_zero.x == pytest.approx([0.0, 1.0])
+    assert not free_zero.degenerate
 
 
 # ---------------------------------------------------------------------------
