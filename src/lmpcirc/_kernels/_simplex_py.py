@@ -1,10 +1,8 @@
-"""Simplex pivot loop on a dense tableau, numpy backend.
+"""Simplex pivot loop on a dense tableau.
 
-Mirrors ``_simplex_cy.pyx``; both backends must make identical pivot choices
-and produce equal tableaus (the extension is built without FMA contraction for
-this reason). A pivot eliminates only the block where both the pivot column
-and the pivot row are nonzero, computing each of those entries as ``t - f * p``
-exactly as the dense rank-1 update does. Every skipped entry would have had
+A pivot eliminates only the block where both the pivot column and the pivot
+row are nonzero, computing each of those entries as ``t - f * p`` exactly as
+the dense rank-1 update does. Every skipped entry would have had
 ``f * p == ±0`` subtracted from it, which leaves a nonzero entry unchanged and
 at most flips the sign of a zero. Nothing downstream can tell ``-0.0`` from
 ``0.0``: every comparison, argmin, argmax and ratio treats them alike, and no

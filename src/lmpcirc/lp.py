@@ -33,13 +33,17 @@ lowest-index tie breaking throughout, so results are reproducible.
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
 factorization of the final basis, the eliminated pairs together with the
-simplex basis over every kept row (one step of iterative refinement), so the
-reported solution does not carry accumulated tableau drift. A singular final
-basis has no such solution and raises ``ArithmeticError``, as does the
-iteration cap; a vertex whose residuals exceed their limits gets status
-``numerical``. Artificial variables exist only as basis markers
-(``basis[i]`` at or past the number of tableau columns), never as tableau
-columns.
+simplex basis (one step of iterative refinement), so the reported solution
+does not carry accumulated tableau drift. Only the equality rows and the tight
+``>=`` rows are factored, against the basic structural columns: a ``>=`` row
+whose own slack is basic is loose, its dual is zero and its slack is
+``a x - b`` (complementary slackness; Bertsimas & Tsitsiklis 1997, §4.3).
+The elimination tableau is the one dense copy of the LP; the simplex tableau
+is compacted into its buffer. A singular final basis has no such solution and
+raises ``ArithmeticError``, as does the iteration cap; a vertex whose
+residuals exceed their limits gets status ``numerical``. Artificial variables
+exist only as basis markers (``basis[i]`` at or past the number of tableau
+columns), never as tableau columns.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ _TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
 _STALL_LIMIT = 60       # pivots without progress before Bland's rule
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 _TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
+_COMPACT_BLOCK = 1 << 20    # entries copied at a time when the tableau is compacted
 
 
 @dataclass(frozen=True)
@@ -226,13 +231,62 @@ def _eliminate_free(tableau: np.ndarray, me: int, x_cols: np.ndarray) -> tuple[n
     return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
 
 
+def _compact(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``t[np.ix_(rows, cols)]`` moved to the front of ``t``'s own buffer and
+    returned as a C-contiguous view; ``t`` (C-contiguous) is overwritten.
+    ``rows`` ascends, so the output rows before k end before source row
+    ``rows[k] >= k`` starts: no row is overwritten before it is read. Each block
+    of rows is read whole before it is written, which bounds the temporary."""
+    flat = t.reshape(-1)
+    n = cols.size
+    step = max(1, _COMPACT_BLOCK // n)
+    for start in range(0, rows.size, step):
+        block = t.take(rows[start:start + step], axis=0).take(cols, axis=1)    # faster than np.ix_
+        flat[start * n:start * n + block.size] = block.reshape(-1)
+    return flat[:rows.size * n].reshape(rows.size, n)
+
+
+def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis_col: np.ndarray,
+                    me: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the basic variables and row duals of the final basis, both over
+    the rows with ``basis_col >= 0`` in order.
+
+    ``a_std`` holds the kept rows over the structural columns (``n`` of them);
+    a basis column ``n + i`` is the slack of row ``me + i``. A ``>=`` row whose
+    own slack is basic is loose: its dual is 0 and its slack is ``a x - b``
+    (complementary slackness). So only the equality and tight rows are factored,
+    against the basic structural columns; each loose row's slack takes one
+    basis column, so that system is square."""
+    n = a_std.shape[1]
+    kept = np.flatnonzero(basis_col >= 0)
+    col = basis_col[kept]
+    struct = col < n
+    slack_rows = me + col[~struct] - n
+    loose = np.zeros(basis_col.size, dtype=bool)
+    loose[slack_rows] = True
+    tight = kept[~loose[kept]]
+    basis_mat = a_std[np.ix_(tight, col[struct])]
+    try:
+        x_struct = _refined_solve(basis_mat, rhs[tight])
+        y_tight = _refined_solve(basis_mat.T, c_std[col[struct]])
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("singular final basis") from None
+    x_std = np.zeros(n)
+    x_std[col[struct]] = x_struct
+    x_basic = np.empty(kept.size)
+    x_basic[struct] = x_struct
+    x_basic[~struct] = a_std[slack_rows] @ x_std - rhs[slack_rows]
+    y_rows = np.zeros(kept.size)
+    y_rows[~loose[kept]] = y_tight
+    return x_basic, y_rows
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
     pre = _presolve(problem)
     if isinstance(pre, LpSolution):
         return pre
     c = problem.c
-    a_all = np.vstack([problem.a_eq[pre.eq_keep], problem.a_ge[pre.ge_keep]])
     me, mg = pre.eq_keep.size, pre.ge_keep.size
     m = me + mg
 
@@ -242,34 +296,36 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     split = np.flatnonzero(~pre.fixed & ~pre.absorbed)
     n_var = cols.size + split.size
     n_struct = n_var + mg
-    m_std = np.zeros((m, n_struct))
-    m_std[:, :cols.size] = a_all[:, cols]
-    m_std[:, cols.size:n_var] = -a_all[:, split]
-    m_std[me:, n_var:] = -np.eye(mg)
+    var_cols = np.concatenate([cols, split])
+    a_std = np.vstack([problem.a_eq[pre.eq_keep], problem.a_ge[pre.ge_keep]]).take(var_cols, axis=1)
+    a_std[:, cols.size:] *= -1.0
     rhs = np.concatenate([pre.b_eq[pre.eq_keep], pre.b_ge[pre.ge_keep]])
     row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
-    c_struct = np.concatenate([c[cols], -c[split], np.zeros(mg)])
+    c_std = np.concatenate([c[cols], -c[split]])
 
     # free variables become basic on equality rows, with the phase-2 cost row
     # substituted by the same pivots; their rows and their x' and v columns then
     # leave the tableau (a free basic variable needs no ratio test)
     full = np.zeros((m + 1, n_struct + 1))
-    full[:m, :n_struct] = m_std
+    full[:m, :n_var] = a_std
+    full[me + np.arange(mg), n_var + np.arange(mg)] = -1.0
     full[:m, -1] = rhs
-    full[m, :n_struct] = c_struct
+    full[m, :n_var] = c_std
     x_cols = np.searchsorted(cols, split)
     elim_rows, k = _eliminate_free(full, me, x_cols)
     elim_cols = x_cols[k]
     gone = np.zeros(n_struct + 1, dtype=bool)
     gone[elim_cols] = True
     gone[cols.size + k] = True
-    kcols = np.flatnonzero(~gone)[:-1]
+    tcols = np.flatnonzero(~gone)    # the kernel's columns and the rhs
+    kcols = tcols[:-1]
+    cost = full[m, tcols]    # reduced phase-2 costs, objective offset in the last entry
     eliminated = np.zeros(m, dtype=bool)
     eliminated[elim_rows] = True
     krows = np.flatnonzero(~eliminated)
-    tableau = np.zeros((krows.size + 1, kcols.size + 1))
-    tableau[:-1] = full[np.ix_(krows, ~gone)]
-    cost = full[m, ~gone]    # reduced phase-2 costs, objective offset in the last entry
+    # the kernel tableau takes over full's buffer, with a zero cost row
+    tableau = _compact(full, np.append(krows, m), tcols)
+    tableau[-1] = 0.0
     mk, nk = tableau.shape[0] - 1, kcols.size
     me_k = me - elim_rows.size
     n_var_k = nk - mg
@@ -328,7 +384,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                     drop.append(i)
         if drop:
             keep = np.delete(np.arange(mk), drop)
-            tableau = np.ascontiguousarray(tableau[np.append(keep, mk)])
+            tableau = _compact(tableau, np.append(keep, mk), np.arange(nk + 1))
             basis, krows = basis[keep], krows[keep]
             mk = keep.size
 
@@ -348,17 +404,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution(status=UNBOUNDED, iterations=total_iters)
 
     # the final basis is the eliminated pairs plus the kernel's; recompute the
-    # vertex and its duals from a fresh factorization over every kept row
+    # vertex and its duals from a fresh factorization of its tight rows
     basis_col = np.full(m, -1, dtype=np.intp)
     basis_col[elim_rows] = elim_cols
     basis_col[krows] = kcols[basis]
     kept = np.flatnonzero(basis_col >= 0)
-    basis_mat = m_std[np.ix_(kept, basis_col[kept])]
-    try:
-        x_basic = _refined_solve(basis_mat, rhs[kept])
-        y_rows = _refined_solve(basis_mat.T, c_struct[basis_col[kept]])
-    except np.linalg.LinAlgError:
-        raise ArithmeticError("singular final basis") from None
+    x_basic, y_rows = _basic_solution(a_std, rhs, c_std, basis_col, me)
 
     x_std = np.zeros(n_struct)
     x_std[basis_col[kept]] = x_basic

@@ -253,12 +253,13 @@ def test_infeasible_capacity_shortfall():
 
 
 # every network is feasible by construction: seeds 0-19 at 40 and 50 buses,
-# perfbench's 17 opf_dense networks and three grid-like networks each at 100
-# and at 200 buses
+# perfbench's 17 opf_dense networks, three grid-like networks each at 100
+# and at 200 buses, and two dense networks at 100 buses
 SCALE_CORPUS = ([(seed, n, 0.35) for n in (40, 50) for seed in range(20)]
                 + [(seed, 35, 0.35) for seed in range(17)]
                 + [(seed, 100, 0.035) for seed in range(3)]
-                + [(seed, 200, 0.005) for seed in range(3)])
+                + [(seed, 200, 0.005) for seed in range(3)]
+                + [(seed, 100, 0.35) for seed in range(2)])
 
 
 def test_scale_corpus_is_certified():

@@ -1,21 +1,15 @@
-"""Kernel checks: the sparse numpy pivot against the dense update it replaces,
-and backend parity (the compiled kernel must reproduce the numpy kernel bit for bit)."""
+"""Kernel checks: the sparse numpy pivot against the dense update it replaces."""
 
 import numpy as np
 import pytest
 
-import lmpcirc._kernels as kernels
-from lmpcirc import LpProblem, assemble_lp, generate_random_network, solve_lp, solve_opf
+from lmpcirc import LpProblem, generate_random_network, solve_lp, solve_opf
 from lmpcirc import lp as lp_module
 from lmpcirc._kernels import _simplex_py
-from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
 
-BACKENDS = kernels.available_backends()
 SPARSE_PIVOT = _simplex_py._pivot
-
-needs_both = pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
 
 
 def _dense_pivot(tableau, pr, pc):
@@ -59,7 +53,6 @@ def test_sparse_pivot_matches_dense_update(monkeypatch):
         _assert_pivots_agree(tableau, pr, pc)
         pivots.append((pr, pc))
 
-    monkeypatch.setattr(kernels, "run_simplex", _simplex_py.run_simplex)
     for seed in range(3):
         pivots = []
         with monkeypatch.context() as mp:
@@ -91,63 +84,3 @@ def test_pivot_refuses_non_contiguous_tableau():
         SPARSE_PIVOT(t, 0, 0)
     with pytest.raises(ValueError, match="C-contiguous"):
         SPARSE_PIVOT(np.ones((3, 8))[:, ::2], 1, 1)
-
-
-def _solve_with(monkeypatch, impl, prob):
-    monkeypatch.setattr(kernels, "run_simplex", impl.run_simplex)
-    return solve_lp(prob)
-
-
-@needs_both
-def test_identical_results_on_random_lps(monkeypatch):
-    for seed in range(60):
-        c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(seed)
-        prob = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
-        py = _solve_with(monkeypatch, BACKENDS["python"], prob)
-        cy = _solve_with(monkeypatch, BACKENDS["cython"], prob)
-        assert py.status == cy.status
-        assert py.iterations == cy.iterations
-        if py.status == "optimal":
-            assert np.array_equal(py.x, cy.x)
-            assert np.array_equal(py.eq_duals, cy.eq_duals)
-            assert np.array_equal(py.ge_duals, cy.ge_duals)
-            assert py.objective == cy.objective
-
-
-@needs_both
-def test_identical_results_on_opf_problems(monkeypatch):
-    for seed in (0, 3, 7):
-        net = generate_random_network(seed, 12, 0.4)
-        prob = opf_lp_problem(assemble_lp(net), ref_bus=0)
-        py = _solve_with(monkeypatch, BACKENDS["python"], prob)
-        cy = _solve_with(monkeypatch, BACKENDS["cython"], prob)
-        assert py.status == cy.status == "optimal"
-        assert py.iterations == cy.iterations
-        assert np.array_equal(py.x, cy.x)
-        assert np.array_equal(py.eq_duals, cy.eq_duals)
-        assert np.array_equal(py.ge_duals, cy.ge_duals)
-
-
-@needs_both
-def test_identical_tableaus_after_raw_run():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        m, n = 6, 14
-        tableau = np.zeros((m + 1, n + 1))
-        tableau[:m, :n] = rng.normal(size=(m, n))
-        tableau[:m, m:2 * m] = np.eye(m) if 2 * m <= n else tableau[:m, m:2 * m]
-        tableau[:m, -1] = np.abs(rng.normal(size=m))
-        tableau[m, :n] = rng.normal(size=n)
-        basis = np.arange(m, dtype=np.intp)
-        t_py, b_py = tableau.copy(), basis.copy()
-        t_cy, b_cy = tableau.copy(), basis.copy()
-        r_py = BACKENDS["python"].run_simplex(t_py, b_py, n, 1e-9, 1e-9, 60, 500)
-        r_cy = BACKENDS["cython"].run_simplex(t_cy, b_cy, n, 1e-9, 1e-9, 60, 500)
-        assert r_py == r_cy
-        assert np.array_equal(t_py, t_cy)
-        assert np.array_equal(b_py, b_cy)
-
-
-def test_selected_backend_exposed():
-    assert kernels.BACKEND in BACKENDS
-    assert callable(kernels.run_simplex)

@@ -258,6 +258,118 @@ def test_deterministic_repeat():
 
 
 # ---------------------------------------------------------------------------
+# the final basis: only its equality and tight rows are factored
+# ---------------------------------------------------------------------------
+
+def _full_basis_solution(a_std, rhs, c_std, basis_col, me):
+    """Oracle: the whole final basis factored over every kept row, slack
+    columns included, as ``solve_lp`` did before it dropped the loose rows."""
+    m, n = a_std.shape
+    slacks = np.vstack([np.zeros((me, m - me)), -np.eye(m - me)])
+    m_std = np.hstack([a_std, slacks])
+    c_struct = np.concatenate([c_std, np.zeros(m - me)])
+    kept = np.flatnonzero(basis_col >= 0)
+    basis_mat = m_std[np.ix_(kept, basis_col[kept])]
+    x_basic = lp._refined_solve(basis_mat, rhs[kept])
+    y_rows = lp._refined_solve(basis_mat.T, c_struct[basis_col[kept]])
+    return x_basic, y_rows
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+def _assert_matches_full_basis(monkeypatch, prob):
+    sol = solve_lp(prob)
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_basic_solution", _full_basis_solution)
+        want = solve_lp(prob)
+    assert sol.status == want.status and sol.iterations == want.iterations
+    if want.x is not None:
+        for got, ref in ((sol.x, want.x), (sol.eq_duals, want.eq_duals), (sol.ge_duals, want.ge_duals)):
+            _assert_close(got, ref)
+        assert sol.degenerate == want.degenerate
+
+
+def test_partitioned_solve_matches_full_basis_on_random_lps(monkeypatch):
+    for seed in range(60):
+        for gen in (oracles.random_small_lp, oracles.random_bounded_lp):
+            c, a_eq, b_eq, a_ge, b_ge = gen(seed)
+            _assert_matches_full_basis(monkeypatch, _lp(c, a_eq, b_eq, a_ge, b_ge))
+
+
+def test_partitioned_solve_matches_full_basis_on_perfbench_networks(monkeypatch):
+    # the opf_dense and opf_grid corpora: generator seeds 0-16
+    for spec in [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]:
+        _assert_matches_full_basis(monkeypatch, opf_lp_problem(assemble_lp(generate_random_network(*spec)), ref_bus=0))
+
+
+def _spy_final_solve(monkeypatch):
+    """Record each final basis (``basis_col``, ``me``, structural width) and
+    the shape of every matrix handed to ``_refined_solve``."""
+    bases, shapes = [], []
+    basic_solution, refined = lp._basic_solution, lp._refined_solve
+
+    def basic_spy(a_std, rhs, c_std, basis_col, me):
+        bases.append((basis_col.copy(), me, a_std.shape[1]))
+        return basic_solution(a_std, rhs, c_std, basis_col, me)
+
+    def refined_spy(a, b):
+        shapes.append(a.shape)
+        return refined(a, b)
+
+    monkeypatch.setattr(lp, "_basic_solution", basic_spy)
+    monkeypatch.setattr(lp, "_refined_solve", refined_spy)
+    return bases, shapes
+
+
+def _tight_rows(basis_col, me, n):
+    """Kept equality rows and kept >= rows whose own slack is not basic."""
+    kept = np.flatnonzero(basis_col >= 0)
+    basic_slack_rows = me + basis_col[basis_col >= n] - n
+    return np.setdiff1d(kept, basic_slack_rows)
+
+
+def test_only_equality_and_tight_rows_are_factored(monkeypatch):
+    # a 35-bus dense OPF binds few of its lines: the flow rows of the others,
+    # and the p_max rows of generators below their limit, are loose
+    bases, shapes = _spy_final_solve(monkeypatch)
+    sol = solve_lp(opf_lp_problem(assemble_lp(generate_random_network(0, 35, 0.35)), ref_bus=0))
+    assert sol.status == OPTIMAL
+    (basis_col, me, n), = bases
+    tight = _tight_rows(basis_col, me, n)
+    assert shapes == [(tight.size, tight.size)] * 2
+    assert tight.size < np.count_nonzero(basis_col >= 0)
+    assert np.count_nonzero(basis_col[:me] >= 0) < tight.size
+
+
+def test_every_kept_row_loose_factors_nothing(monkeypatch):
+    # min x + y with x >= 1 and y >= 2 read as bounds; the one kept row,
+    # x + y >= 0, has slack 3, so the factored system is 0 x 0
+    bases, shapes = _spy_final_solve(monkeypatch)
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], b_ge=[0.0, 1.0, 2.0]))
+    assert sol.status == OPTIMAL
+    assert shapes == [(0, 0), (0, 0)]
+    assert sol.x == pytest.approx([1.0, 2.0]) and sol.ge_duals == pytest.approx([0.0, 1.0, 1.0])
+    assert sol.residuals["stationarity"] == 0.0 and not sol.degenerate
+
+
+def test_slack_basic_at_zero_is_degenerate(monkeypatch):
+    # min x + y over free x, y with x + y >= 2, x - y >= 0 and 3x + y >= 4: all
+    # three rows meet at (1, 1), so two structural columns and one slack at 0
+    # are basic; that slack is evaluated as a x - b, not factored
+    bases, shapes = _spy_final_solve(monkeypatch)
+    prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, -1.0], [3.0, 1.0]], b_ge=[2.0, 0.0, 4.0])
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([1.0, 1.0])
+    (basis_col, me, n), = bases
+    assert np.count_nonzero(basis_col >= n) == 1
+    assert shapes == [(2, 2), (2, 2)]
+    assert sol.degenerate
+    _assert_matches_full_basis(monkeypatch, prob)
+
+
+# ---------------------------------------------------------------------------
 # anti-cycling: classic degenerate instances terminate at the right optimum
 # ---------------------------------------------------------------------------
 
