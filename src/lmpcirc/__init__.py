@@ -57,10 +57,8 @@ from .dcopf import (
     OpfError,
     OpfInfeasible,
     OpfNumerical,
-    OpfUnbounded,
     ResidualCheck,
     cheapest_marginal,
-    solution_flows,
     solve_opf,
     verify_optimality,
 )

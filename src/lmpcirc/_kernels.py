@@ -1,4 +1,7 @@
-"""Simplex pivot loop on a dense tableau.
+"""The simplex pivot kernel: a pivot loop on a dense numpy tableau.
+
+``lp`` calls ``run_simplex`` and ``_pivot`` through this module, so a caller
+can swap or wrap either here.
 
 A pivot eliminates only the block where both the pivot column and the pivot
 row are nonzero, computing each of those entries as ``t - f * p`` exactly as
@@ -11,15 +14,21 @@ iteration counts and every nonzero entry are those of the dense update.
 
 Tableau layout: rows 0..m-1 are constraints, the last row is the reduced-cost
 row; the last column is the right-hand side, with tableau[-1, -1] holding the
-negated objective. ``basis[i]`` is the column basic in row i. Columns with
-index >= n_eligible never enter.
+negated objective. ``basis[i]`` is the column basic in row i. Every column
+but the rhs may enter.
 """
 
 import numpy as np
 
+BACKEND = "python"
+
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
+
+TOL_ENTERING = 1e-9    # a reduced cost below -this enters
+TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
+STALL_LIMIT = 60       # pivots without progress before Bland's rule
 
 
 def _pivot(tableau, pr, pc):
@@ -42,33 +51,37 @@ def _pivot(tableau, pr, pc):
     tableau[pr, pc] = 1.0
 
 
-def run_simplex(tableau, basis, n_eligible, tol_entering, tol_pivot, stall_limit, max_iter):
+def run_simplex(tableau, basis):
     """Pivot the tableau to optimality in place.
 
     Entering rule is most-negative reduced cost with lowest-index ties,
-    switching permanently to Bland's rule after ``stall_limit`` pivots without
-    objective progress. Returns (status, iterations).
+    switching permanently to Bland's rule after ``STALL_LIMIT`` pivots without
+    objective progress. The loop stops after ``200 + 40 * (rows + columns)``
+    pivots. Returns (status, iterations).
     """
-    m = tableau.shape[0] - 1
+    m, n = tableau.shape[0] - 1, tableau.shape[1] - 1
+    if not n:    # with no column left there is nothing to price
+        return STATUS_OPTIMAL, 0
+    max_iter = 200 + 40 * (m + n)
     bland = False
     stall = 0
     last_obj = tableau[-1, -1]
     iters = 0
 
     while True:
-        cost = tableau[-1, :n_eligible]
+        cost = tableau[-1, :n]
         if bland:
-            candidates = np.nonzero(cost < -tol_entering)[0]
+            candidates = np.nonzero(cost < -TOL_ENTERING)[0]
             if candidates.size == 0:
                 return STATUS_OPTIMAL, iters
             pc = int(candidates[0])
         else:
             pc = int(np.argmin(cost))
-            if cost[pc] >= -tol_entering:
+            if cost[pc] >= -TOL_ENTERING:
                 return STATUS_OPTIMAL, iters
 
         col = tableau[:m, pc]
-        eligible = np.flatnonzero(col > tol_pivot)
+        eligible = np.flatnonzero(col > TOL_PIVOT)
         if eligible.size == 0:
             return STATUS_UNBOUNDED, iters
         ratios = tableau[eligible, -1] / col[eligible]
@@ -88,7 +101,7 @@ def run_simplex(tableau, basis, n_eligible, tol_entering, tol_pivot, stall_limit
         if not bland:
             if obj <= last_obj + 1e-12 * (1.0 + abs(last_obj)):
                 stall += 1
-                if stall >= stall_limit:
+                if stall >= STALL_LIMIT:
                     bland = True
             else:
                 stall = 0

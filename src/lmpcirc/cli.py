@@ -14,10 +14,11 @@ flow limit is binding, and becomes a circuit source, when its congestion price
 exceeds 1e-7.
 
 Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
-unwritable path), 2 infeasible, 3 unbounded, 4 no congestion / no marginal
-injector (circuit undefined), 5 check failed, 6 numerical failure (the
-simplex iteration cap, a singular final basis, or a solution that fails its
-optimality certificate).
+unwritable path), 2 infeasible, 4 no congestion / no marginal injector
+(circuit undefined), 5 check failed, 6 numerical failure (the simplex
+iteration cap, an unbounded simplex ray, a singular final basis, or a
+solution that fails its optimality certificate). Code 3 is unused: a
+schema-valid OPF bounds every injection, so it is never unbounded.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ import sys
 from . import reports
 from .analysis import congestion_impact, load_limited_info, predict_negative_prices, recover_lmps
 from .circuit import CircuitError, NoCongestion, build_circuit, solve_circuit
-from .dcopf import NoMarginalInjector, OpfInfeasible, OpfUnbounded, solve_opf
+from .dcopf import NoMarginalInjector, OpfInfeasible, solve_opf
 from .network import NetworkError, SchemaError, generate_random_network, load_network, network_to_doc
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INFEASIBLE = 2
-EXIT_UNBOUNDED = 3
 EXIT_NO_CIRCUIT = 4
 EXIT_CHECK_FAILED = 5
 EXIT_NUMERICAL = 6
@@ -183,9 +183,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_INFEASIBLE
-    except OpfUnbounded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
     except (NoCongestion, NoMarginalInjector) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CIRCUIT

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, balance_residual, line_flows
+from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, balance_residual
 
 MARGINAL_EPS = 1e-6
 
@@ -36,12 +36,9 @@ class OpfInfeasible(OpfError):
         self.diagnostics = diagnostics or {}
 
 
-class OpfUnbounded(OpfError):
-    pass
-
-
 class OpfNumerical(OpfError, ArithmeticError):
-    """The LP solution fails its optimality certificate."""
+    """The simplex failed numerically: the iteration cap, an unbounded ray, a
+    singular final basis, or a solution that fails its optimality certificate."""
 
 
 class NoMarginalInjector(OpfError):
@@ -139,17 +136,27 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
 
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
-    """Solve the network's OPF; raises OpfInfeasible/OpfUnbounded with diagnostics,
-    OpfNumerical when the solution fails its optimality certificate."""
+    """Solve the network's OPF; raises OpfInfeasible with diagnostics, or
+    OpfNumerical when the simplex fails.
+
+    Every injection lies between finite bounds and the angles cost nothing, so
+    the OPF of a valid network has no unbounded ray: a simplex that finds one,
+    hits its iteration cap, or ends on a singular basis or an uncertified
+    vertex has failed numerically."""
     if not 0 <= ref_bus < net.n:
         raise ValueError(f"reference bus {ref_bus} out of range")
     opf = assemble_lp(net)
-    sol = lp.solve_lp(opf_lp_problem(opf, ref_bus))
+    problem = opf_lp_problem(opf, ref_bus)
+    try:
+        sol = lp.solve_lp(problem)
+    except ArithmeticError as exc:
+        raise OpfNumerical(str(exc)) from exc
 
     if sol.status == lp.INFEASIBLE:
         raise OpfInfeasible(*_infeasibility_details(net, sol))
     if sol.status == lp.UNBOUNDED:
-        raise OpfUnbounded("objective unbounded below (pathological costs/bounds)")
+        raise OpfNumerical("numerical failure: the simplex found an unbounded ray, "
+                           "which a DC-OPF with finite injection bounds cannot have")
     if sol.status == lp.NUMERICAL:
         residuals = ", ".join(f"{name} {value:.3g}" for name, value in sol.residuals.items())
         raise OpfNumerical(f"numerical failure: the LP solution fails its optimality certificate "
@@ -255,8 +262,3 @@ def cheapest_marginal(sol: DcopfSolution, net: Network) -> tuple[int, float]:
         raise NoMarginalInjector("every injector is at a bound; no marginal price setter")
     cost, bus, _ = min(candidates)
     return bus, cost
-
-
-def solution_flows(net: Network, sol: DcopfSolution) -> np.ndarray:
-    """MW flow per line at the optimum (positive from from_bus to to_bus)."""
-    return line_flows(net, sol.theta)

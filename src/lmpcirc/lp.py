@@ -53,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels._simplex_py import _pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -61,9 +60,6 @@ UNBOUNDED = "unbounded"
 NUMERICAL = "numerical"
 
 _DEGENERACY_EPS = 1e-9
-_TOL_ENTERING = 1e-9    # a reduced cost below -this enters
-_TOL_PIVOT = 1e-9       # smallest column entry the ratio test accepts
-_STALL_LIMIT = 60       # pivots without progress before Bland's rule
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 _TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
 _COMPACT_BLOCK = 1 << 20    # entries copied at a time when the tableau is compacted
@@ -214,17 +210,17 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
 def _eliminate_free(tableau: np.ndarray, me: int, x_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot each free variable, in index order, onto the unused equality row
     (of the first ``me``) with the largest absolute entry in its ``x'`` column
-    ``x_cols[k]``, lowest row on ties; a variable with no entry above
-    ``_TOL_PIVOT`` stays split. Returns the rows pivoted on and the ``k`` of
-    their variables."""
+    ``x_cols[k]``, lowest row on ties; a variable with no entry above the
+    kernel's pivot tolerance stays split. Returns the rows pivoted on and the
+    ``k`` of their variables."""
     used = np.zeros(me, dtype=bool)
     rows, pivoted = [], []
     for k, pc in enumerate(x_cols if me else ()):
         col = np.abs(tableau[:me, pc])
         col[used] = 0.0
         pr = int(np.argmax(col))
-        if col[pr] > _TOL_PIVOT:
-            _pivot(tableau, pr, pc)
+        if col[pr] > _kernels.TOL_PIVOT:
+            _kernels._pivot(tableau, pr, pc)
             used[pr] = True
             rows.append(pr)
             pivoted.append(k)
@@ -343,19 +339,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             basis[i] = nk + len(art_rows)
             art_rows.append(i)
 
-    max_iter = 200 + 40 * (mk + nk)
-
-    def run_kernel():
-        if not nk:    # with no column left there is nothing to price
-            return _kernels.STATUS_OPTIMAL, 0
-        return _kernels.run_simplex(tableau, basis, nk, _TOL_ENTERING, _TOL_PIVOT, _STALL_LIMIT, max_iter)
-
     total_iters = 0
     if art_rows:
         # phase 1: reduced costs for min(sum of artificials) under the crash basis
         for i in art_rows:
             tableau[mk, :] -= tableau[i, :]
-        status, iters = run_kernel()
+        status, iters = _kernels.run_simplex(tableau, basis)
         total_iters += iters
         if status == _kernels.STATUS_ITER_LIMIT:
             raise ArithmeticError("simplex iteration limit in phase 1")
@@ -378,7 +367,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 row = np.abs(tableau[i, :nk])
                 if row.size and row.max() > 1e-7:
                     pc = int(np.argmax(row))
-                    _pivot(tableau, i, pc)
+                    _kernels._pivot(tableau, i, pc)
                     basis[i] = pc
                 else:
                     drop.append(i)
@@ -396,7 +385,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             costrow -= cb * tableau[i, :]
     tableau[mk, :] = costrow
 
-    status, iters = run_kernel()
+    status, iters = _kernels.run_simplex(tableau, basis)
     total_iters += iters
     if status == _kernels.STATUS_ITER_LIMIT:
         raise ArithmeticError("simplex iteration limit in phase 2")

@@ -13,9 +13,8 @@ import numpy as np
 
 from .circuit import EquivalentCircuit, _binding_sources, kvl_loop_sums, to_voltage_sources
 from .dcopf import DcopfSolution, verify_optimality
-from .network import Network, _slot
+from .network import Network, _slot, line_flows
 from .analysis import CongestionImpact, NegativePriceReport, RecoveredPrices
-from . import dcopf as _dcopf
 
 
 def round9(x: float) -> float:
@@ -128,7 +127,7 @@ def solution_doc(net: Network, sol: DcopfSolution) -> dict:
 
 def solution_table(net: Network, sol: DcopfSolution) -> str:
     marginal = set(sol.marginal_buses(net))
-    flows = _dcopf.solution_flows(net, sol)
+    flows = line_flows(net, sol.theta)
     mu_by_line = {d.line_index: d for d in sol.mu}
     lines = ["bus   lmp           marginal"]
     for b in net.buses:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmpcirc import lp
+from lmpcirc import OpfError, OpfNumerical, _kernels, cli, lp, solve_opf
 from lmpcirc.cli import EXIT_NUMERICAL, main
 
 from conftest import case_path
@@ -274,6 +274,47 @@ def test_iteration_cap_exit6(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
     assert code == EXIT_NUMERICAL == 6
     assert err == "error: simplex iteration limit in phase 2\n"
+
+
+def _iteration_cap(monkeypatch):
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: (_kernels.STATUS_ITER_LIMIT, 0))
+
+
+def _singular_basis(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lp, "_refined_solve", singular)
+
+
+def _unbounded(monkeypatch):
+    monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(status=lp.UNBOUNDED))
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_iteration_cap, "simplex iteration limit in phase 1"),
+    (_singular_basis, "singular final basis"),
+    (_unbounded, "numerical failure: the simplex found an unbounded ray, "
+                 "which a DC-OPF with finite injection bounds cannot have"),
+])
+def test_simplex_failures_are_numerical(capsys, monkeypatch, fig1_net, fail, message):
+    # solve_opf raises OpfNumerical alone, which is both an OpfError and an
+    # ArithmeticError, and the CLI maps it to exit 6 with the same message
+    fail(monkeypatch)
+    with pytest.raises(OpfNumerical) as exc:
+        solve_opf(fig1_net)
+    assert str(exc.value) == message
+    assert isinstance(exc.value, OpfError) and isinstance(exc.value, ArithmeticError)
+    code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_exit_codes():
+    # code 3 (unbounded) is retired: a schema-valid OPF has no unbounded ray
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes == {0, 1, 2, 4, 5, 6}
 
 
 def test_singular_final_basis_exit6(capsys, monkeypatch):

@@ -15,8 +15,8 @@ from lmpcirc import (
     assemble_lp,
     cheapest_marginal,
     generate_random_network,
+    line_flows,
     lp,
-    solution_flows,
     solve_opf,
     verify_optimality,
 )
@@ -43,7 +43,7 @@ def test_fig1_prices_and_congestion(fig1_net, fig1_sol):
     assert (d.from_bus, d.to_bus) == (0, 1)
     assert d.value == pytest.approx(60.0, abs=1e-7)
     assert d.mw_basis == pytest.approx(60.0, abs=1e-7)
-    assert abs(solution_flows(fig1_net, sol)[0]) == pytest.approx(20.0, abs=1e-9)
+    assert abs(line_flows(fig1_net, sol.theta)[0]) == pytest.approx(20.0, abs=1e-9)
     assert cheapest_marginal(sol, fig1_net) == (0, 0.0)
 
 
@@ -171,7 +171,7 @@ def test_marginal_price_equals_cost(corpus200):
 
 def test_positive_mu_only_on_lines_at_their_limit(corpus200):
     for net, sol in corpus200[:60]:
-        flows = solution_flows(net, sol)
+        flows = line_flows(net, sol.theta)
         for d in sol.mu:
             if d.value > 1e-7:
                 assert abs(abs(flows[d.line_index]) - net.lines[d.line_index].flow_limit) <= 1e-7
@@ -263,26 +263,23 @@ SCALE_CORPUS = ([(seed, n, 0.35) for n in (40, 50) for seed in range(20)]
 
 
 def test_scale_corpus_is_certified():
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        linprog = None
+    from scipy.optimize import linprog
+
     failures = []
     for spec in SCALE_CORPUS:
         net = generate_random_network(*spec)
         try:
             sol = solve_opf(net)
-        except (OpfError, ArithmeticError) as exc:
+        except OpfError as exc:
             failures.append((spec, repr(exc)))
             continue
         if not verify_optimality(net, sol).all_passed:
             failures.append((spec, "verify_optimality fails"))
-        if linprog is not None:
-            prob = opf_lp_problem(assemble_lp(net), ref_bus=0)
-            ref = linprog(prob.c, A_ub=-prob.a_ge, b_ub=-prob.b_ge, A_eq=prob.a_eq, b_eq=prob.b_eq,
-                          bounds=(None, None), method="highs")
-            if ref.status != 0 or abs(sol.objective - ref.fun) > 1e-6 * (1.0 + abs(ref.fun)):
-                failures.append((spec, f"objective {sol.objective!r}, HiGHS {ref.fun!r} ({ref.message})"))
+        prob = opf_lp_problem(assemble_lp(net), ref_bus=0)
+        ref = linprog(prob.c, A_ub=-prob.a_ge, b_ub=-prob.b_ge, A_eq=prob.a_eq, b_eq=prob.b_eq,
+                      bounds=(None, None), method="highs")
+        if ref.status != 0 or abs(sol.objective - ref.fun) > 1e-6 * (1.0 + abs(ref.fun)):
+            failures.append((spec, f"objective {sol.objective!r}, HiGHS {ref.fun!r} ({ref.message})"))
     assert not failures
 
 

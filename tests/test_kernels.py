@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from lmpcirc import LpProblem, generate_random_network, solve_lp, solve_opf
-from lmpcirc import lp as lp_module
-from lmpcirc._kernels import _simplex_py
+from lmpcirc import LpProblem, _kernels, generate_random_network, solve_lp, solve_opf
 
 import oracles
 
-SPARSE_PIVOT = _simplex_py._pivot
+SPARSE_PIVOT = _kernels._pivot
 
 
 def _dense_pivot(tableau, pr, pc):
@@ -56,8 +54,7 @@ def test_sparse_pivot_matches_dense_update(monkeypatch):
     for seed in range(3):
         pivots = []
         with monkeypatch.context() as mp:
-            mp.setattr(_simplex_py, "_pivot", checked)
-            mp.setattr(lp_module, "_pivot", checked)
+            mp.setattr(_kernels, "_pivot", checked)
             solve_opf(generate_random_network(seed, 50, 0.022))
         assert pivots
 
@@ -67,8 +64,7 @@ def test_sparse_pivot_matches_dense_update(monkeypatch):
         prob = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
         sparse = solve_lp(prob)
         with monkeypatch.context() as mp:
-            mp.setattr(_simplex_py, "_pivot", _dense_pivot)
-            mp.setattr(lp_module, "_pivot", _dense_pivot)
+            mp.setattr(_kernels, "_pivot", _dense_pivot)
             dense = solve_lp(prob)
         assert sparse.status == dense.status
         assert sparse.iterations == dense.iterations

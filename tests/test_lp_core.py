@@ -78,22 +78,23 @@ def test_uncertified_vertex_is_numerical(monkeypatch):
 
 
 def test_tableau_holds_only_enterable_columns(monkeypatch, fig1_net):
-    # artificials are basis markers only: both phases see n_eligible + 1 columns
-    seen = []
-    run = kernels.run_simplex
-
-    def spy(tableau, basis, n_eligible, *rest):
-        seen.append((tableau.shape[1], n_eligible))
-        return run(tableau, basis, n_eligible, *rest)
-
-    monkeypatch.setattr(kernels, "run_simplex", spy)
+    # every kernel column but the rhs may enter, so artificials are basis markers
+    # only: both phases see the kept x' and v columns less the eliminated pairs,
+    # one slack per kept >= row, and the rhs
+    seen = _kernel_shapes(monkeypatch)
     c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
     for prob in (opf_lp_problem(assemble_lp(fig1_net), ref_bus=0), _lp(c, a_eq, b_eq, a_ge, b_ge)):
         assert prob.a_eq.shape[0] > 0
+        pre = lp._presolve(prob)
+        me, mg = pre.eq_keep.size, pre.ge_keep.size
+        n_var = np.count_nonzero(~pre.fixed) + np.count_nonzero(~pre.fixed & ~pre.absorbed)
         seen.clear()
         assert solve_lp(prob).status == OPTIMAL
         assert len(seen) == 2
-        assert all(cols == n_eligible + 1 for cols, n_eligible in seen)
+        # each eliminated free variable takes one equality row and its two columns
+        n_elim = me + mg - (seen[0][0] - 1)
+        assert 0 <= n_elim <= me
+        assert all(cols == n_var - 2 * n_elim + mg + 1 for _, cols in seen)
 
 
 def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net):
@@ -106,32 +107,32 @@ def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net)
     seen = []
     run = kernels.run_simplex
 
-    def spy(tableau, basis, n_eligible, *rest):
-        seen.append((tableau.copy(), n_eligible))
-        return run(tableau, basis, n_eligible, *rest)
+    def spy(tableau, basis):
+        seen.append(tableau.copy())
+        return run(tableau, basis)
 
     monkeypatch.setattr(kernels, "run_simplex", spy)
     prob = opf_lp_problem(assemble_lp(fig1_net), ref_bus=0)
     assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (18, 9)
     assert solve_lp(prob).status == OPTIMAL
-    tableau, n_eligible = seen[0]
+    tableau = seen[0]
     # rows: 1 system-balance row, 3 p_max rows, 2 flow-limit rows
     assert tableau.shape[0] - 1 == 6
     # columns: 3 generators (no v half), 5 slacks; no angle column
-    assert n_eligible == tableau.shape[1] - 1 == 8
+    assert tableau.shape[1] - 1 == 8
     # every constraint row holds a generator column; a p_max row holds exactly one
     per_row = np.count_nonzero(tableau[:6, :3], axis=1)
     assert per_row.min() >= 1 and np.count_nonzero(per_row == 1) == 3
 
 
 def _kernel_shapes(monkeypatch):
-    """Record (tableau shape, n_eligible) of every kernel call."""
+    """Record the tableau shape of every kernel call."""
     seen = []
     run = kernels.run_simplex
 
-    def spy(tableau, basis, n_eligible, *rest):
-        seen.append((tableau.shape, n_eligible))
-        return run(tableau, basis, n_eligible, *rest)
+    def spy(tableau, basis):
+        seen.append(tableau.shape)
+        return run(tableau, basis)
 
     monkeypatch.setattr(kernels, "run_simplex", spy)
     return seen
@@ -157,7 +158,7 @@ def test_free_variables_are_eliminated_on_equality_rows(monkeypatch):
     prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
                a_ge=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], b_ge=[0.0, -5.0])
     sol = solve_lp(prob)
-    assert seen and all(shape == (2, 3) and n_eligible == 2 for shape, n_eligible in seen)
+    assert seen and all(shape == (2, 3) for shape in seen)
     assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
     assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.ge_duals == pytest.approx([0.0, 1.5])
     _assert_matches_oracle(prob, sol)
@@ -172,7 +173,7 @@ def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
                a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                b_ge=[-1.0, -3.0, 0.0, 0.0])
     sol = solve_lp(prob)
-    assert seen and all(shape == (4, 7) and n_eligible == 6 for shape, n_eligible in seen)
+    assert seen and all(shape == (4, 7) for shape in seen)
     assert sol.x == pytest.approx([-1.0, 0.0, 4.0])
     assert sol.ge_duals == pytest.approx([1.0, 0.0, 1.0, 0.0])
     _assert_matches_oracle(prob, sol)
@@ -202,9 +203,8 @@ def test_opf_tableau_holds_no_angle_column(monkeypatch):
         n_ge = n_inj + opf.D.shape[0]
         seen.clear()
         assert solve_lp(opf_lp_problem(opf, ref_bus=0)).status == OPTIMAL
-        (shape, n_eligible), *_ = seen
-        assert shape == (1 + n_ge + 1, n_inj + n_ge + 1) and n_eligible == n_inj + n_ge
-        assert all(n == n_eligible for _, n in seen)
+        assert seen[0] == (1 + n_ge + 1, n_inj + n_ge + 1)
+        assert all(cols == seen[0][1] for _, cols in seen)
 
 
 def test_conflicting_bounds_name_both_rows(monkeypatch):
