@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lmpcirc import OpfError, generate_random_network, load_network, solve_opf
+from lmpcirc import OpfInfeasible, generate_random_network, load_network, solve_opf
 
 CASES = resources.files("lmpcirc") / "cases"
 
@@ -57,7 +57,7 @@ def congested_corpus(count, start_seed, n_lo, n_hi, edge_prob=0.35):
         seed += 1
         try:
             sol = solve_opf(net)
-        except OpfError:
+        except OpfInfeasible:
             continue
         if any(d.value > 1e-7 for d in sol.mu):
             out.append((net, sol))

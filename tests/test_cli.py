@@ -267,6 +267,7 @@ def test_recover_rejects_malformed_limited_info(capsys, tmp_path, edit):
 
 
 def test_iteration_cap_exit6(capsys, monkeypatch):
+    # a bare ArithmeticError from solve_opf itself still exits 6
     def capped(*args, **kwargs):
         raise ArithmeticError("simplex iteration limit in phase 2")
 
@@ -276,33 +277,11 @@ def test_iteration_cap_exit6(capsys, monkeypatch):
     assert err == "error: simplex iteration limit in phase 2\n"
 
 
-def _iteration_cap(monkeypatch):
-    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: (_kernels.STATUS_ITER_LIMIT, 0))
-
-
-def _singular_basis(monkeypatch):
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(lp, "_refined_solve", singular)
-
-
-def _unbounded(monkeypatch):
-    monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(status=lp.UNBOUNDED))
-
-
-@pytest.mark.parametrize("fail, message", [
-    (_iteration_cap, "simplex iteration limit in phase 1"),
-    (_singular_basis, "singular final basis"),
-    (_unbounded, "numerical failure: the simplex found an unbounded ray, "
-                 "which a DC-OPF with finite injection bounds cannot have"),
-])
-def test_simplex_failures_are_numerical(capsys, monkeypatch, fig1_net, fail, message):
+def _assert_numerical(capsys, net, message):
     # solve_opf raises OpfNumerical alone, which is both an OpfError and an
     # ArithmeticError, and the CLI maps it to exit 6 with the same message
-    fail(monkeypatch)
     with pytest.raises(OpfNumerical) as exc:
-        solve_opf(fig1_net)
+        solve_opf(net)
     assert str(exc.value) == message
     assert isinstance(exc.value, OpfError) and isinstance(exc.value, ArithmeticError)
     code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
@@ -311,21 +290,36 @@ def test_simplex_failures_are_numerical(capsys, monkeypatch, fig1_net, fail, mes
     assert err == f"error: {message}\n"
 
 
+def _iteration_cap(monkeypatch):
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: (_kernels.STATUS_ITER_LIMIT, 0))
+
+
+def _unbounded(monkeypatch):
+    monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(status=lp.UNBOUNDED))
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_iteration_cap, "simplex iteration limit in phase 1"),
+    (_unbounded, "numerical failure: the simplex found an unbounded ray, "
+                 "which a DC-OPF with finite injection bounds cannot have"),
+])
+def test_simplex_failures_are_numerical(capsys, monkeypatch, fig1_net, fail, message):
+    fail(monkeypatch)
+    _assert_numerical(capsys, fig1_net, message)
+
+
 def test_exit_codes():
     # code 3 (unbounded) is retired: a schema-valid OPF has no unbounded ray
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert codes == {0, 1, 2, 4, 5, 6}
 
 
-def test_singular_final_basis_exit6(capsys, monkeypatch):
+def test_singular_final_basis_exit6(capsys, monkeypatch, fig1_net):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
-    code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
-    assert code == EXIT_NUMERICAL
-    assert out == ""
-    assert err == "error: singular final basis\n"
+    monkeypatch.setattr(lp, "_refined_solve", singular)
+    _assert_numerical(capsys, fig1_net, "singular final basis")
 
 
 def test_uncertified_solution_exit6(capsys, monkeypatch):
