@@ -40,12 +40,10 @@ from .circuit import (
     VoltageSourceView,
     build_circuit,
     circuit_from_parts,
-    from_voltage_sources,
     kcl_residuals,
     kvl_loop_sums,
     loop_sum_along,
     solve_circuit,
-    solve_voltage_view,
     superpose,
     to_voltage_sources,
 )

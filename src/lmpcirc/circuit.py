@@ -14,7 +14,7 @@ toward the lower-priced end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,9 +93,10 @@ class CircuitSolution:
 
 @dataclass(frozen=True)
 class VoltageSourceView:
-    base: EquivalentCircuit
+    """A circuit's series-voltage-source rendering (circuit JSON and netlist)."""
+
     elements: tuple[SeriesVoltageSource, ...]
-    plain_resistors: tuple[Resistor, ...]   # base resistors no source replaced, in base order
+    plain_resistors: tuple[Resistor, ...]   # resistors no source replaced, in circuit order
 
 
 @dataclass(frozen=True)
@@ -223,48 +224,7 @@ def to_voltage_sources(c: EquivalentCircuit) -> VoltageSourceView:
         r = c.resistors[free.pop(0)]
         elements.append(SeriesVoltageSource(s.from_node, s.to_node, s.amps * r.ohms, r.ohms))
     plain = tuple(r for k, r in enumerate(c.resistors) if k not in taken)
-    return VoltageSourceView(base=c, elements=tuple(elements), plain_resistors=plain)
-
-
-def from_voltage_sources(view: VoltageSourceView) -> EquivalentCircuit:
-    """Inverse transformation; round-trips to the identical circuit."""
-    sources = tuple(
-        CurrentSource(e.from_node, e.to_node, e.volts / e.series_ohms) for e in view.elements
-    )
-    return replace(view.base, current_sources=sources)
-
-
-def solve_voltage_view(view: VoltageSourceView) -> CircuitSolution:
-    """Modified nodal analysis of the voltage-source form (series V + R chains).
-
-    Each transformed line is replaced by from -[V]- internal -[R]- to; the
-    plain resistors stay as they are. Used to check that the transformation
-    leaves all node voltages unchanged.
-    """
-    c = view.base
-    n = c.n_nodes
-    k = len(view.elements)
-    size = n + k + k   # node voltages, internal nodes, source currents
-    series = [Resistor(n + idx, e.to_node, e.series_ohms) for idx, e in enumerate(view.elements)]
-    a = _laplacian(size, _branches(view.plain_resistors + tuple(series)))
-    rhs = np.zeros(size)
-    for idx, e in enumerate(view.elements):
-        mid = n + idx
-        cur = n + k + idx
-        # branch current variable runs from from_node through the source into
-        # the internal node; constraint row enforces v[mid] - v[from] = volts
-        a[e.from_node, cur] += 1.0
-        a[mid, cur] -= 1.0
-        a[cur, mid] += 1.0
-        a[cur, e.from_node] -= 1.0
-        rhs[cur] = e.volts
-
-    a[c.ground, :] = 0.0
-    a[c.ground, c.ground] = 1.0
-    rhs[c.ground] = 0.0
-
-    v = _refined_solve(a, rhs)[:n]
-    return CircuitSolution(voltages=v, branch_currents=_branch_currents(c, v))
+    return VoltageSourceView(elements=tuple(elements), plain_resistors=plain)
 
 
 def kcl_residuals(c: EquivalentCircuit, s: CircuitSolution) -> np.ndarray:
@@ -302,16 +262,11 @@ def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[
     return cycles
 
 
-def kvl_loop_sums(net_or_edges, lmps) -> list[LoopSum]:
-    """Sum of price drops around each fundamental cycle (telescopes to zero)."""
-    if isinstance(net_or_edges, Network):
-        edges = [(ln.from_bus, ln.to_bus) for ln in net_or_edges.lines]
-        n = net_or_edges.n
-    else:
-        edges = list(net_or_edges)
-        n = max(max(u, v) for u, v in edges) + 1
+def kvl_loop_sums(edges, lmps) -> list[LoopSum]:
+    """Sum of price drops around each fundamental cycle of the (from, to)
+    edges over nodes 0..len(lmps)-1 (each sum telescopes to zero)."""
     lam = np.asarray(lmps, dtype=float)
-    return [loop_sum_along(cyc, lam) for cyc in fundamental_cycles(n, edges)]
+    return [loop_sum_along(cyc, lam) for cyc in fundamental_cycles(lam.size, list(edges))]
 
 
 def loop_sum_along(nodes: list[int], lmps) -> LoopSum:

@@ -169,6 +169,12 @@ def circuit_doc(c: EquivalentCircuit) -> dict:
 
 
 def netlist_lines(c: EquivalentCircuit, voltage_sources: bool = False) -> list[str]:
+    """The circuit as SPICE element lines after a header comment naming ground.
+
+    ``R a b ohms``; ``I a b amps`` drives amps from a through the source into b;
+    ``V p q volts`` holds V(p) - V(q) = volts. In the voltage-source form each
+    source and its series resistor meet at an internal node ``m<k>``.
+    """
     out = [f"* ground node {c.ground}, price offset {fnum(c.offset)}"]
     if not c.meshed:
         out.append("* radial network: conversion valid, but the analogy is stated for meshed grids")
@@ -178,7 +184,7 @@ def netlist_lines(c: EquivalentCircuit, voltage_sources: bool = False) -> list[s
         for k, r in enumerate(plain, start=1):
             out.append(f"R{k} {r.from_node} {r.to_node} {fnum(r.ohms)}")
         for i, e in enumerate(view.elements, start=1):
-            out.append(f"V{i} {e.from_node} m{i} {fnum(e.volts)}")
+            out.append(f"V{i} m{i} {e.from_node} {fnum(e.volts)}")
             out.append(f"R{len(plain) + i} m{i} {e.to_node} {fnum(e.series_ohms)}")
     else:
         for k, r in enumerate(c.resistors, start=1):
@@ -232,7 +238,7 @@ def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
 def check_doc(net: Network, sol: DcopfSolution, tol: float) -> dict:
     report = verify_optimality(net, sol, tol=tol)
     kcl = dual_kcl_ledger(net, sol, tol)
-    loops = kvl_loop_sums(net, sol.lmp)
+    loops = kvl_loop_sums([(ln.from_bus, ln.to_bus) for ln in net.lines], sol.lmp)
     return {
         "tolerance": tol,
         "optimality": [

@@ -2,12 +2,14 @@
 
 These deliberately use different algorithms from the package: exhaustive
 active-set (vertex) enumeration for LPs, KKT least-squares for duals at a
-known optimum, and a pseudoinverse nodal solve for circuits.
+known optimum, a pseudoinverse nodal solve for circuits, and a reader that
+solves netlist text under SPICE's element conventions.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -129,6 +131,48 @@ def nodal_voltages_pinv(n_nodes, lines, sources, ground):
         inj[i] -= amps
     v = np.linalg.pinv(lap) @ inj
     return v - v[ground]
+
+
+def netlist_prices(text):
+    """Bus prices (node voltages plus the header's offset) of netlist text.
+
+    Elements follow SPICE: ``R a b ohms``; ``I a b amps`` drives amps from a
+    through the source into b; ``V p q volts`` holds V(p) - V(q) = volts. The
+    header comment names ground and the offset. A V source and one R meet at
+    each internal node ``m<k>``; the pair is read back as its Norton form, a
+    current source in parallel with the resistor, and the whole is solved
+    with ``nodal_voltages_pinv``.
+    """
+    header, *body = text.splitlines()
+    head = re.fullmatch(r"\* ground node (\d+), price offset (\S+)", header)
+    ground, offset = int(head[1]), float(head[2])
+    resistors, sources, vsrcs = [], [], []
+    for line in body:
+        if line.startswith("*"):
+            continue
+        name, a, b, value = line.split()
+        {"R": resistors, "I": sources, "V": vsrcs}[name[0]].append((a, b, float(value)))
+    series = {}   # internal node -> (far end, ohms) of its resistor
+    plain = []
+    for a, b, ohms in resistors:
+        if a.startswith("m"):
+            series[a] = (b, ohms)
+        elif b.startswith("m"):
+            series[b] = (a, ohms)
+        else:
+            plain.append((a, b, ohms))
+    assert len(series) == len(vsrcs), "every internal node joins one V and one R"
+    for p, q, volts in vsrcs:
+        # outer -V- m -R- far with V(m) - V(outer) = rise: a source of rise/ohms
+        # from outer into far, in parallel with the resistor outer-far
+        mid, outer, rise = (p, q, volts) if p.startswith("m") else (q, p, -volts)
+        far, ohms = series.pop(mid)
+        plain.append((outer, far, ohms))
+        sources.append((outer, far, rise / ohms))
+    lines = [(int(a), int(b), 1.0 / ohms) for a, b, ohms in plain]
+    n_nodes = 1 + max(max(i, j) for i, j, _ in lines)
+    v = nodal_voltages_pinv(n_nodes, lines, [(int(a), int(b), amps) for a, b, amps in sources], ground)
+    return v + offset
 
 
 def _small_lp(rng):

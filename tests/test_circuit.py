@@ -17,12 +17,10 @@ from lmpcirc import (
     build_circuit,
     cheapest_marginal,
     circuit_from_parts,
-    from_voltage_sources,
     kcl_residuals,
     kvl_loop_sums,
     loop_sum_along,
     solve_circuit,
-    solve_voltage_view,
     solve_opf,
     superpose,
     to_voltage_sources,
@@ -259,6 +257,20 @@ def test_superposition_is_the_transfer_resistance_decomposition(corpus200):
 # source transformation
 # ---------------------------------------------------------------------------
 
+def sibling_circuit():
+    # a 1-ohm and a 0.5-ohm line in parallel on pair 0-1, one source on the pair
+    return circuit_from_parts(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)],
+                              [(0, 1, 5.0)], 2, 0.0)
+
+
+SHARED_PAIR_LINES = [(0, 1, 1.0), (1, 0, 4.0), (1, 2, 1.0), (0, 2, 1.0)]
+
+
+def shared_pair_circuit():
+    # two opposing sources on one parallel pair
+    return circuit_from_parts(3, SHARED_PAIR_LINES, [(1, 0, 8.0), (0, 1, 2.0)], 2, 0.0)
+
+
 def test_voltage_view_unit_resistance_case7():
     view = to_voltage_sources(case7_circuit())
     assert [(e.from_node, e.to_node, e.volts) for e in view.elements] == [
@@ -272,46 +284,39 @@ def test_voltage_view_scales_by_resistance():
     assert view.elements[0].series_ohms == pytest.approx(0.5)
 
 
-def test_roundtrip_is_identity(case7_net, case7_sol):
-    c = build_circuit(case7_net, case7_sol)
-    again = from_voltage_sources(to_voltage_sources(c))
-    assert again == c
-
-
-def test_voltage_view_solves_identically(corpus200):
-    c7 = case7_circuit()
-    assert solve_voltage_view(to_voltage_sources(c7)).voltages == pytest.approx(
-        solve_circuit(c7).voltages, abs=1e-9)
-    for net, sol in corpus200[:15]:
-        c = build_circuit(net, sol)
-        base = solve_circuit(c).voltages
-        transformed = solve_voltage_view(to_voltage_sources(c)).voltages
-        assert np.abs(base - transformed).max() <= 1e-9
+def test_voltage_view_solves_identically(corpus200, fig1_net, fig1_sol, fig4_net, fig4_sol):
+    # both netlist forms, read back as text under SPICE's element conventions,
+    # solve to the circuit's prices; the text carries 9 significant digits
+    circuits = [case7_circuit(), build_circuit(fig1_net, fig1_sol), build_circuit(fig4_net, fig4_sol),
+                sibling_circuit(), shared_pair_circuit()]
+    circuits += [build_circuit(net, sol) for net, sol in corpus200[:15]]
+    for c in circuits:
+        want = solve_circuit(c).voltages + c.offset
+        for voltage_sources in (False, True):
+            text = "\n".join(netlist_lines(c, voltage_sources=voltage_sources))
+            got = oracles.netlist_prices(text)
+            assert np.abs(got - want).max() <= 1e-7 * (1 + np.abs(want).max())
 
 
 def test_voltage_view_keeps_parallel_sibling():
     # the source takes the first resistor on its pair; the parallel 0.5-ohm
-    # line stays a plain resistor in both the solve and the netlist
-    c = circuit_from_parts(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)],
-                           [(0, 1, 5.0)], 2, 0.0)
+    # line stays a plain resistor in both the view and the netlist
+    c = sibling_circuit()
     view = to_voltage_sources(c)
     assert [(e.from_node, e.to_node, e.volts, e.series_ohms) for e in view.elements] == [(0, 1, 5.0, 1.0)]
     assert view.plain_resistors == c.resistors[1:]
-    want = solve_circuit(c).voltages
-    assert want == pytest.approx([-5 / 7, 5 / 7, 0.0], abs=1e-12)
-    assert np.abs(solve_voltage_view(view).voltages - want).max() <= 1e-12
+    assert solve_circuit(c).voltages == pytest.approx([-5 / 7, 5 / 7, 0.0], abs=1e-12)
     assert netlist_lines(c, voltage_sources=True)[1:] == [
-        "R1 0 1 0.5", "R2 1 2 1", "R3 0 2 1", "V1 0 m1 5", "R4 m1 1 1"]
+        "R1 0 1 0.5", "R2 1 2 1", "R3 0 2 1", "V1 m1 0 5", "R4 m1 1 1"]
 
 
 def test_voltage_view_gives_each_source_its_own_resistor():
-    lines = [(0, 1, 1.0), (1, 0, 4.0), (1, 2, 1.0), (0, 2, 1.0)]
-    c = circuit_from_parts(3, lines, [(1, 0, 8.0), (0, 1, 2.0)], 2, 0.0)
+    c = shared_pair_circuit()
     view = to_voltage_sources(c)
     assert [(e.volts, e.series_ohms) for e in view.elements] == [(8.0, 1.0), (0.5, 0.25)]
     assert view.plain_resistors == c.resistors[2:]
-    assert np.abs(solve_voltage_view(view).voltages - solve_circuit(c).voltages).max() <= 1e-12
-    crowded = circuit_from_parts(3, lines[2:] + [(0, 1, 1.0)], [(0, 1, 1.0), (1, 0, 2.0)], 2, 0.0)
+    crowded = circuit_from_parts(3, SHARED_PAIR_LINES[2:] + [(0, 1, 1.0)],
+                                 [(0, 1, 1.0), (1, 0, 2.0)], 2, 0.0)
     with pytest.raises(CircuitError, match="no untaken resistor"):
         to_voltage_sources(crowded)
 
@@ -375,7 +380,7 @@ def test_kvl_telescopes_for_any_prices():
         from lmpcirc import generate_random_network
         net = generate_random_network(seed, 9, 0.5)
         lam = rng.normal(size=9) * 100
-        for loop in kvl_loop_sums(net, lam):
+        for loop in kvl_loop_sums([(ln.from_bus, ln.to_bus) for ln in net.lines], lam):
             assert abs(loop.total) <= 1e-9
 
 

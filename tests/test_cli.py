@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,10 +11,12 @@ import pytest
 from lmpcirc import OpfError, OpfNumerical, _kernels, cli, lp, solve_opf
 from lmpcirc.cli import EXIT_NUMERICAL, main
 
+import oracles
 from conftest import case_path
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+CASE7_LMP = [45.0, 0.0, 45.0, 90.0, 45.0, 0.0, 22.5]
 
 
 def run_cli(capsys, *args):
@@ -83,6 +86,7 @@ def test_circuit_case7_netlist(capsys):
     check_golden("case7_circuit_netlist.txt", out)
     assert "I1 5 0 112.5" in out
     assert "I2 1 3 180" in out
+    assert oracles.netlist_prices(out) == pytest.approx(CASE7_LMP, abs=1e-9)
 
 
 def test_circuit_case7_voltage_netlist(capsys):
@@ -90,8 +94,21 @@ def test_circuit_case7_voltage_netlist(capsys):
                            "--format", "text", "--voltage-sources")
     assert code == 0
     check_golden("case7_circuit_vsrc_netlist.txt", out)
-    assert "V1 5 m1 112.5" in out
-    assert "V2 1 m2 180" in out
+    assert "V1 m1 5 112.5" in out
+    assert "V2 m2 1 180" in out
+    assert oracles.netlist_prices(out) == pytest.approx(CASE7_LMP, abs=1e-9)
+
+
+def test_circuit_output_file_plus_netlist(capsys, tmp_path):
+    out_path = tmp_path / "circuit.json"
+    code, out, _ = run_cli(capsys, "circuit", "-i", str(case_path("fig1_3bus.json")),
+                           "-o", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == (GOLDEN / "fig1_circuit.json").read_text()
+    # the netlist still lands on stdout
+    assert out == run_cli(capsys, "circuit", "-i", str(case_path("fig1_3bus.json")),
+                          "--format", "text")[1]
+    assert "I1 0 1 60" in out
 
 
 def test_check_case7_text(capsys):
@@ -138,6 +155,10 @@ def test_check_tree_network_notice(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "-i", str(path), "--format", "text")
     assert code == 0
     assert "no cycles" in out
+    code, out, _ = run_cli(capsys, "circuit", "-i", str(path), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1] == \
+        "* radial network: conversion valid, but the analogy is stated for meshed grids"
 
 
 def test_superpose_case7(capsys):
@@ -166,6 +187,14 @@ def test_predict_negative_fig4(capsys):
     assert json.loads(out)["witnesses"] == [0]
 
 
+def test_predict_negative_fig1_text(capsys):
+    code, out, _ = run_cli(capsys, "predict-negative",
+                           "-i", str(case_path("fig1_3bus.json")), "--format", "text")
+    assert code == 0
+    assert out == ("negative prices: NO (lowest lmp=0 at bus 0)\n"
+                   "ground is at the minimum-voltage node (offset 0)\n")
+
+
 def test_recover_with_and_without_ground(capsys):
     code, out, _ = run_cli(capsys, "recover", "-i", str(DATA / "case7_limited.json"))
     assert code == 0
@@ -177,6 +206,17 @@ def test_recover_with_and_without_ground(capsys):
     check_golden("case7_recover_delta.json", out)
     doc = json.loads(out)
     assert doc["delta"][0][5] == 45.0
+
+
+@pytest.mark.parametrize("data, golden, line", [
+    ("case7_limited.json", "case7_recover_full.txt", "3     90"),
+    ("case7_limited_noground.json", "case7_recover_delta.txt", "absolute level unknown"),
+])
+def test_recover_text(capsys, data, golden, line):
+    code, out, _ = run_cli(capsys, "recover", "-i", str(DATA / data), "--format", "text")
+    assert code == 0
+    check_golden(golden, out)
+    assert line in out
 
 
 def test_gen_deterministic_bytes(capsys, tmp_path):
@@ -215,6 +255,26 @@ def test_unknown_key_exit1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "-i", str(path))
     assert code == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize("edit, args, message", [
+    pytest.param(lambda d: d["lines"][1].update({"susceptance": 0}), [],
+                 "susceptance must be finite and > 0", id="zero-susceptance"),
+    pytest.param(lambda d: d["buses"].append({"id": 3, "demand": 0}), [],
+                 "network graph is not connected", id="disconnected-bus"),
+    pytest.param(lambda d: None, ["--ref-bus", "3"],
+                 "reference bus 3 out of range", id="ref-bus-out-of-range"),
+])
+def test_invalid_network_exit1(capsys, tmp_path, edit, args, message):
+    doc = json.loads(case_path("fig1_3bus.json").read_text())
+    edit(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "-i", str(path), *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_missing_file_exit1(capsys):
@@ -256,6 +316,15 @@ def _limited_doc(edit):
     pytest.param(lambda d: d.update({"sources": 5}), id="non-array-sources"),
     pytest.param(lambda d: d["topology"]["lines"].append({"from": 1, "to": 1, "susceptance": 1}),
                  id="self-loop-line"),
+    pytest.param(lambda d: d.update({"sources": []}), id="no-sources"),
+    pytest.param(lambda d: d["sources"][0].update({"from": 2, "to": 6}), id="source-without-line"),
+    pytest.param(lambda d: d.pop("offset"), id="ground-without-offset"),
+    pytest.param(lambda d: d.update({"ground": 9}), id="ground-out-of-range"),
+    pytest.param(lambda d: d["sources"].append(5), id="non-object-source"),
+    pytest.param(lambda d: d.pop("topology"), id="missing-topology"),
+    pytest.param(lambda d: d["topology"]["lines"].append({"from": 0, "to": 9, "susceptance": 1}),
+                 id="gap-in-node-ids"),
+    pytest.param(lambda d: d["topology"]["lines"][0].update({"susceptance": 0}), id="zero-susceptance"),
 ])
 def test_recover_rejects_malformed_limited_info(capsys, tmp_path, edit):
     path = tmp_path / "limited.json"
@@ -294,12 +363,25 @@ def _iteration_cap(monkeypatch):
     monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: (_kernels.STATUS_ITER_LIMIT, 0))
 
 
+def _phase1_unbounded(monkeypatch):
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: (_kernels.STATUS_UNBOUNDED, 0))
+
+
+def _phase2_iteration_cap(monkeypatch):
+    # each solve runs phase 1 and then phase 2, so the calls alternate
+    capped = lambda tableau, basis: (_kernels.STATUS_ITER_LIMIT, 0)
+    phases = itertools.cycle((_kernels.run_simplex, capped))
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis: next(phases)(tableau, basis))
+
+
 def _unbounded(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(status=lp.UNBOUNDED))
 
 
 @pytest.mark.parametrize("fail, message", [
     (_iteration_cap, "simplex iteration limit in phase 1"),
+    (_phase1_unbounded, "phase-1 objective unbounded (numerical failure)"),
+    (_phase2_iteration_cap, "simplex iteration limit in phase 2"),
     (_unbounded, "numerical failure: the simplex found an unbounded ray, "
                  "which a DC-OPF with finite injection bounds cannot have"),
 ])
