@@ -76,6 +76,7 @@ class Network:
         self.lines = tuple(lines)
         self.injectors = tuple(injectors)
         self._validate()
+        self._opf_lp: OpfLp | None = None  # assemble_lp's blocks, built on first use
 
     @property
     def n(self) -> int:
@@ -214,7 +215,17 @@ class OpfLp:
 
 
 def assemble_lp(net: Network) -> OpfLp:
-    """Assemble the OPF LP blocks for a validated network."""
+    """The OPF LP blocks of a validated network.
+
+    They are assembled on the first call and kept on the network, which is
+    immutable: every array is read-only, so all callers share one copy.
+    """
+    if net._opf_lp is None:
+        net._opf_lp = _assemble_lp(net)
+    return net._opf_lp
+
+
+def _assemble_lp(net: Network) -> OpfLp:
     n = net.n
     nb = build_b_matrix(net)
 

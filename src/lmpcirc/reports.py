@@ -3,11 +3,18 @@
 JSON output is deterministic: every float is rounded half-even to 9
 significant digits before serialization (and negative zero normalized), so
 identical inputs produce byte-identical documents across platforms.
+
+``dumps`` writes ``json.dumps(indent=2)``'s layout in one walk over the
+document and formats floats in batches with ``%.9g``: the document's scalar
+floats in one batch at the end, each row of floats in its own batch as the
+walk reaches it, so no batch grows with the size of a large matrix.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -39,35 +46,98 @@ def fnum(x: float) -> str:
 def dumps(doc) -> str:
     """``doc`` as ``json.dumps(doc, indent=2)`` writes it, every float through
     ``round9`` first, plus a final newline. numpy integers are written as ints.
+
+    One walk writes the layout and leaves a NUL for each scalar float; one
+    ``%.9g`` pass over all of them then fills the NULs. json escapes NUL in
+    every string and key, so a NUL in the walk's text is always a placeholder.
+    A row of floats is written by its own pass during the walk instead: one
+    batch for a whole document would hold a token per float of the largest
+    documents (400 x 400 price differences) at once.
     """
-    return _emit(doc, "\n") + "\n"
+    floats: list[float] = []
+    text = _layout(doc, floats)
+    if not floats:
+        return text
+    parts = text.split("\0")
+    del text  # parts holds the only copy from here on
+    filled = [""] * (2 * len(parts) - 1)
+    filled[::2] = parts
+    filled[1::2] = _float_tokens(floats)
+    return "".join(filled)
 
 
-def _emit(x, nl: str) -> str:
-    """JSON text of ``x``; ``nl`` is a newline plus the indentation of x's line."""
-    if isinstance(x, dict):
+def _layout(doc, floats: list[float]) -> str:
+    """The JSON text of ``doc`` and a final newline, with a NUL for each float
+    appended to ``floats``. The list of pieces is freed on return."""
+    out: list[str] = []
+    _walk(doc, "\n", out, floats)
+    out.append("\n")
+    return "".join(out)
+
+
+def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
+    """Append the JSON text of ``x`` to ``out``; ``nl`` is a newline plus the
+    indentation of x's line.
+
+    Only exact types take the fast branches. A subclass of dict, list or
+    tuple is copied into the plain container, and any other scalar (a
+    subclass, a numpy scalar) takes ``_scalar``, which raises json's
+    ``TypeError`` on what json refuses.
+    """
+    t = type(x)
+    if t is float:
+        out.append("\0")
+        floats.append(x)
+    elif t is dict:
         if not x:
-            return "{}"
+            out.append("{}")
+            return
         inner = nl + "  "
-        items = [_key(k) + ": " + _emit(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(x, (list, tuple)):
+        sep = "{" + inner
+        for k, v in x.items():
+            out.append(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
+            _walk(v, inner, out, floats)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
         if not x:
-            return "[]"
+            out.append("[]")
+            return
         inner = nl + "  "
         types = set(map(type, x))
         if types == {float}:
-            items = _float_tokens(x)
+            out.append("[" + inner + ("," + inner).join(_float_tokens(x)) + nl + "]")
         elif types == {int}:
-            items = map(str, x)
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
         else:
-            items = [_emit(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _walk(v, inner, out, floats)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, dict):
+        _walk(dict(x.items()), nl, out, floats)
+    elif isinstance(x, (list, tuple)):
+        _walk(list(x), nl, out, floats)
+    else:
+        out.append(_scalar(x))
+
+
+def _scalar(x) -> str:
     if isinstance(x, (float, np.floating)):
         x = round9(x)
     elif isinstance(x, np.integer):
         x = int(x)
-    return json.dumps(x)  # str, int, bool, None; raises TypeError on the rest
+    return json.dumps(x)  # rounded floats, str and int subclasses; raises TypeError on the rest
 
 
 def _key(k) -> str:
@@ -78,22 +148,29 @@ def _key(k) -> str:
 def _float_tokens(row) -> list[str]:
     """json's text of ``round9(x)`` for each float x of ``row``.
 
-    One ``%.9g`` pass over the row does round9's rounding, and numpy parses
-    the tokens back once. A token is already json's ``repr`` of the rounded
-    value v unless v is NaN, ``|v| < 1e-12`` (snapped to ``0.0``) or v is
-    integral: ``123`` against ``123.0``, ``inf`` against ``Infinity``, and
-    ``1e+09`` against ``1000000000.0`` (9 significant digits are integral from
-    1e9 up, and repr writes no exponent below 1e16). Those few take the scalar
-    path.
+    One ``%.9g`` pass over the row does round9's rounding. A token with a
+    point and no exponent is a fraction of at least 1e-4 in magnitude, and
+    json writes the rounded value just so. Every other token (``123``,
+    ``1e+09``, ``1e-05``, ``nan``, ``inf``) is parsed back and written by
+    ``_float_text``: json writes ``123.0``, ``1000000000.0``, ``NaN`` and
+    ``Infinity``, and ``0.0`` where the value snaps.
     """
     text = ("%.9g\n" * len(row)) % tuple(row)
     tokens = text.split("\n")
     tokens.pop()  # the empty string after the last newline
-    v = np.array(tokens, dtype=float)
-    odd = (v == np.trunc(v)) | ~(np.abs(v) >= 1e-12)
-    for i in np.flatnonzero(odd).tolist():
-        tokens[i] = json.dumps(round9(row[i]))
+    for i, t in enumerate(tokens):
+        if "." not in t or "e" in t:
+            tokens[i] = _float_text(float(t))
     return tokens
+
+
+def _float_text(v: float) -> str:
+    """json's text of ``round9(v)`` for a ``v`` already rounded to 9 digits."""
+    if v != v:
+        return "NaN"
+    if math.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    return "0.0" if abs(v) < 1e-12 else float.__repr__(v)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +285,7 @@ def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
     outflows = [[] for _ in range(n)]
     net_in = np.zeros(n)
     for ln in net.lines:
-        cur = ln.susceptance * (sol.lmp[ln.from_bus] - sol.lmp[ln.to_bus])
+        cur = float(ln.susceptance * (sol.lmp[ln.from_bus] - sol.lmp[ln.to_bus]))
         if cur > 1e-9:
             outflows[ln.from_bus].append(cur)
             inflows[ln.to_bus].append(cur)
@@ -364,7 +441,7 @@ def recover_text(res: RecoveredPrices) -> str:
         return "\n".join(out) + "\n"
     out = ["pairwise price differences (row minus column); absolute level unknown"]
     n = res.delta.shape[0]
-    out.append("      " + "".join(f"{j:<12d}" for j in range(n)))
+    out.append(("      " + "".join(f"{j:<12d}" for j in range(n))).rstrip())
     for i in range(n):
-        out.append(f"{i:<5d} " + "".join(f"{fnum(res.delta[i, j]):<12}" for j in range(n)))
+        out.append((f"{i:<5d} " + "".join(f"{fnum(res.delta[i, j]):<12}" for j in range(n))).rstrip())
     return "\n".join(out) + "\n"

@@ -150,6 +150,20 @@ def test_assemble_limited_line_rows_are_unit_entries():
         assert 2.0 * (theta[1] - theta[0]) == pytest.approx(sign * 10.0)
 
 
+def test_assemble_once_per_network_and_read_only():
+    net = generate_random_network(2, 8, 0.4)
+    opf = assemble_lp(net)
+    assert assemble_lp(net) is opf
+    assert solve_opf(net) is not None and assemble_lp(net) is opf
+    assert assemble_lp(generate_random_network(2, 8, 0.4)) is not opf
+    arrays = [v for v in vars(opf).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 1.0
+
+
 def test_balance_residual_matches_edge_by_edge_computation():
     rng = np.random.default_rng(7)
     for seed in range(6):

@@ -5,8 +5,11 @@ int), then ``json.dumps(indent=2)`` plus a newline. ``dumps`` must write the
 same bytes for every document, and raise ``TypeError`` where it did.
 """
 
+import enum
 import json
 import math
+import tracemalloc
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -163,6 +166,114 @@ def test_refused_keys_still_raise(key):
         oracle({key: 1})
     with pytest.raises(TypeError):
         dumps({key: 1})
+
+
+class Code(enum.IntEnum):
+    A = 1
+    B = -7
+
+
+class Tagged(str):
+    def __str__(self):
+        return "not " + self
+
+
+class Price(float):
+    def __repr__(self):
+        return "Price()"
+
+
+Pair = namedtuple("Pair", "lo hi")
+
+
+def test_subclasses_as_values_and_keys_match_oracle():
+    doc = {
+        "ordered": OrderedDict([("z", 1.25), ("a", [0.5, 3.0]), ("m", OrderedDict())]),
+        "pair": Pair(0.1, Pair(2.0, "x")),
+        "pairs": [Pair(1.5, -2.5), Pair(3, 4)],
+        "code": Code.A,
+        "codes": [Code.A, Code.B, 3],
+        "price": Price(123456789.5),
+        "prices": [Price(0.1), 0.2, Price(1e-13), Price(2e9)],
+        "tagged": Tagged("t \x00 \u2603"),
+        "tagged_row": [Tagged("a"), "b"],
+        Code.B: "int enum key",
+        Price(2.5): "float subclass key",
+        Price(float("inf")): "infinite float subclass key",
+        Tagged("str subclass key \x00"): 0.75,
+    }
+    assert_same(doc)
+    assert_same(OrderedDict([(Tagged("k"), Pair(1.0, 2.0))]))
+    assert_same(Pair(0.1, 0.2))
+    assert_same(Price(0.3))
+    assert_same(Code.B)
+    assert_same(Tagged("top"))
+
+
+def test_nul_in_strings_and_keys_is_escaped_not_filled():
+    doc = {
+        "\x00": "\x00",
+        "a\x00b": ["\x00\x00", 1.5, "\x00", 2.25],
+        "nested": {"k\x00": {"\x00": 0.125, "v": "x\x00y"}, "f": 7.5},
+        "row": [0.1, 0.2],
+        "end": "\x00",
+    }
+    text = dumps(doc)
+    assert "\x00" not in text
+    assert text.count("\\u0000") == 10
+    assert_same(doc)
+    assert_same(["\x00", 3.5, {"\x00": 1e-13}])
+
+
+def test_rows_mixing_float_and_numpy_float_match_oracle():
+    rng = np.random.default_rng(5)
+    row = random_floats(rng, 300)
+    mixed = [np.float64(x) if k % 3 == 0 else x for k, x in enumerate(row)]
+    assert_same(mixed)
+    assert_same({"kcl": [{"inflows": [x, np.float64(y)], "outflows": [np.float64(x)]}
+                         for x, y in zip(row[:100], row[100:200])]})
+    assert_same([[np.float64(x), x] for x in EDGES])
+    assert_same([np.float32(0.1), 0.1, np.float64(1e-13), 1e-13, np.float16(2.5)])
+
+
+def test_thousands_of_scalar_floats_in_nested_dicts_match_oracle():
+    rng = np.random.default_rng(9)
+    values = random_floats(rng, 4000) + EDGES
+    doc, it = {}, iter(values)
+    for i in range(len(values) // 8):
+        doc[f"node{i}"] = {
+            "a": next(it), "b": {"c": next(it), "d": [next(it), "s", 1, {"e": next(it)}]},
+            "row": [next(it), next(it)], "flag": i % 2 == 0, "f": next(it), "g": next(it),
+        }
+    doc["rest"] = {str(k): x for k, x in enumerate(it)}
+    assert_same(doc)
+
+
+def _large_recover_delta_doc():
+    """test_large_recover_delta_matches_oracle's 400 x 400 document."""
+    rng = np.random.default_rng(7)
+    n = 400
+    lines = [(i, (i + 1) % n, float(rng.uniform(1, 20))) for i in range(n)]
+    lines += [(int(i), int(j), float(rng.uniform(1, 20)))
+              for i, j in rng.integers(0, n, size=(600, 2)) if i != j]
+    sources = [(lines[k][0], lines[k][1], float(rng.uniform(5, 300)))
+               for k in rng.choice(len(lines), size=40, replace=False)]
+    return reports.recover_doc(recover_lmps(LimitedInfo(n, tuple(lines), tuple(sources))))
+
+
+def test_large_document_peak_memory_is_bounded():
+    """Rows of floats are written row by row: no batch holds a token per
+    float of the whole document, so the peak stays a small multiple of the
+    output (the output itself counts once)."""
+    doc = _large_recover_delta_doc()
+    tracemalloc.start()
+    try:
+        text = dumps(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3_000_000
+    assert peak < 4 * len(text)
 
 
 # ---------------------------------------------------------------------------
