@@ -1,23 +1,23 @@
 """Command-line front end.
 
     lmpcirc solve            -i net.json [-o PATH] [--format json|text] [--ref-bus K]
-    lmpcirc circuit          -i net.json [-o PATH] [--format json|text] [--ref-bus K]
-                             [--voltage-sources]
-    lmpcirc check            -i net.json [-o PATH] [--format json|text] [--ref-bus K] [--tol X]
-    lmpcirc superpose        -i net.json [-o PATH] [--format json|text] [--ref-bus K]
-    lmpcirc predict-negative -i net.json [-o PATH] [--format json|text] [--ref-bus K]
+    lmpcirc circuit          -i net.json [-o PATH] [--format json|text] [--voltage-sources]
+    lmpcirc check            -i net.json [-o PATH] [--format json|text] [--tol X]
+    lmpcirc superpose        -i net.json [-o PATH] [--format json|text]
+    lmpcirc predict-negative -i net.json [-o PATH] [--format json|text]
     lmpcirc recover          -i limited_info.json [-o PATH] [--format json|text]
     lmpcirc gen --seed N -n N [--edge-prob P] [-o PATH]
 
---tol is the residual tolerance of check; it must be a finite number > 0. A
-flow limit is binding, and becomes a circuit source, when its congestion price
-exceeds 1e-7.
+--ref-bus is the bus whose angle solve reports as zero; it moves only the
+angles, never the dispatch or a price. --tol is the residual tolerance of
+check; it must be a finite number > 0. A flow limit is binding, and becomes a
+circuit source, when its congestion price exceeds 1e-7.
 
 Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
 unwritable path), 2 infeasible, 4 no congestion / no marginal injector
 (circuit undefined), 5 check failed, 6 numerical failure (the simplex
-iteration cap, an unbounded simplex ray, a singular final basis, or a
-solution that fails its optimality certificate). Code 3 is unused: a
+iteration cap, an unbounded simplex ray, a singular elimination block or final
+basis, or a solution that fails its optimality certificate). Code 3 is unused: a
 schema-valid OPF bounds every injection, so it is never unbounded.
 """
 
@@ -46,23 +46,22 @@ def _parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *, opf=True):
+    def command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="input file path")
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if opf:
-            p.add_argument("--ref-bus", type=int, default=0, help="angle reference bus")
         return p
 
-    command("solve", "solve the OPF and report prices")
+    command("solve", "solve the OPF and report prices").add_argument(
+        "--ref-bus", type=int, default=0, help="angle reference bus")
     command("circuit", "convert the dual solution to a circuit").add_argument(
         "--voltage-sources", action="store_true", help="render the netlist with series voltage sources")
     command("check", "verify optimality, node balances, loop sums").add_argument(
         "--tol", type=float, default=1e-7, help="residual tolerance (finite, > 0)")
     command("superpose", "per-congestion price contributions")
     command("predict-negative", "negative-price prediction")
-    command("recover", "recover prices from limited information", opf=False)
+    command("recover", "recover prices from limited information")
     pg = sub.add_parser("gen", help="generate a random network file")
     pg.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     pg.add_argument("--seed", type=int, required=True)
@@ -81,12 +80,12 @@ def _emit(args, text: str) -> None:
 
 def _solved(args):
     net = load_network(args.input)
-    sol = solve_opf(net, ref_bus=args.ref_bus)
-    return net, sol
+    return net, solve_opf(net)
 
 
 def _cmd_solve(args) -> int:
-    net, sol = _solved(args)
+    net = load_network(args.input)
+    sol = solve_opf(net, ref_bus=args.ref_bus)
     if args.format == "text":
         _emit(args, reports.solution_table(net, sol))
     else:

@@ -1,17 +1,20 @@
 """DC optimal power flow: solve, classify marginal injectors, verify optimality.
 
-The OPF LP is the assembled network problem plus one equality row pinning the
-reference angle to zero. The LP presolve reads that row as a fixed variable,
-whose multiplier is its reduced cost. That cost is zero up to rounding (the
-susceptance matrix and the angle-constraint rows both annihilate the all-ones
-vector, and every other angle is free, so its reduced cost is zero), so the
-reported duals satisfy the angle-stationarity block without it.
+The OPF LP is the assembled network problem plus one equality row pinning bus
+0's angle to zero; ``solve_opf`` re-references the angles to the chosen bus
+afterwards, so that bus changes nothing but the angles. The LP presolve reads
+the pinning row as a fixed variable, whose multiplier is its reduced cost.
+That cost is zero up to rounding (the susceptance matrix and the
+angle-constraint rows both annihilate the all-ones vector, and every other
+angle is free, so its reduced cost is zero), so the reported duals satisfy the
+angle-stationarity block without it.
 
 The other angles are basic through the balance rows: the LP solver eliminates
-each free angle on one balance row before the simplex, which is KCL fixing
-``theta = X (d - A p)`` once the injections are known. The simplex therefore
-sees one system-balance row and the flow-limit rows in injection (PTDF) form,
-and never prices an angle column.
+the free angles before the simplex with one solve against the ground-reduced
+susceptance Laplacian, which is KCL fixing ``theta = X (d - A p)`` once the
+injections are known. The simplex therefore sees one system-balance row and
+the flow-limit rows in injection (PTDF) form, and never prices an angle
+column.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class OpfInfeasible(OpfError):
 
 class OpfNumerical(OpfError, ArithmeticError):
     """The simplex failed numerically: the iteration cap, an unbounded ray, a
-    singular final basis, or a solution that fails its optimality certificate."""
+    singular elimination block or final basis, or a solution that fails its
+    optimality certificate."""
 
 
 class NoMarginalInjector(OpfError):
@@ -116,7 +120,8 @@ class CheckReport:
 
 
 def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
-    """Generic LP over variables [p, theta] with the reference row appended."""
+    """Generic LP over variables [p, theta] with a row pinning theta[ref_bus]
+    to zero appended."""
     n = opf.n
     nv = 2 * n + n
     a_eq = np.zeros((n + 1, nv))
@@ -141,12 +146,15 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
 
     Every injection lies between finite bounds and the angles cost nothing, so
     the OPF of a valid network has no unbounded ray: a simplex that finds one,
-    hits its iteration cap, or ends on a singular basis or an uncertified
-    vertex has failed numerically."""
+    hits its iteration cap, meets a singular elimination block or final basis,
+    or ends on an uncertified vertex has failed numerically.
+
+    The LP always pins bus 0's angle; ``ref_bus`` only re-references the
+    returned angles, so the dispatch and every dual do not depend on it."""
     if not 0 <= ref_bus < net.n:
         raise ValueError(f"reference bus {ref_bus} out of range")
     opf = assemble_lp(net)
-    problem = opf_lp_problem(opf, ref_bus)
+    problem = opf_lp_problem(opf, 0)
     try:
         sol = lp.solve_lp(problem)
     except ArithmeticError as exc:

@@ -19,16 +19,21 @@ numbering.
 
 The standard form adds slacks and splits each free variable into
 ``x' - v``. A free variable with an entry on an equality row is then
-eliminated there: one Gauss-Jordan pivot, on the unused equality row with the
-largest absolute entry, makes it basic, and the same pivot substitutes it out
-of the phase-2 costs. Its row and both its columns leave the simplex tableau: a free
-basic variable meets no ratio test, so it never has to leave the basis (Maros,
+eliminated there: in index order, each takes the unused equality row with the
+largest absolute entry in its column, picked by Gauss-Jordan pivots on the
+equality rows' block of free ``x'`` columns only. One solve against ``E``, the
+picked rows over the free variables' columns, substitutes them out of the
+other rows, the rhs and the phase-2 costs; the simplex tableau is built from
+the result, the Schur complement of ``E`` next to the slack block. The picked
+rows and both columns of each eliminated variable stay out of it: a free basic
+variable meets no ratio test, so it never has to leave the basis (Maros,
 *Computational Techniques of the Simplex Method*, 2003, §9; Bertsimas &
-Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8). A free
-variable left with no entry above the pivot tolerance on an unused equality
-row stays split. The rest is primal simplex, Dantzig
-entering rule with a permanent switch to Bland's rule after a stall window,
-lowest-index tie breaking throughout, so results are reproducible.
+Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8). On the OPF,
+``E`` is the ground-reduced susceptance Laplacian. A free variable left with
+no entry above the pivot tolerance on an unused equality row stays split. The
+rest is primal simplex, Dantzig entering rule with a permanent switch to
+Bland's rule after a stall window, lowest-index tie breaking throughout, so
+results are reproducible.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
@@ -38,12 +43,11 @@ does not carry accumulated tableau drift. Only the equality rows and the tight
 ``>=`` rows are factored, against the basic structural columns: a ``>=`` row
 whose own slack is basic is loose, its dual is zero and its slack is
 ``a x - b`` (complementary slackness; Bertsimas & Tsitsiklis 1997, §4.3).
-The elimination tableau is the one dense copy of the LP; the simplex tableau
-is compacted into its buffer. A singular final basis has no such solution and
-raises ``ArithmeticError``, as does the iteration cap; a vertex whose
-residuals exceed their limits gets status ``numerical``. Artificial variables
-exist only as basis markers (``basis[i]`` at or past the number of tableau
-columns), never as tableau columns.
+A singular elimination block or final basis raises ``ArithmeticError``, as
+does the iteration cap; a vertex whose residuals exceed their limits gets
+status ``numerical``. Artificial variables exist only as basis markers
+(``basis[i]`` at or past the number of tableau columns), never as tableau
+columns.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ NUMERICAL = "numerical"
 _DEGENERACY_EPS = 1e-9
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 _TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
-_COMPACT_BLOCK = 1 << 20    # entries copied at a time when the tableau is compacted
 
 
 @dataclass(frozen=True)
@@ -207,39 +210,59 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
                       eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=np.flatnonzero(~ge_gone & ge_kept))
 
 
-def _eliminate_free(tableau: np.ndarray, me: int, x_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate_free(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivot each free variable, in index order, onto the unused equality row
-    (of the first ``me``) with the largest absolute entry in its ``x'`` column
-    ``x_cols[k]``, lowest row on ties; a variable with no entry above the
-    kernel's pivot tolerance stays split. Returns the rows pivoted on and the
-    ``k`` of their variables."""
+    with the largest absolute entry in its ``x'`` column ``k`` of ``block`` (the
+    equality rows over the free ``x'`` columns, C-contiguous, overwritten),
+    lowest row on ties; a variable with no entry above the kernel's pivot
+    tolerance stays split. A pivot on the full tableau updates this block as it
+    does here, so these are the rows it would pick. Returns the rows pivoted on
+    and the ``k`` of their variables."""
+    me = block.shape[0]
     used = np.zeros(me, dtype=bool)
     rows, pivoted = [], []
-    for k, pc in enumerate(x_cols if me else ()):
-        col = np.abs(tableau[:me, pc])
+    for k in range(block.shape[1] if me else 0):
+        col = np.abs(block[:, k])
         col[used] = 0.0
         pr = int(np.argmax(col))
         if col[pr] > _kernels.TOL_PIVOT:
-            _kernels._pivot(tableau, pr, pc)
+            _kernels._pivot(block, pr, k)
             used[pr] = True
             rows.append(pr)
             pivoted.append(k)
     return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
 
 
-def _compact(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``t[np.ix_(rows, cols)]`` moved to the front of ``t``'s own buffer and
-    returned as a C-contiguous view; ``t`` (C-contiguous) is overwritten.
-    ``rows`` ascends, so the output rows before k end before source row
-    ``rows[k] >= k`` starts: no row is overwritten before it is read. Each block
-    of rows is read whole before it is written, which bounds the temporary."""
-    flat = t.reshape(-1)
-    n = cols.size
-    step = max(1, _COMPACT_BLOCK // n)
-    for start in range(0, rows.size, step):
-        block = t.take(rows[start:start + step], axis=0).take(cols, axis=1)    # faster than np.ix_
-        flat[start * n:start * n + block.size] = block.reshape(-1)
-    return flat[:rows.size * n].reshape(rows.size, n)
+def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, me: int, x_cols: np.ndarray):
+    """The simplex tableau once the rows ``_eliminate_free`` picks have
+    substituted the free variables out by one solve against ``E``. ``a_std``
+    holds the kept rows, equality rows first, over the ``x'`` columns and then
+    the ``v`` columns of the free variables, whose ``x'`` columns are ``x_cols``.
+
+    Returns the tableau (zero cost row), the reduced phase-2 costs with the
+    objective offset last, the eliminated rows and ``x'`` columns, and the
+    tableau's rows and columns in ``a_std``'s numbering (a column past
+    ``a_std``'s is a slack)."""
+    m, n_var = a_std.shape
+    mg = m - me
+    rows, k = _eliminate_free(a_std[:me].take(x_cols, axis=1))
+    elim_cols = x_cols[k]
+    kvar = np.delete(np.arange(n_var), np.concatenate([elim_cols, n_var - x_cols.size + k]))
+    krows = np.delete(np.arange(m), rows)
+    a_elim = a_std[rows]
+    try:
+        sub = np.linalg.solve(a_elim[:, elim_cols], np.column_stack([a_elim[:, kvar], rhs[rows]]))
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("singular elimination block") from None
+    nk = kvar.size + mg
+    lhs = np.append(np.arange(kvar.size), nk)    # the variables' columns and the rhs
+    tableau = np.zeros((krows.size + 1, nk + 1))
+    tableau[:-1, lhs] = (np.column_stack([a_std[np.ix_(krows, kvar)], rhs[krows]])
+                         - a_std[np.ix_(krows, elim_cols)] @ sub)
+    tableau[me - rows.size + np.arange(mg), kvar.size + np.arange(mg)] = -1.0
+    cost = np.zeros(nk + 1)
+    cost[lhs] = np.append(c_std[kvar], 0.0) - c_std[elim_cols] @ sub
+    return tableau, cost, rows, elim_cols, krows, np.concatenate([kvar, n_var + np.arange(mg)])
 
 
 def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis_col: np.ndarray,
@@ -291,7 +314,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cols = np.flatnonzero(~pre.fixed)
     split = np.flatnonzero(~pre.fixed & ~pre.absorbed)
     n_var = cols.size + split.size
-    n_struct = n_var + mg
     var_cols = np.concatenate([cols, split])
     a_std = np.vstack([problem.a_eq[pre.eq_keep], problem.a_ge[pre.ge_keep]]).take(var_cols, axis=1)
     a_std[:, cols.size:] *= -1.0
@@ -299,31 +321,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
     c_std = np.concatenate([c[cols], -c[split]])
 
-    # free variables become basic on equality rows, with the phase-2 cost row
-    # substituted by the same pivots; their rows and their x' and v columns then
-    # leave the tableau (a free basic variable needs no ratio test)
-    full = np.zeros((m + 1, n_struct + 1))
-    full[:m, :n_var] = a_std
-    full[me + np.arange(mg), n_var + np.arange(mg)] = -1.0
-    full[:m, -1] = rhs
-    full[m, :n_var] = c_std
-    x_cols = np.searchsorted(cols, split)
-    elim_rows, k = _eliminate_free(full, me, x_cols)
-    elim_cols = x_cols[k]
-    gone = np.zeros(n_struct + 1, dtype=bool)
-    gone[elim_cols] = True
-    gone[cols.size + k] = True
-    tcols = np.flatnonzero(~gone)    # the kernel's columns and the rhs
-    kcols = tcols[:-1]
-    cost = full[m, tcols]    # reduced phase-2 costs, objective offset in the last entry
-    eliminated = np.zeros(m, dtype=bool)
-    eliminated[elim_rows] = True
-    krows = np.flatnonzero(~eliminated)
-    # the kernel tableau takes over full's buffer, with a zero cost row
-    tableau = _compact(full, np.append(krows, m), tcols)
-    tableau[-1] = 0.0
-    mk, nk = tableau.shape[0] - 1, kcols.size
-    me_k = me - elim_rows.size
+    tableau, cost, elim_rows, elim_cols, krows, kcols = _kernel_tableau(
+        a_std, rhs, c_std, me, np.searchsorted(cols, split))
+    mk, nk, me_k = krows.size, kcols.size, me - elim_rows.size
     n_var_k = nk - mg
 
     sigma = np.where(tableau[:mk, -1] < 0, -1.0, 1.0)
@@ -373,7 +373,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                     drop.append(i)
         if drop:
             keep = np.delete(np.arange(mk), drop)
-            tableau = _compact(tableau, np.append(keep, mk), np.arange(nk + 1))
+            tableau = tableau[np.append(keep, mk)]
             basis, krows = basis[keep], krows[keep]
             mk = keep.size
 
@@ -400,7 +400,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     kept = np.flatnonzero(basis_col >= 0)
     x_basic, y_rows = _basic_solution(a_std, rhs, c_std, basis_col, me)
 
-    x_std = np.zeros(n_struct)
+    x_std = np.zeros(n_var + mg)
     x_std[basis_col[kept]] = x_basic
     x = pre.shift.copy()
     x[cols] += x_std[:cols.size]
@@ -423,7 +423,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     objective = float(problem.c @ x)
     # a free basic variable has no bound to sit at
-    degenerate = bool(np.any(np.abs(x_basic[~eliminated[kept]]) <= _DEGENERACY_EPS))
+    degenerate = bool(np.any(np.abs(x_basic[~np.isin(kept, elim_rows)]) <= _DEGENERACY_EPS))
 
     slack = problem.a_ge @ x - problem.b_ge
     residuals = {

@@ -215,7 +215,7 @@ def solution_table(net: Network, sol: DcopfSolution) -> str:
     for k, ln in enumerate(net.lines):
         d = mu_by_line.get(k)
         lines.append(
-            f"{ln.from_bus}-{ln.to_bus:<9d} {fnum(flows[k]):<13} "
+            f"{f'{ln.from_bus}-{ln.to_bus}':<11} {fnum(flows[k]):<13} "
             f"{fnum(ln.flow_limit) if ln.flow_limit is not None else '-':<13} "
             f"{fnum(d.value) if d else '-':<13} {fnum(d.mw_basis) if d else '-'}"
         )
@@ -441,7 +441,8 @@ def recover_text(res: RecoveredPrices) -> str:
         return "\n".join(out) + "\n"
     out = ["pairwise price differences (row minus column); absolute level unknown"]
     n = res.delta.shape[0]
-    out.append(("      " + "".join(f"{j:<12d}" for j in range(n))).rstrip())
+    # cells 11 wide, one space apart, so a longer number still ends its cell
+    out.append(("      " + " ".join(f"{j:<11d}" for j in range(n))).rstrip())
     for i in range(n):
-        out.append((f"{i:<5d} " + "".join(f"{fnum(res.delta[i, j]):<12}" for j in range(n))).rstrip())
+        out.append((f"{i:<5d} " + " ".join(f"{fnum(res.delta[i, j]):<11}" for j in range(n))).rstrip())
     return "\n".join(out) + "\n"

@@ -404,6 +404,15 @@ def test_singular_final_basis_exit6(capsys, monkeypatch, fig1_net):
     _assert_numerical(capsys, fig1_net, "singular final basis")
 
 
+def test_singular_elimination_block_exit6(capsys, monkeypatch, fig1_net):
+    # numpy's LinAlgError is a ValueError, which the CLI would report as exit 1
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    _assert_numerical(capsys, fig1_net, "singular elimination block")
+
+
 def test_uncertified_solution_exit6(capsys, monkeypatch):
     # a factored vertex that fails the certificate: the refined solve is perturbed,
     # since no generated network is known to fail it any more
@@ -445,6 +454,9 @@ def test_bad_tol_rejected(capsys):
     # the binding rule is fixed: a threshold above a congestion price would drop a source
     *([cmd, "-i", str(case_path("case7_reconstructed.json")), "--tol", "150"]
       for cmd in ("circuit", "superpose", "predict-negative")),
+    # only solve prints angles, and the reference bus moves nothing else
+    *([cmd, "-i", str(case_path("case7_reconstructed.json")), "--ref-bus", "3"]
+      for cmd in ("circuit", "check", "superpose", "predict-negative")),
 ])
 def test_usage_error_exit1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -518,14 +530,20 @@ print(json.dumps({"env": [os.environ.get(v) for v in sys.argv[1:]], "blas": coun
 """
 
 
+def _run_child(script: str, *args: str, env: dict | None = None) -> str:
+    """Stdout of ``script`` run in a fresh interpreter that imports this lmpcirc."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(lp.__file__).parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
 def _blas_in_child(**overrides) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
     env.update(overrides)
-    src = str(Path(lp.__file__).parents[1])
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD, *_BLAS_VARS], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(_run_child(_BLAS_CHILD, *_BLAS_VARS, env=env))
 
 
 def test_blas_defaults_to_one_thread():
@@ -537,3 +555,24 @@ def test_blas_defaults_to_one_thread():
 def test_blas_thread_count_set_by_the_user_wins():
     out = _blas_in_child(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
     assert out["env"] == ["2", "1", "3"]
+
+
+# runs every OPF command on one network and recover on a limited-info file,
+# then prints their exit codes and whether scipy was ever imported
+_SCIPY_CHILD = """
+import contextlib, io, sys
+from lmpcirc.cli import main
+
+network, limited = sys.argv[1:]
+commands = [[cmd, "-i", network] for cmd in ("solve", "circuit", "check", "superpose", "predict-negative")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands + [["recover", "-i", limited]]]
+print(codes, "scipy" in sys.modules)
+"""
+
+
+def test_runtime_never_imports_scipy():
+    # scipy is a test dependency only (the HiGHS cross-checks): the solver, the
+    # circuit layer and the CLI run on numpy alone
+    out = _run_child(_SCIPY_CHILD, str(case_path("case7_reconstructed.json")), str(DATA / "case7_limited.json"))
+    assert out == "[0, 0, 0, 0, 0, 0] False\n"

@@ -258,6 +258,114 @@ def test_deterministic_repeat():
 
 
 # ---------------------------------------------------------------------------
+# the free-variable elimination against the Gauss-Jordan pivots it replaced
+# ---------------------------------------------------------------------------
+
+def _gauss_jordan_eliminate_free(tableau, me, x_cols):
+    """Oracle: the elimination as one Gauss-Jordan pivot per free variable on
+    the whole tableau, cost row included, on the unused equality row with the
+    largest absolute entry, lowest row on ties."""
+    used = np.zeros(me, dtype=bool)
+    rows, pivoted = [], []
+    for k, pc in enumerate(x_cols if me else ()):
+        col = np.abs(tableau[:me, pc])
+        col[used] = 0.0
+        pr = int(np.argmax(col))
+        if col[pr] > kernels.TOL_PIVOT:
+            kernels._pivot(tableau, pr, pc)
+            used[pr] = True
+            rows.append(pr)
+            pivoted.append(k)
+    return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
+
+
+def _gauss_jordan_kernel_tableau(a_std, rhs, c_std, me, x_cols):
+    """Oracle for ``lp._kernel_tableau``: the tableau ``[a_std, -I, rhs;
+    c_std, 0, 0]`` pivoted as above, then cut down to the rows and columns
+    that stay, with a zero cost row."""
+    m, n_var = a_std.shape
+    mg = m - me
+    full = np.zeros((m + 1, n_var + mg + 1))
+    full[:m, :n_var] = a_std
+    full[me + np.arange(mg), n_var + np.arange(mg)] = -1.0
+    full[:m, -1] = rhs
+    full[m, :n_var] = c_std
+    rows, k = _gauss_jordan_eliminate_free(full, me, x_cols)
+    gone = np.zeros(full.shape[1], dtype=bool)
+    gone[x_cols[k]] = True
+    gone[n_var - x_cols.size + k] = True
+    tcols = np.flatnonzero(~gone)
+    krows = np.setdiff1d(np.arange(m), rows)
+    tableau = full[np.append(krows, m)][:, tcols]
+    tableau[-1] = 0.0
+    return tableau, full[m, tcols], rows, x_cols[k], krows, tcols[:-1]
+
+
+def _assert_elimination_matches_gauss_jordan(monkeypatch, prob):
+    """The rows picked are the oracle's, and the kernel tableau and the reduced
+    costs match it within 1e-12 of their scale. Returns the number of free
+    variables eliminated (None when the presolve alone settles the LP)."""
+    calls = []
+    kernel_tableau = lp._kernel_tableau
+
+    def spy(*args):
+        out = kernel_tableau(*args)
+        calls.append((args, tuple(np.copy(x) for x in out)))    # the simplex pivots the tableau in place
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_kernel_tableau", spy)
+        solve_lp(prob)
+    if not calls:
+        return None
+    (args, got), = calls
+    want = _gauss_jordan_kernel_tableau(*args)
+    for name, g, w in zip(("rows", "elim_cols", "krows", "kcols"), got[2:], want[2:]):
+        assert np.array_equal(g, w), name
+    for name, g, w in zip(("tableau", "cost"), got[:2], want[:2]):
+        assert g.shape == w.shape, name
+        assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(w), initial=0.0)), name
+    return got[2].size
+
+
+def test_block_elimination_matches_gauss_jordan_on_random_lps(monkeypatch):
+    eliminated = []
+    for seed in range(60):
+        for gen in (oracles.random_small_lp, oracles.random_bounded_lp):
+            c, a_eq, b_eq, a_ge, b_ge = gen(seed)
+            eliminated.append(_assert_elimination_matches_gauss_jordan(monkeypatch, _lp(c, a_eq, b_eq, a_ge, b_ge)))
+    assert sum(n is not None and n > 0 for n in eliminated) >= 30
+    # x free but only in >= rows, so it stays split
+    only_ge = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
+                  a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  b_ge=[-1.0, -3.0, 0.0, 0.0])
+    # two free variables on three equality rows, the third redundant
+    redundant = _lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0])
+    # no free variable at all
+    none_free = _lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[4.0], a_ge=np.eye(2), b_ge=[0.0, 0.0])
+    counts = [_assert_elimination_matches_gauss_jordan(monkeypatch, prob) for prob in (only_ge, redundant, none_free)]
+    assert counts == [0, 2, 0]
+
+
+def test_block_elimination_matches_gauss_jordan_on_perfbench_networks(monkeypatch):
+    # the opf_dense and opf_grid corpora: every angle but bus 0's is eliminated
+    for spec in [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]:
+        prob = opf_lp_problem(assemble_lp(generate_random_network(*spec)), ref_bus=0)
+        assert _assert_elimination_matches_gauss_jordan(monkeypatch, prob) == spec[1] - 1
+
+
+def test_singular_elimination_block_raises(monkeypatch):
+    # the block solve reports a singular block as a numerical failure, not as
+    # numpy's LinAlgError (a ValueError)
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ArithmeticError, match="^singular elimination block$"):
+        solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
 # the final basis: only its equality and tight rows are factored
 # ---------------------------------------------------------------------------
 

@@ -14,8 +14,8 @@ from collections import OrderedDict, namedtuple
 import numpy as np
 import pytest
 
-from lmpcirc import (LimitedInfo, build_circuit, congestion_impact, network_to_doc,
-                     predict_negative_prices, recover_lmps, solve_circuit)
+from lmpcirc import (LimitedInfo, build_circuit, congestion_impact, generate_random_network, network_to_doc,
+                     predict_negative_prices, recover_lmps, solve_circuit, solve_opf)
 from lmpcirc import reports
 from lmpcirc.reports import dumps, round9
 
@@ -308,6 +308,34 @@ def test_large_recover_delta_matches_oracle():
     doc = reports.recover_doc(recover_lmps(LimitedInfo(n, tuple(lines), tuple(sources))))
     assert len(doc["delta"]) == n
     assert_same(doc)
+
+
+# ---------------------------------------------------------------------------
+# text tables
+# ---------------------------------------------------------------------------
+
+def test_recover_text_keeps_long_cells_apart():
+    # a 3-node triangle with one source: -0.0617283947 is 13 characters, wider
+    # than a cell, and must still end before the next cell starts
+    res = recover_lmps(LimitedInfo(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), ((0, 1, 0.185185184),)))
+    rows = reports.recover_text(res).splitlines()[2:]
+    assert rows[2] == "2     0.0617283947 -0.0617283947 0"
+    for i, row in enumerate(rows):
+        cells = row.split()
+        assert int(cells[0]) == i
+        assert [float(v) for v in cells[1:]] == pytest.approx(res.delta[i], abs=1e-9)
+
+
+def test_solution_table_aligns_line_rows_past_bus_9():
+    # every line row starts its cells where the header's do, also once
+    # from_bus has two digits
+    net = generate_random_network(0, 12, 0.35)
+    text = reports.solution_table(net, solve_opf(net)).splitlines()
+    head = text.index("line        flow          limit         mu            mu_mw")
+    assert any(ln.from_bus >= 10 for ln in net.lines)
+    for ln, row in zip(net.lines, text[head + 1:head + 1 + len(net.lines)], strict=True):
+        assert row[:12] == f"{ln.from_bus}-{ln.to_bus}".ljust(12)
+        assert all(row[k - 1] == " " and row[k] != " " for k in (12, 26, 40, 54)), row
 
 
 # ---------------------------------------------------------------------------
