@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .lp import _refined_solve
 from .network import Network, _laplacian, _spanning_tree
 
 BINDING_EPS = 1e-7
@@ -173,8 +172,10 @@ def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
     if len(_spanning_tree(c.n_nodes, [(r.from_node, r.to_node) for r in c.resistors])) < c.n_nodes:
         raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
     keep = [i for i in range(c.n_nodes) if i != c.ground]
+    g, rhs = c.conductance_matrix()[np.ix_(keep, keep)], injections[keep]
+    x = np.linalg.solve(g, rhs)
     v = np.zeros(injections.shape)
-    v[keep] = _refined_solve(c.conductance_matrix()[np.ix_(keep, keep)], injections[keep])
+    v[keep] = x + np.linalg.solve(g, rhs - g @ x)
     return v
 
 

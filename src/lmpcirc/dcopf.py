@@ -12,9 +12,14 @@ angle-stationarity block without it.
 The other angles are basic through the balance rows: the LP solver eliminates
 the free angles before the simplex with one solve against the ground-reduced
 susceptance Laplacian, which is KCL fixing ``theta = X (d - A p)`` once the
-injections are known. The simplex therefore sees one system-balance row and
-the flow-limit rows in injection (PTDF) form, and never prices an angle
-column.
+injections are known. The presolve makes each injector's limits bounds on its
+column and each limited line's two flow rows one ranged row. The simplex
+therefore sees one system-balance row and one ranged row per limited line, in
+injection (PTDF) form, and never prices an angle column. Its dual simplex
+starts from the merit-order dispatch, every injector at its cheaper limit,
+which is dual feasible, and pivots until the balance and every flow limit
+hold. A ranged row's dual goes to the side of the limit that binds, so
+``mu_rows[2r]`` and ``mu_rows[2r + 1]`` keep their meaning.
 """
 
 from __future__ import annotations

@@ -7,47 +7,67 @@ Andersen, Math. Programming 71, 1995):
 
 - the tightest lower bound ``l`` on a variable (lowest row on ties) makes it
   ``l + x'`` with one column ``x' >= 0``, and its row leaves the LP;
+- the tightest upper bound ``u`` of such a variable bounds its column,
+  ``x' <= u - l``, and its row leaves the LP too; a variable with no lower
+  bound keeps its upper bounds as rows;
 - an equality singleton, or a tightest lower and upper bound that are equal,
   fixes the variable: its column and those rows leave, and its other rows
   become empty rows, infeasible if they demand anything;
 - a lower bound above an upper bound is infeasible, naming both rows;
-- upper bounds stay rows; their slacks start basic.
+- two ``>=`` rows whose coefficients are exact negatives, ``a x >= b1`` and
+  ``-a x >= b2``, become one ranged row ``a x - s = b1`` with its slack
+  boxed in ``[0, -(b1 + b2)]``, infeasible, naming both rows, when
+  ``b1 + b2`` is positive. On the OPF these are each limited line's two rows.
 
 A row that left is priced afterwards from its variable's reduced cost over
 the kept rows, so every dual and ``infeasible_rows`` use the problem's row
 numbering.
 
-The standard form adds slacks and splits each free variable into
+The standard form gives every kept row a logical column, ``a x - s = b``:
+``s`` lies in ``[0, inf)`` on a ``>=`` row, in ``[0, range]`` on a ranged row
+and in ``[0, 0]`` on an equality row. Each free variable is split into
 ``x' - v``. A free variable with an entry on an equality row is then
 eliminated there: in index order, each takes the unused equality row with the
 largest absolute entry in its column, picked by Gauss-Jordan pivots on the
 equality rows' block of free ``x'`` columns only. One solve against ``E``, the
 picked rows over the free variables' columns, substitutes them out of the
-other rows, the rhs and the phase-2 costs; the simplex tableau is built from
-the result, the Schur complement of ``E`` next to the slack block. The picked
-rows and both columns of each eliminated variable stay out of it: a free basic
-variable meets no ratio test, so it never has to leave the basis (Maros,
-*Computational Techniques of the Simplex Method*, 2003, §9; Bertsimas &
-Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8). On the OPF,
-``E`` is the ground-reduced susceptance Laplacian. A free variable left with
-no entry above the pivot tolerance on an unused equality row stays split. The
-rest is primal simplex, Dantzig entering rule with a permanent switch to
-Bland's rule after a stall window, lowest-index tie breaking throughout, so
-results are reproducible.
+other rows, the rhs and the costs; the simplex tableau is built from the
+result, the Schur complement of ``E`` next to the kept rows' logicals. The
+picked rows, their logicals and both columns of each eliminated variable stay
+out of it: a free basic variable meets no bound, so it never has to leave the
+basis (Maros, *Computational Techniques of the Simplex Method*, 2003, §9;
+Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8).
+On the OPF, ``E`` is the ground-reduced susceptance Laplacian. A free
+variable left with no entry above the pivot tolerance on an unused equality
+row stays split.
+
+The rest is the bounded dual simplex of ``_kernels``. It starts from the
+basis of all logicals, with each column whose reduced cost is negative at its
+upper bound; on the OPF, where every column is boxed, that is the merit-order
+dispatch and the start is dual feasible. A column with a negative cost and no
+upper bound makes the start dual infeasible. Then a dual phase 1 solves
+Fourer's auxiliary problem through the same kernel (Koberstein & Suhl,
+*Comput. Optim. Appl.* 37, 2007, §3): the original costs, a zero rhs, every
+column with no upper bound boxed in ``[0, 1]`` and every other column fixed
+at 0. An optimum of 0 leaves a dual-feasible basis for phase 2; a negative
+one proves the dual infeasible, and one more kernel call with zero costs
+tells an unbounded LP from an infeasible one. An infeasible LP names, in
+``infeasible_rows``, the rows in the support of the row of ``B^-1`` that
+proves it (a Farkas ray), with the shortfall that row cannot close.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
 factorization of the final basis, the eliminated pairs together with the
 simplex basis (one step of iterative refinement), so the reported solution
-does not carry accumulated tableau drift. Only the equality rows and the tight
-``>=`` rows are factored, against the basic structural columns: a ``>=`` row
-whose own slack is basic is loose, its dual is zero and its slack is
-``a x - b`` (complementary slackness; Bertsimas & Tsitsiklis 1997, §4.3).
-A singular elimination block or final basis raises ``ArithmeticError``, as
+does not carry accumulated tableau drift. Only the rows whose logical is
+nonbasic are factored, against the basic structural columns, with each
+column held at its upper bound moved to the rhs. A row whose logical is basic
+is loose: its dual is 0 and its logical is ``a x - b`` (complementary
+slackness; Bertsimas & Tsitsiklis 1997, §4.3). A ranged row's dual goes to
+its first row when positive and, negated, to its partner when negative. A
+singular elimination block or final basis raises ``ArithmeticError``, as
 does the iteration cap; a vertex whose residuals exceed their limits gets
-status ``numerical``. Artificial variables exist only as basis markers
-(``basis[i]`` at or past the number of tableau columns), never as tableau
-columns.
+status ``numerical``.
 """
 
 from __future__ import annotations
@@ -66,6 +86,7 @@ NUMERICAL = "numerical"
 _DEGENERACY_EPS = 1e-9
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 _TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
+_TOL_DUAL = 1e-9        # a reduced cost below -this on a column with no upper bound is dual infeasible
 
 
 @dataclass(frozen=True)
@@ -111,11 +132,37 @@ class LpSolution:
     infeasible_rows: tuple = ()
 
 
-def _refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b (b may hold several columns) with one refinement step;
-    raises LinAlgError on a singular a."""
-    x = np.linalg.solve(a, b)
-    return x + np.linalg.solve(a, b - a @ x)
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a square matrix by Gauss-Jordan elimination with partial
+    pivoting, lowest row on ties; raises LinAlgError on a singular matrix.
+
+    It uses elementwise numpy operations only, never BLAS or LAPACK, whose
+    blocking, and with it the last bits of an answer, changes with the BLAS
+    thread count; so the reported vertex has the same bits on any thread
+    count. Each elimination step touches only the rows with a nonzero in the
+    pivot column, which keeps sparse bases cheap."""
+    n = a.shape[0]
+    t = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        p = k + int(np.abs(t[k:, k]).argmax())
+        if t[p, k] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        row = t[p, k:] / t[p, k]
+        t[p, k:] = t[k, k:]
+        t[k, k:] = row
+        rows = k + 1 + np.flatnonzero(t[k + 1:, k])
+        t[rows, k:] -= np.multiply.outer(t[rows, k], row)
+    for k in range(n - 1, 0, -1):
+        rows = np.flatnonzero(t[:k, k])
+        t[rows, n:] -= np.multiply.outer(t[rows, k], t[k, n:])
+    return t[:, n:]
+
+
+def _refined_solve(a: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from ``inv``, the inverse of ``a``, with one step of
+    iterative refinement; every product is an elementwise sum."""
+    x = (inv * b).sum(axis=1)
+    return x + (inv * (b - (a * x).sum(axis=1))).sum(axis=1)
 
 
 def _tightest(rows: np.ndarray, var: np.ndarray, bound: np.ndarray, nv: int, largest: bool) -> np.ndarray:
@@ -130,29 +177,51 @@ def _tightest(rows: np.ndarray, var: np.ndarray, bound: np.ndarray, nv: int, lar
     return best
 
 
+def _pair_opposite_rows(a_ge: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of ``a_ge``, the later row among ``rows`` whose coefficients
+    are its exact negatives, or -1. Rows pair in order, each with the first
+    unpaired earlier row it negates."""
+    partner = np.full(a_ge.shape[0], -1, dtype=np.intp)
+    unpaired: dict[bytes, list[int]] = {}
+    for i in rows:
+        row = a_ge[i] + 0.0     # -0.0 -> 0.0
+        mates = unpaired.get((0.0 - row).tobytes())
+        if mates:
+            partner[mates.pop(0)] = i
+        else:
+            unpaired.setdefault(row.tobytes(), []).append(int(i))
+    return partner
+
+
 @dataclass(frozen=True)
 class _Presolved:
-    """Singleton rows read as bounds. Variable j is ``shift[j] + x'`` with
-    ``x' >= 0`` when its lower bound is absorbed, ``shift[j]`` when fixed and
-    free otherwise; the rows behind those bounds leave the LP. Rows are numbered
-    as in the problem, with -1 where a variable has no such row."""
+    """Singleton rows read as bounds and opposite rows read as ranges.
+    Variable j is ``shift[j] + x'`` with ``0 <= x' <= upper[j]`` when its
+    lower bound is absorbed, ``shift[j]`` when fixed and free otherwise; the
+    rows behind those bounds leave the LP. Rows are numbered as in the
+    problem, with -1 where a variable or row has no such row."""
 
     low_row: np.ndarray    # tightest lower bound (a > 0 in a >= row)
-    up_row: np.ndarray     # tightest upper bound (a < 0 in a >= row); stays a row
+    up_row: np.ndarray     # tightest upper bound (a < 0 in a >= row)
     fix_row: np.ndarray    # first equality singleton
     absorbed: np.ndarray   # lower bound absorbed into x'
+    bounded: np.ndarray    # absorbed, with its upper bound on the column
     pinned: np.ndarray     # fixed by equal tightest lower and upper bounds
     fixed: np.ndarray      # pinned or fixed by an equality singleton
     shift: np.ndarray
+    upper: np.ndarray      # bound on x' (inf when none)
     b_eq: np.ndarray       # right-hand sides once x is shift + x'
     b_ge: np.ndarray
     eq_keep: np.ndarray    # rows that stay, each with a nonzero on a column that stays
     ge_keep: np.ndarray
+    partner: np.ndarray    # per kept >= row, the row it is ranged with
+    ge_range: np.ndarray   # per kept >= row, its slack's upper bound (inf unless ranged)
 
 
 def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
-    """Read singleton rows as bounds and drop empty rows; an ``INFEASIBLE``
-    solution when the bounds conflict or an empty row demands anything."""
+    """Read singleton rows as bounds, pair opposite rows into ranges and drop
+    empty rows; an ``INFEASIBLE`` solution when the bounds or a pair conflict
+    or an empty row demands anything."""
     nv = problem.n_vars
     a_eq, b_eq, a_ge, b_ge = problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge
     nz_eq = np.count_nonzero(a_eq, axis=1)
@@ -186,16 +255,18 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
     pinned = (fix_row < 0) & (lo == hi)
     fixed = pinned | (fix_row >= 0)
     absorbed = ~fixed & (low_row >= 0)
+    bounded = absorbed & (up_row >= 0)
     shift = np.where(absorbed | pinned, lo, 0.0)
     j = np.flatnonzero(fix_row >= 0)
     shift[j] = b_eq[fix_row[j]] / a_eq[fix_row[j], j]
+    upper = np.where(bounded, hi - lo, np.inf)
     b_eq, b_ge = b_eq - a_eq @ shift, b_ge - a_ge @ shift
 
     eq_gone = np.zeros(nz_eq.size, dtype=bool)
     eq_gone[fix_row[fix_row >= 0]] = True
     ge_gone = np.zeros(nz_ge.size, dtype=bool)
     ge_gone[low_row[absorbed | pinned]] = True
-    ge_gone[up_row[pinned]] = True
+    ge_gone[up_row[bounded | pinned]] = True
     # a row whose variables are all fixed is empty: infeasible if its rhs demands anything
     eq_kept = nz_eq > np.count_nonzero(a_eq[:, fixed], axis=1)
     ge_kept = nz_ge > np.count_nonzero(a_ge[:, fixed], axis=1)
@@ -205,9 +276,23 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
         if bad.size:
             i = int(bad[0])
             return LpSolution(status=INFEASIBLE, infeasible_rows=((kind, i, float(rhs[i])),))
-    return _Presolved(low_row=low_row, up_row=up_row, fix_row=fix_row, absorbed=absorbed, pinned=pinned,
-                      fixed=fixed, shift=shift, b_eq=b_eq, b_ge=b_ge,
-                      eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=np.flatnonzero(~ge_gone & ge_kept))
+
+    partner = _pair_opposite_rows(a_ge, np.flatnonzero(~ge_gone & ge_kept))
+    first = np.flatnonzero(partner >= 0)
+    gap = b_ge[first] + b_ge[partner[first]]
+    # both rows of a pair fall short by the same amount where the other one holds
+    conflicts = tuple(("ge", int(r), float(g)) for i, g in zip(first, gap) if g > _TOL_RHS for r in (i, partner[i]))
+    if conflicts:
+        return LpSolution(status=INFEASIBLE, infeasible_rows=conflicts)
+    ge_gone[partner[first]] = True
+    ge_range = np.full(nz_ge.size, np.inf)
+    ge_range[first] = np.maximum(-gap, 0.0)
+
+    ge_keep = np.flatnonzero(~ge_gone & ge_kept)
+    return _Presolved(low_row=low_row, up_row=up_row, fix_row=fix_row, absorbed=absorbed, bounded=bounded,
+                      pinned=pinned, fixed=fixed, shift=shift, upper=upper, b_eq=b_eq, b_ge=b_ge,
+                      eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=ge_keep,
+                      partner=partner[ge_keep], ge_range=ge_range[ge_keep])
 
 
 def _eliminate_free(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,12 +324,13 @@ def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, me: i
     holds the kept rows, equality rows first, over the ``x'`` columns and then
     the ``v`` columns of the free variables, whose ``x'`` columns are ``x_cols``.
 
-    Returns the tableau (zero cost row), the reduced phase-2 costs with the
-    objective offset last, the eliminated rows and ``x'`` columns, and the
-    tableau's rows and columns in ``a_std``'s numbering (a column past
-    ``a_std``'s is a slack)."""
+    Each remaining row ``i`` reads ``s_i = a_i x - b_i``: its logical ``s_i``
+    is basic, so the row holds ``-a_i``, a unit entry on the logical and
+    ``-b_i``. The last row holds the reduced costs and the negated objective
+    offset. Returns the tableau, the eliminated rows and ``x'`` columns, and
+    the tableau's rows and columns in ``a_std``'s numbering (column
+    ``n + i``, past ``a_std``'s ``n``, is row ``i``'s logical)."""
     m, n_var = a_std.shape
-    mg = m - me
     rows, k = _eliminate_free(a_std[:me].take(x_cols, axis=1))
     elim_cols = x_cols[k]
     kvar = np.delete(np.arange(n_var), np.concatenate([elim_cols, n_var - x_cols.size + k]))
@@ -254,50 +340,105 @@ def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, me: i
         sub = np.linalg.solve(a_elim[:, elim_cols], np.column_stack([a_elim[:, kvar], rhs[rows]]))
     except np.linalg.LinAlgError:
         raise ArithmeticError("singular elimination block") from None
-    nk = kvar.size + mg
+    nk = kvar.size + krows.size
     lhs = np.append(np.arange(kvar.size), nk)    # the variables' columns and the rhs
     tableau = np.zeros((krows.size + 1, nk + 1))
-    tableau[:-1, lhs] = (np.column_stack([a_std[np.ix_(krows, kvar)], rhs[krows]])
-                         - a_std[np.ix_(krows, elim_cols)] @ sub)
-    tableau[me - rows.size + np.arange(mg), kvar.size + np.arange(mg)] = -1.0
-    cost = np.zeros(nk + 1)
-    cost[lhs] = np.append(c_std[kvar], 0.0) - c_std[elim_cols] @ sub
-    return tableau, cost, rows, elim_cols, krows, np.concatenate([kvar, n_var + np.arange(mg)])
+    tableau[:-1, lhs] = (a_std[np.ix_(krows, elim_cols)] @ sub
+                         - np.column_stack([a_std[np.ix_(krows, kvar)], rhs[krows]]))
+    tableau[np.arange(krows.size), kvar.size + np.arange(krows.size)] = 1.0
+    tableau[-1, lhs] = np.append(c_std[kvar], 0.0) - c_std[elim_cols] @ sub
+    return tableau, rows, elim_cols, krows, np.concatenate([kvar, n_var + krows])
 
 
 def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis_col: np.ndarray,
-                    me: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the basic variables and row duals of the final basis, both over
-    the rows with ``basis_col >= 0`` in order.
+                    x_nonbasic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of every column and the row duals of the final basis.
 
     ``a_std`` holds the kept rows over the structural columns (``n`` of them);
-    a basis column ``n + i`` is the slack of row ``me + i``. A ``>=`` row whose
-    own slack is basic is loose: its dual is 0 and its slack is ``a x - b``
-    (complementary slackness). So only the equality and tight rows are factored,
-    against the basic structural columns; each loose row's slack takes one
-    basis column, so that system is square."""
+    column ``n + i`` is row ``i``'s logical, ``a_i x - s_i = b_i``. Every row
+    has a basic column ``basis_col[i]``; ``x_nonbasic`` holds the nonbasic
+    columns' values (their upper bounds, or 0). A row whose logical is basic
+    is loose: its dual is 0 and its logical is ``a x - b`` (complementary
+    slackness). So only the other rows are factored, against the basic
+    structural columns, with the nonbasic columns moved to the rhs; each loose
+    row's logical takes one basis column, so that system is square."""
     n = a_std.shape[1]
-    kept = np.flatnonzero(basis_col >= 0)
-    col = basis_col[kept]
-    struct = col < n
-    slack_rows = me + col[~struct] - n
+    struct = basis_col < n
     loose = np.zeros(basis_col.size, dtype=bool)
-    loose[slack_rows] = True
-    tight = kept[~loose[kept]]
-    basis_mat = a_std[np.ix_(tight, col[struct])]
+    loose[basis_col[~struct] - n] = True
+    tight = np.flatnonzero(~loose)
+    col = basis_col[struct]
+    basis_mat = a_std[np.ix_(tight, col)]
+    up = np.flatnonzero(x_nonbasic[:n])
+    b_tight = rhs[tight] + x_nonbasic[n + tight] - (a_std[np.ix_(tight, up)] * x_nonbasic[up]).sum(axis=1)
     try:
-        x_struct = _refined_solve(basis_mat, rhs[tight])
-        y_tight = _refined_solve(basis_mat.T, c_std[col[struct]])
+        inv = _inverse(basis_mat)
     except np.linalg.LinAlgError:
         raise ArithmeticError("singular final basis") from None
-    x_std = np.zeros(n)
-    x_std[col[struct]] = x_struct
-    x_basic = np.empty(kept.size)
-    x_basic[struct] = x_struct
-    x_basic[~struct] = a_std[slack_rows] @ x_std - rhs[slack_rows]
-    y_rows = np.zeros(kept.size)
-    y_rows[~loose[kept]] = y_tight
-    return x_basic, y_rows
+    x_struct = _refined_solve(basis_mat, inv, b_tight)
+    y_tight = _refined_solve(basis_mat.T, inv.T, c_std[col])
+    x_std = x_nonbasic.copy()
+    x_std[col] = x_struct
+    x_std[n + np.flatnonzero(loose)] = a_std[loose] @ x_std[:n] - rhs[loose]
+    y_rows = np.zeros(basis_col.size)
+    y_rows[tight] = y_tight
+    return x_std, y_rows
+
+
+def _start(tableau: np.ndarray, upper: np.ndarray) -> None:
+    """Put each column whose reduced cost is negative at its finite upper bound."""
+    cost = tableau[-1, :-1]
+    _kernels.flip(tableau, np.flatnonzero((cost < 0.0) & (upper > 0.0) & (upper < np.inf)), upper)
+
+
+def _run(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray, phase: int) -> tuple[int, int]:
+    status, iters = _kernels.run_simplex(tableau, basis, upper)
+    if status == _kernels.STATUS_ITER_LIMIT:
+        raise ArithmeticError(f"simplex iteration limit in phase {phase}")
+    return status, iters
+
+
+def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> tuple[bool, int]:
+    """Fourer's auxiliary problem on ``tableau``: the same costs, a zero rhs,
+    columns with no upper bound in ``[0, 1]`` and the others fixed. Returns
+    whether its optimum is 0 and the pivots taken. When it is, the tableau
+    is left at the auxiliary's final basis with the rhs of the original
+    problem and every column back at its lower bound, dual feasible but for
+    the columns ``_start`` puts at their upper bound."""
+    mk = basis.size
+    logicals = slice(tableau.shape[1] - 1 - mk, tableau.shape[1] - 1)
+    rhs = tableau[:, -1].copy()
+    scale = 1.0 + float(np.max(np.abs(tableau[-1, :-1])))
+    tableau[:, -1] = 0.0
+    aux = np.where(upper == np.inf, 1.0, 0.0)
+    _start(tableau, aux)
+    status, iters = _run(tableau, basis, aux, 1)
+    if status != _kernels.STATUS_OPTIMAL:
+        raise ArithmeticError("dual phase 1 found no point of its bounded auxiliary problem")
+    if tableau[-1, -1] > _TOL_DUAL * scale:
+        return False, iters
+    # back to the original orientation; the logicals then hold B^-1
+    flipped = np.flatnonzero(aux < 0.0)
+    row_of = np.full(aux.size, -1, dtype=np.intp)
+    row_of[basis] = np.arange(mk)
+    _kernels.flip(tableau, flipped[row_of[flipped] < 0], aux)
+    for j in flipped[row_of[flipped] >= 0]:
+        tableau[row_of[j]] *= -1.0
+        tableau[row_of[j], j] = 1.0
+    tableau[:, -1] = (tableau[:, logicals] * rhs[:mk]).sum(axis=1)
+    tableau[-1, -1] += rhs[-1]
+    return True, iters
+
+
+def _infeasible(tableau, basis, upper, krows, me, row_orig, iters) -> LpSolution:
+    """The rows in the support of the proving row of ``B^-1`` (held in the
+    logical columns), each with the shortfall that row cannot close. A ranged
+    row is named by its first row."""
+    r, shortfall = _kernels.infeasible_row(tableau, basis, upper)
+    ray = np.abs(tableau[r, tableau.shape[1] - 1 - krows.size:-1])
+    support = np.flatnonzero(ray > 1e-9 * ray.max())
+    rows = tuple(("eq" if krows[i] < me else "ge", int(row_orig[krows[i]]), shortfall) for i in support)
+    return LpSolution(status=INFEASIBLE, iterations=iters, infeasible_rows=rows)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -309,8 +450,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     me, mg = pre.eq_keep.size, pre.ge_keep.size
     m = me + mg
 
-    # standard form: columns [x', v, slacks]. A kept variable is shift + x' - v,
-    # with a v column only when it is free; A_ge x - s = b_ge
+    # standard form: columns [x', v, logicals]. A kept variable is shift + x' - v,
+    # with a v column only when it is free; row i is a_i x - s_i = b_i
     cols = np.flatnonzero(~pre.fixed)
     split = np.flatnonzero(~pre.fixed & ~pre.absorbed)
     n_var = cols.size + split.size
@@ -320,110 +461,71 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     rhs = np.concatenate([pre.b_eq[pre.eq_keep], pre.b_ge[pre.ge_keep]])
     row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
     c_std = np.concatenate([c[cols], -c[split]])
+    upper_std = np.concatenate([pre.upper[cols], np.full(split.size, np.inf), np.zeros(me), pre.ge_range])
 
-    tableau, cost, elim_rows, elim_cols, krows, kcols = _kernel_tableau(
+    tableau, elim_rows, elim_cols, krows, kcols = _kernel_tableau(
         a_std, rhs, c_std, me, np.searchsorted(cols, split))
-    mk, nk, me_k = krows.size, kcols.size, me - elim_rows.size
-    n_var_k = nk - mg
-
-    sigma = np.where(tableau[:mk, -1] < 0, -1.0, 1.0)
-    tableau[:mk] *= sigma[:, None]
-
-    # crash basis: flipped ge-rows have a +1 slack; everything else gets an artificial
-    basis = np.empty(mk, dtype=np.intp)
-    art_rows = []
-    for i in range(mk):
-        if i >= me_k and sigma[i] < 0:
-            basis[i] = n_var_k + (i - me_k)
-        else:
-            basis[i] = nk + len(art_rows)
-            art_rows.append(i)
+    mk, nk = krows.size, kcols.size
+    upper = upper_std[kcols]
+    basis = np.arange(nk - mk, nk)
 
     total_iters = 0
-    if art_rows:
-        # phase 1: reduced costs for min(sum of artificials) under the crash basis
-        for i in art_rows:
-            tableau[mk, :] -= tableau[i, :]
-        status, iters = _kernels.run_simplex(tableau, basis)
-        total_iters += iters
-        if status == _kernels.STATUS_ITER_LIMIT:
-            raise ArithmeticError("simplex iteration limit in phase 1")
-        if status == _kernels.STATUS_UNBOUNDED:
-            raise ArithmeticError("phase-1 objective unbounded (numerical failure)")
-        phase1_obj = -tableau[mk, -1]
-        if phase1_obj > 1e-7 * (1.0 + float(np.max(np.abs(tableau[:mk, -1]), initial=0.0))):
-            bad = tuple(
-                ("eq" if krows[i] < me else "ge", int(row_orig[krows[i]]), float(tableau[i, -1]))
-                for i in range(mk)
-                if basis[i] >= nk and tableau[i, -1] > 1e-9
-            )
-            return LpSolution(status=INFEASIBLE, iterations=total_iters, infeasible_rows=bad)
+    if np.any((tableau[-1, :nk] < -_TOL_DUAL) & (upper == np.inf)):
+        start = tableau.copy()
+        dual_feasible, total_iters = _dual_phase1(tableau, basis, upper)
+        if not dual_feasible:
+            # the dual is infeasible: the LP is unbounded if it has a point at all
+            start[-1] = 0.0
+            basis = np.arange(nk - mk, nk)
+            status, iters = _run(start, basis, upper, 1)
+            if status == _kernels.STATUS_INFEASIBLE:
+                return _infeasible(start, basis, upper, krows, me, row_orig, total_iters + iters)
+            return LpSolution(status=UNBOUNDED, iterations=total_iters + iters)
 
-        # drive leftover artificials out of the basis; rows with no structural
-        # pivot are redundant and dropped (their duals are reported as zero)
-        drop = []
-        for i in range(mk):
-            if basis[i] >= nk:
-                row = np.abs(tableau[i, :nk])
-                if row.size and row.max() > 1e-7:
-                    pc = int(np.argmax(row))
-                    _kernels._pivot(tableau, i, pc)
-                    basis[i] = pc
-                else:
-                    drop.append(i)
-        if drop:
-            keep = np.delete(np.arange(mk), drop)
-            tableau = tableau[np.append(keep, mk)]
-            basis, krows = basis[keep], krows[keep]
-            mk = keep.size
-
-    # phase 2 cost row
-    costrow = cost.copy()
-    for i in range(mk):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            costrow -= cb * tableau[i, :]
-    tableau[mk, :] = costrow
-
-    status, iters = _kernels.run_simplex(tableau, basis)
+    _start(tableau, upper)
+    status, iters = _run(tableau, basis, upper, 2)
     total_iters += iters
-    if status == _kernels.STATUS_ITER_LIMIT:
-        raise ArithmeticError("simplex iteration limit in phase 2")
-    if status == _kernels.STATUS_UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=total_iters)
+    if status == _kernels.STATUS_INFEASIBLE:
+        return _infeasible(tableau, basis, upper, krows, me, row_orig, total_iters)
 
     # the final basis is the eliminated pairs plus the kernel's; recompute the
-    # vertex and its duals from a fresh factorization of its tight rows
-    basis_col = np.full(m, -1, dtype=np.intp)
+    # vertex and its duals from a fresh factorization of its tight rows, with
+    # each column stored flipped and nonbasic at its upper bound
+    basis_col = np.empty(m, dtype=np.intp)
     basis_col[elim_rows] = elim_cols
     basis_col[krows] = kcols[basis]
-    kept = np.flatnonzero(basis_col >= 0)
-    x_basic, y_rows = _basic_solution(a_std, rhs, c_std, basis_col, me)
+    at_upper = np.flatnonzero(upper < 0.0)
+    at_upper = at_upper[~np.isin(at_upper, basis)]
+    x_nonbasic = np.zeros(n_var + m)
+    x_nonbasic[kcols[at_upper]] = -upper[at_upper]
+    x_std, y_rows = _basic_solution(a_std, rhs, c_std, basis_col, x_nonbasic)
 
-    x_std = np.zeros(n_var + mg)
-    x_std[basis_col[kept]] = x_basic
     x = pre.shift.copy()
     x[cols] += x_std[:cols.size]
     x[split] -= x_std[cols.size:n_var]
 
     eq_duals = np.zeros(problem.a_eq.shape[0])
     ge_duals = np.zeros(problem.a_ge.shape[0])
-    is_eq = kept < me
-    eq_duals[row_orig[kept[is_eq]]] = y_rows[is_eq]
-    ge_duals[row_orig[kept[~is_eq]]] = y_rows[~is_eq]
+    eq_duals[pre.eq_keep] = y_rows[:me]
+    # a ranged row's dual goes to its first row when positive, else to its partner
+    y_ge = y_rows[me:]
+    other = (y_ge < 0.0) & (pre.partner >= 0)
+    ge_duals[np.where(other, pre.partner, pre.ge_keep)] = np.where(other, -y_ge, y_ge)
     # a row that left the LP prices its variable's reduced cost over the kept rows
     d = c - problem.a_eq.T @ eq_duals - problem.a_ge.T @ ge_duals
     j = np.flatnonzero(pre.fix_row >= 0)
     eq_duals[pre.fix_row[j]] = d[j] / problem.a_eq[pre.fix_row[j], j]
-    # an absorbed lower row; of a pinned variable's two rows, the lower one when
-    # d_j >= 0, else the upper one
+    # an absorbed lower row; of a bounded or pinned variable's two rows, the
+    # lower one when d_j >= 0, else the upper one
     j = np.flatnonzero(pre.absorbed | pre.pinned)
-    rows = np.where(pre.pinned[j] & (d[j] < 0.0), pre.up_row[j], pre.low_row[j])
+    rows = np.where((pre.bounded | pre.pinned)[j] & (d[j] < 0.0), pre.up_row[j], pre.low_row[j])
     ge_duals[rows] = d[j] / problem.a_ge[rows, j]
 
     objective = float(problem.c @ x)
-    # a free basic variable has no bound to sit at
-    degenerate = bool(np.any(np.abs(x_basic[~np.isin(kept, elim_rows)]) <= _DEGENERACY_EPS))
+    # a kernel basic variable at either bound; an eliminated free one has none
+    basic = kcols[basis]
+    near = np.minimum(np.abs(x_std[basic]), np.abs(upper_std[basic] - x_std[basic]))
+    degenerate = bool(np.any(near <= _DEGENERACY_EPS))
 
     slack = problem.a_ge @ x - problem.b_ge
     residuals = {

@@ -247,3 +247,49 @@ def random_bounded_lp(seed):
     b_ge = np.concatenate([b_ge, ge_rhs])
     order = rng.permutation(b_ge.size)
     return c, a_eq, b_eq, a_ge[order], b_ge[order]
+
+
+def random_ranged_lp(seed):
+    """Deterministic small LP (2-5 vars, <= 14 rows) for the dual simplex's
+    bounds and phase 1, built around a point x0:
+
+    - each drawn ``>=`` row gets, one time in two, its exact negation: a
+      range that holds x0 or, one time in six, a pair that no point meets;
+    - one time in five, the scaled negation of a drawn row excludes it (an
+      infeasibility no exact pair shows);
+    - each variable is boxed (lower and upper rows), bounded below only or
+      free, so a column with a negative cost and no upper bound, the start
+      of a dual phase 1, is common."""
+    rng = np.random.default_rng(seed)
+    nv = int(rng.integers(2, 6))
+    me = int(rng.integers(0, 2))
+    x0 = rng.normal(size=nv)
+    a_eq = rng.normal(size=(me, nv))
+    b_eq = a_eq @ x0
+    mg = int(rng.integers(1, 4))
+    drawn = rng.normal(size=(mg, nv))
+    rhs = drawn @ x0 - rng.uniform(0.3, 2.0, size=mg)
+    rows, b_ge = list(drawn), list(rhs)
+    for i in range(mg):
+        if rng.random() < 0.5:
+            rows.append(-drawn[i])
+            gap = rng.uniform(0.1, 1.0) if rng.random() < 1 / 6 else -(drawn[i] @ x0 - rhs[i]) - rng.uniform(0.3, 2.0)
+            b_ge.append(gap - rhs[i])
+    if rng.random() < 0.2:
+        i = int(rng.integers(mg))
+        scale = rng.uniform(0.5, 2.0)
+        rows.append(-scale * drawn[i])
+        b_ge.append(-scale * (rhs[i] - rng.uniform(0.1, 1.0)))
+    for j, kind in enumerate(rng.integers(0, 3, size=nv)):
+        if kind < 2:    # a lower bound: boxed (0) or below only (1)
+            row = np.zeros(nv)
+            row[j] = rng.uniform(0.5, 2.0)
+            rows.append(row)
+            b_ge.append(row[j] * (x0[j] - rng.uniform(0.1, 2.0)))
+        if kind == 0:
+            row = np.zeros(nv)
+            row[j] = -rng.uniform(0.5, 2.0)
+            rows.append(row)
+            b_ge.append(row[j] * (x0[j] + rng.uniform(0.1, 2.0)))
+    c = rng.normal(size=nv)
+    return c, a_eq, b_eq, np.array(rows), np.array(b_ge)

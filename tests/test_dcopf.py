@@ -1,11 +1,18 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmpcirc
 from lmpcirc import (
     Bus,
     Injector,
+    LimitedInfo,
     Line,
     Network,
     NoMarginalInjector,
@@ -17,11 +24,15 @@ from lmpcirc import (
     generate_random_network,
     line_flows,
     lp,
+    predict_negative_prices,
+    recover_lmps,
+    solve_circuit,
     solve_opf,
+    superpose,
     verify_optimality,
 )
 
-from lmpcirc.circuit import build_circuit
+from lmpcirc.circuit import build_circuit, kcl_residuals, kvl_loop_sums
 from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
@@ -253,25 +264,35 @@ def test_infeasible_capacity_shortfall():
 
 
 # every network is feasible by construction: seeds 0-19 at 40 and 50 buses,
-# perfbench's 17 opf_dense networks, three grid-like networks each at 100
-# and at 200 buses, and two dense networks at 100 buses
+# perfbench's 17 opf_dense networks, seven grid-like networks at 100 buses and
+# three at 200, and two dense networks at 100 buses
 SCALE_CORPUS = ([(seed, n, 0.35) for n in (40, 50) for seed in range(20)]
                 + [(seed, 35, 0.35) for seed in range(17)]
-                + [(seed, 100, 0.035) for seed in range(3)]
+                + [(seed, 100, 0.035) for seed in range(7)]
                 + [(seed, 200, 0.005) for seed in range(3)]
                 + [(seed, 100, 0.35) for seed in range(2)])
 
 
-def test_scale_corpus_is_certified():
-    from scipy.optimize import linprog
-
-    failures = []
+@pytest.fixture(scope="module")
+def scale_solves():
+    """Each SCALE_CORPUS network with its solution, or the OpfError it raised."""
+    out = []
     for spec in SCALE_CORPUS:
         net = generate_random_network(*spec)
         try:
-            sol = solve_opf(net)
+            out.append((spec, net, solve_opf(net)))
         except OpfError as exc:
-            failures.append((spec, repr(exc)))
+            out.append((spec, net, exc))
+    return out
+
+
+def test_scale_corpus_is_certified(scale_solves):
+    from scipy.optimize import linprog
+
+    failures = []
+    for spec, net, sol in scale_solves:
+        if isinstance(sol, OpfError):
+            failures.append((spec, repr(sol)))
             continue
         if not verify_optimality(net, sol).all_passed:
             failures.append((spec, "verify_optimality fails"))
@@ -283,12 +304,70 @@ def test_scale_corpus_is_certified():
     assert not failures
 
 
+def test_scale_corpus_prices_obey_circuit_laws(scale_solves):
+    # the paper's criteria on every congested network of the corpus: the price
+    # circuit's round trip and superposition, KCL at every node and KVL around
+    # every fundamental cycle, the negative-price criterion, and price recovery
+    # from the circuit with and without its ground, each within 1e-9 relative
+    skipped, large = 0, 0
+    for spec, net, sol in scale_solves:
+        assert not isinstance(sol, OpfError), spec
+        if not any(d.value > 1e-7 for d in sol.mu):
+            skipped += 1    # no binding line, so no circuit source
+            continue
+        large += net.n >= 100
+        tol = 1e-9 * (1.0 + np.abs(sol.lmp).max())
+        circ = build_circuit(net, sol)
+        sup = superpose(circ)
+        assert np.abs(sup.voltages + circ.offset - sol.lmp).max() <= tol, spec
+        assert np.abs(sum(sup.per_source_voltages) - sup.voltages).max() <= tol, spec
+        cs = solve_circuit(circ)
+        amps = max(abs(s.amps) for s in circ.current_sources)
+        assert np.abs(kcl_residuals(circ, cs)).max() <= 1e-9 * (1.0 + amps), spec
+        loops = kvl_loop_sums([(ln.from_bus, ln.to_bus) for ln in net.lines], sol.lmp)
+        assert loops and max(abs(loop.total) for loop in loops) <= tol, spec
+        rep = predict_negative_prices(circ, cs)
+        assert rep.negative == bool((sol.lmp < -1e-9).any()), spec
+        assert set(rep.witnesses) == set(np.flatnonzero(sol.lmp < -1e-9)), spec
+        lines = tuple((ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines)
+        sources = tuple((s.from_node, s.to_node, s.amps) for s in circ.current_sources)
+        full = recover_lmps(LimitedInfo(net.n, lines, sources, ground=circ.ground, offset=circ.offset))
+        assert np.abs(full.lmp - sol.lmp).max() <= tol, spec
+        anon = recover_lmps(LimitedInfo(net.n, lines, sources))
+        assert np.abs(anon.delta - (sol.lmp[:, None] - sol.lmp[None, :])).max() <= 2 * tol, spec
+    print(f"\nscale corpus: {len(scale_solves) - skipped} congested networks checked, "
+          f"{large} of 100 buses or more; {skipped} skipped with no binding line")
+    assert large >= 10
+
+
+def test_vertex_does_not_depend_on_blas_threads():
+    # the same LP solve in two child processes, one and two BLAS threads set in
+    # each child's own environment: the pivots and every bit of x agree
+    specs = [spec for spec in SCALE_CORPUS if spec[1:] == (200, 0.005)]
+    code = (
+        "import json\n"
+        "from lmpcirc import assemble_lp, generate_random_network, solve_lp\n"
+        "from lmpcirc.dcopf import opf_lp_problem\n"
+        f"specs = {specs!r}\n"
+        "sols = [solve_lp(opf_lp_problem(assemble_lp(generate_random_network(*s)), ref_bus=0)) for s in specs]\n"
+        "print(json.dumps([[sol.iterations, sol.x.tobytes().hex()] for sol in sols]))\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(lmpcirc.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("seed", [13, 15])
 def test_uncertified_optimum_raises_numerical(monkeypatch, seed):
     # no generated network is known to fail the certificate, so the refined
     # solve is perturbed to give a factored vertex that fails it
     refined = lp._refined_solve
-    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda a, b: refined(a, b) + 1e-3)
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda *args: refined(*args) + 1e-3)
     with pytest.raises(OpfNumerical, match="fails its optimality certificate") as exc:
         solve_opf(generate_random_network(seed, 35, 0.35))
     assert isinstance(exc.value, OpfError) and isinstance(exc.value, ArithmeticError)

@@ -46,7 +46,7 @@ def test_sparse_pivot_matches_dense_update(monkeypatch):
         t[pr, pc] = rng.normal() or 1.0
         _assert_pivots_agree(t, pr, pc)
 
-    # every pivot of the solver, drive-out pivots included, on 50-bus grid-like networks
+    # every pivot of the solver on 50-bus grid-like networks
     def checked(tableau, pr, pc):
         _assert_pivots_agree(tableau, pr, pc)
         pivots.append((pr, pc))

@@ -59,10 +59,10 @@ def test_empty_row_presolve():
 
 def test_singular_final_basis_raises(monkeypatch):
     # no least-squares stand-in: a basis that cannot be factored is a numerical failure
-    def singular(a, b):
+    def singular(a):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("lmpcirc.lp._refined_solve", singular)
+    monkeypatch.setattr("lmpcirc.lp._inverse", singular)
     with pytest.raises(ArithmeticError, match="^singular final basis$"):
         solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
 
@@ -71,17 +71,17 @@ def test_uncertified_vertex_is_numerical(monkeypatch):
     # a factored vertex whose residuals fail the certificate is never labelled optimal;
     # the two-variable row keeps a basis to factor once y >= 0 is presolved away
     refined = lp._refined_solve
-    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda a, b: refined(a, b) + 1e-3)
+    monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda *args: refined(*args) + 1e-3)
     sol = solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
     assert sol.status == NUMERICAL
     assert sol.residuals["stationarity"] > 1e-7
 
 
-def test_tableau_holds_only_enterable_columns(monkeypatch, fig1_net):
-    # every kernel column but the rhs may enter, so artificials are basis markers
-    # only: both phases see the kept x' and v columns less the eliminated pairs,
-    # one slack per kept >= row, and the rhs
-    seen = _kernel_shapes(monkeypatch)
+def test_tableau_has_one_logical_per_row(monkeypatch, fig1_net):
+    # every kernel call sees the kept x' and v columns less the eliminated
+    # pairs, one logical per remaining row and the rhs; the logicals start as
+    # the identity, so they are the starting basis and carry B^-1
+    seen = _kernel_tableaus(monkeypatch)
     c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
     for prob in (opf_lp_problem(assemble_lp(fig1_net), ref_bus=0), _lp(c, a_eq, b_eq, a_ge, b_ge)):
         assert prob.a_eq.shape[0] > 0
@@ -90,49 +90,46 @@ def test_tableau_holds_only_enterable_columns(monkeypatch, fig1_net):
         n_var = np.count_nonzero(~pre.fixed) + np.count_nonzero(~pre.fixed & ~pre.absorbed)
         seen.clear()
         assert solve_lp(prob).status == OPTIMAL
-        assert len(seen) == 2
+        rows = seen[0][0].shape[0] - 1
         # each eliminated free variable takes one equality row and its two columns
-        n_elim = me + mg - (seen[0][0] - 1)
+        n_elim = me + mg - rows
         assert 0 <= n_elim <= me
-        assert all(cols == n_var - 2 * n_elim + mg + 1 for _, cols in seen)
+        assert all(t.shape == (rows + 1, n_var - 2 * n_elim + rows + 1) for t, _ in seen)
+        assert np.array_equal(seen[0][0][:rows, -rows - 1:-1], np.eye(rows))
 
 
 def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net):
     # fig1's LP has 9 variables (6 injector slots, 3 angles) and 18 rows: 3 balance
     # rows, the reference row, 12 injector bound rows and 2 flow-limit rows. The
-    # reference row fixes theta_0, equal bounds fix the 3 absent load slots at 0 and
-    # the 3 generators' p_min rows become lower bounds; only the p_max rows, which
-    # start with a basic slack, stay among the singleton rows. The two free angles
-    # are then eliminated on two balance rows, which leave with them
-    seen = []
-    run = kernels.run_simplex
-
-    def spy(tableau, basis):
-        seen.append(tableau.copy())
-        return run(tableau, basis)
-
-    monkeypatch.setattr(kernels, "run_simplex", spy)
+    # reference row fixes theta_0, equal bounds fix the 3 absent load slots at 0,
+    # the 3 generators' p_min rows become lower bounds and their p_max rows upper
+    # bounds on the columns, and the two opposite flow-limit rows become one
+    # ranged row. The two free angles are then eliminated on two balance rows,
+    # which leave with them
+    seen = _kernel_tableaus(monkeypatch)
     prob = opf_lp_problem(assemble_lp(fig1_net), ref_bus=0)
     assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (18, 9)
     assert solve_lp(prob).status == OPTIMAL
-    tableau = seen[0]
-    # rows: 1 system-balance row, 3 p_max rows, 2 flow-limit rows
-    assert tableau.shape[0] - 1 == 6
-    # columns: 3 generators (no v half), 5 slacks; no angle column
-    assert tableau.shape[1] - 1 == 8
-    # every constraint row holds a generator column; a p_max row holds exactly one
-    per_row = np.count_nonzero(tableau[:6, :3], axis=1)
-    assert per_row.min() >= 1 and np.count_nonzero(per_row == 1) == 3
+    (tableau, upper), = seen
+    # rows: 1 system-balance row, 1 ranged flow-limit row
+    assert tableau.shape[0] - 1 == 2
+    # columns: 3 generators (no v half), 2 logicals; no angle column
+    assert tableau.shape[1] - 1 == 5
+    # every constraint row holds a generator column
+    assert np.count_nonzero(tableau[:2, :3], axis=1).min() >= 1
+    # generators up to p_max = 200, the balance row's logical fixed at 0, the
+    # flow row's slack up to twice the 20 MW limit over the unit susceptance
+    assert upper == pytest.approx([200.0, 200.0, 200.0, 0.0, 40.0])
 
 
-def _kernel_shapes(monkeypatch):
-    """Record the tableau shape of every kernel call."""
+def _kernel_tableaus(monkeypatch):
+    """Record a copy of the tableau and bounds every kernel call starts from."""
     seen = []
     run = kernels.run_simplex
 
-    def spy(tableau, basis):
-        seen.append(tableau.shape)
-        return run(tableau, basis)
+    def spy(tableau, basis, upper):
+        seen.append((tableau.copy(), upper.copy()))
+        return run(tableau, basis, upper)
 
     monkeypatch.setattr(kernels, "run_simplex", spy)
     return seen
@@ -152,13 +149,15 @@ def _assert_matches_oracle(prob, sol):
 def test_free_variables_are_eliminated_on_equality_rows(monkeypatch):
     # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z free:
     # both become basic on the two equality rows and leave the tableau, so the
-    # kernel sees one row (y <= 5) and two columns (y' and its slack). At the
-    # optimum y = 5 and both free variables are negative: x = -1, z = -3
-    seen = _kernel_shapes(monkeypatch)
+    # kernel sees no row and one column, y' with its upper bound 5. Its reduced
+    # cost is negative, so it starts at that bound, stored flipped (the bound
+    # negated). At the optimum y = 5 and both free variables are negative:
+    # x = -1, z = -3
+    seen = _kernel_tableaus(monkeypatch)
     prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
                a_ge=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], b_ge=[0.0, -5.0])
     sol = solve_lp(prob)
-    assert seen and all(shape == (2, 3) for shape in seen)
+    assert [(t.shape, list(u)) for t, u in seen] == [((1, 2), [-5.0])]
     assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
     assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.ge_duals == pytest.approx([0.0, 1.5])
     _assert_matches_oracle(prob, sol)
@@ -167,13 +166,14 @@ def test_free_variables_are_eliminated_on_equality_rows(monkeypatch):
 def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
     # min x + 2y  s.t.  x + y >= -1,  x - y >= -3,  y + w = 4,  y >= 0,  w >= 0
     # with x free: the equality row holds no x, so x keeps its x' and v columns
-    # next to y', w' and two slacks. At the optimum x = -1 < 0
-    seen = _kernel_shapes(monkeypatch)
+    # next to y', w' and the three rows' logicals. v's cost is negative with no
+    # upper bound, so a dual phase 1 runs first. At the optimum x = -1 < 0
+    seen = _kernel_tableaus(monkeypatch)
     prob = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
                a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                b_ge=[-1.0, -3.0, 0.0, 0.0])
     sol = solve_lp(prob)
-    assert seen and all(shape == (4, 7) for shape in seen)
+    assert len(seen) == 2 and all(t.shape == (4, 8) for t, _ in seen)
     assert sol.x == pytest.approx([-1.0, 0.0, 4.0])
     assert sol.ge_duals == pytest.approx([1.0, 0.0, 1.0, 0.0])
     _assert_matches_oracle(prob, sol)
@@ -185,7 +185,7 @@ def test_every_column_eliminated():
     rows = [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]]
     sol = solve_lp(_lp([1.0, 1.0], a_eq=rows, b_eq=[1.0, 0.0, 3.0]))
     assert sol.status == INFEASIBLE and sol.infeasible_rows == (("eq", 2, 1.5),)
-    # and redundant otherwise: it is dropped and prices at zero
+    # and redundant otherwise: its fixed logical stays basic and it prices at zero
     sol = solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0]))
     assert sol.status == OPTIMAL and sol.x == pytest.approx([0.5, 0.5])
     assert sol.objective == pytest.approx(1.0) and sol.residuals["stationarity"] <= 1e-12
@@ -193,18 +193,20 @@ def test_every_column_eliminated():
 
 def test_opf_tableau_holds_no_angle_column(monkeypatch):
     # on perfbench's opf_grid networks every non-reference angle is eliminated on
-    # a balance row: the kernel sees the system-balance row, the p_max rows and
-    # the flow-limit rows, over the injector columns and one slack per row
-    seen = _kernel_shapes(monkeypatch)
+    # a balance row, and the injector bounds are column bounds: the kernel sees
+    # the system-balance row and one ranged row per limited line, over the
+    # injector columns and one logical per row, in one call
+    seen = _kernel_tableaus(monkeypatch)
     for seed in range(17):
         net = generate_random_network(seed, 50, 0.022)
         opf = assemble_lp(net)
         n_inj = sum(inj.p_min < inj.p_max for inj in net.injectors)
-        n_ge = n_inj + opf.D.shape[0]
+        rows = 1 + len(opf.limited_lines)
         seen.clear()
         assert solve_lp(opf_lp_problem(opf, ref_bus=0)).status == OPTIMAL
-        assert seen[0] == (1 + n_ge + 1, n_inj + n_ge + 1)
-        assert all(cols == seen[0][1] for _, cols in seen)
+        (tableau, upper), = seen
+        assert tableau.shape == (rows + 1, n_inj + rows + 1)
+        assert np.all(upper[:n_inj] != 0.0) and np.all(np.abs(upper) < np.inf)
 
 
 def test_conflicting_bounds_name_both_rows(monkeypatch):
@@ -246,6 +248,101 @@ def test_singleton_rows_price_their_variable():
     assert sol.eq_duals == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0, 0.0])
 
 
+def test_conflicting_pair_names_both_rows(monkeypatch):
+    def no_simplex(*args):
+        raise AssertionError("the presolve alone proves this infeasible")
+
+    monkeypatch.setattr(kernels, "run_simplex", no_simplex)
+    # x + y >= 3 (row 0) and -x - y >= -2 (row 1) are exact negatives that no
+    # point meets: both rows fall short by 1 where the other one holds
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]], b_ge=[3.0, -2.0, 0.0]))
+    assert sol.status == INFEASIBLE and sol.iterations == 0
+    assert sol.infeasible_rows == (("ge", 0, 1.0), ("ge", 1, 1.0))
+
+
+def test_ranged_row_dual_lands_on_the_binding_side(monkeypatch):
+    # 1 <= x - y <= 3 as rows 0 (x - y >= 1) and 1 (-x + y >= -3), with x and y
+    # in [0, 10] by rows 2-5: the kernel sees one ranged row, its slack in [0, 2]
+    seen = _kernel_tableaus(monkeypatch)
+    a_ge = [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    b_ge = [1.0, -3.0, 0.0, -10.0, 0.0, -10.0]
+    # min -x + 2y pushes x - y up to 3, at x = 3, y = 0: the upper side, row 1, binds
+    prob = _lp([-1.0, 2.0], a_ge=a_ge, b_ge=b_ge)
+    sol = solve_lp(prob)
+    assert sol.x == pytest.approx([3.0, 0.0])
+    assert sol.ge_duals == pytest.approx([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    _assert_matches_oracle(prob, sol)
+    # min x - 2y pushes it down to 1, at x = 10, y = 9: the lower side, row 0, binds
+    prob = _lp([1.0, -2.0], a_ge=a_ge, b_ge=b_ge)
+    sol = solve_lp(prob)
+    assert sol.x == pytest.approx([10.0, 9.0])
+    assert sol.ge_duals == pytest.approx([2.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    _assert_matches_oracle(prob, sol)
+    assert [t.shape for t, _ in seen] == [(2, 4)] * 2
+    assert all(abs(u[-1]) == 2.0 for _, u in seen)
+
+
+def test_variable_at_its_upper_bound_prices_its_upper_row(monkeypatch):
+    # x in [1, 4] by rows 0 and 1 (-2x >= -8) and y >= 0 by row 2 are column
+    # bounds; the kernel keeps only x + y >= 0. min -x + y puts x at its upper
+    # bound, so row 1 prices d_x / a = -1 / -2 = 0.5 and row 0 prices nothing
+    seen = _kernel_tableaus(monkeypatch)
+    prob = _lp([-1.0, 1.0], a_ge=[[1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ge=[1.0, -8.0, 0.0, 0.0])
+    sol = solve_lp(prob)
+    assert sol.x == pytest.approx([4.0, 0.0])
+    assert sol.ge_duals == pytest.approx([0.0, 0.5, 1.0, 0.0])
+    _assert_matches_oracle(prob, sol)
+    # x' starts at its upper bound 3, stored flipped; y' has none
+    (tableau, upper), = seen
+    assert tableau.shape == (2, 4) and list(upper) == [-3.0, np.inf, np.inf]
+
+
+def test_dual_phase1_failures_raise(monkeypatch):
+    # x free with only x <= 1 (row 0): its x' column costs -1 and has no upper
+    # bound, so a dual phase 1 runs first
+    prob = _lp([-1.0], a_ge=[[-1.0]], b_ge=[-1.0])
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0])
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "run_simplex", lambda tableau, basis, upper: (kernels.STATUS_ITER_LIMIT, 0))
+        with pytest.raises(ArithmeticError, match="^simplex iteration limit in phase 1$"):
+            solve_lp(prob)
+    # the auxiliary problem always has the point 0, so an infeasible one is a numerical failure
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "run_simplex", lambda tableau, basis, upper: (kernels.STATUS_INFEASIBLE, 0))
+        with pytest.raises(ArithmeticError, match="^dual phase 1 found no point of its bounded auxiliary problem$"):
+            solve_lp(prob)
+
+
+def test_dual_infeasible_lp_is_unbounded_or_infeasible():
+    # min -x - y over x, y >= 0: the costs fall without bound, so phase 1 finds
+    # no dual-feasible basis and a zero-cost solve asks whether any point exists
+    rows, costs = [[1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0]
+    sol = solve_lp(_lp(costs, a_ge=rows + [[1.0, -1.0]], b_ge=[0.0, 0.0, -1.0]))
+    assert sol.status == UNBOUNDED
+    # with x + y <= -1 (row 2) there is none: row 2 falls short by 1 and proves it
+    sol = solve_lp(_lp(costs, a_ge=rows + [[-1.0, -1.0]], b_ge=[0.0, 0.0, 1.0]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 2, 1.0),)
+
+
+def test_perfbench_networks_take_one_kernel_call():
+    # the merit-order start of every opf_grid and opf_dense network is dual
+    # feasible: one kernel call each, and few pivots in all (the two-phase
+    # primal simplex took 2,429 and 1,151)
+    run = kernels.run_simplex
+    for family, limit in (((50, 0.022), 600), ((35, 0.35), 200)):
+        total = 0
+        for seed in range(17):
+            calls = []
+            prob = opf_lp_problem(assemble_lp(generate_random_network(seed, *family)), ref_bus=0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "run_simplex", lambda *args: calls.append(args) or run(*args))
+                sol = solve_lp(prob)
+            assert sol.status == OPTIMAL and len(calls) == 1, (seed, family)
+            total += sol.iterations
+        assert total < limit, (family, total)
+
+
 def test_deterministic_repeat():
     prob = _lp([1.0, -2.0, 0.5],
                a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
@@ -281,29 +378,30 @@ def _gauss_jordan_eliminate_free(tableau, me, x_cols):
 
 def _gauss_jordan_kernel_tableau(a_std, rhs, c_std, me, x_cols):
     """Oracle for ``lp._kernel_tableau``: the tableau ``[a_std, -I, rhs;
-    c_std, 0, 0]`` pivoted as above, then cut down to the rows and columns
-    that stay, with a zero cost row."""
+    c_std, 0, 0]``, one logical per row, pivoted as above, then cut down to
+    the rows and columns that stay (an eliminated row's logical is fixed at
+    0), with the constraint rows negated so that the logicals read +I."""
     m, n_var = a_std.shape
-    mg = m - me
-    full = np.zeros((m + 1, n_var + mg + 1))
+    full = np.zeros((m + 1, n_var + m + 1))
     full[:m, :n_var] = a_std
-    full[me + np.arange(mg), n_var + np.arange(mg)] = -1.0
+    full[np.arange(m), n_var + np.arange(m)] = -1.0
     full[:m, -1] = rhs
     full[m, :n_var] = c_std
     rows, k = _gauss_jordan_eliminate_free(full, me, x_cols)
     gone = np.zeros(full.shape[1], dtype=bool)
     gone[x_cols[k]] = True
     gone[n_var - x_cols.size + k] = True
+    gone[n_var + rows] = True
     tcols = np.flatnonzero(~gone)
     krows = np.setdiff1d(np.arange(m), rows)
     tableau = full[np.append(krows, m)][:, tcols]
-    tableau[-1] = 0.0
-    return tableau, full[m, tcols], rows, x_cols[k], krows, tcols[:-1]
+    tableau[:-1] *= -1.0
+    return tableau, rows, x_cols[k], krows, tcols[:-1]
 
 
 def _assert_elimination_matches_gauss_jordan(monkeypatch, prob):
-    """The rows picked are the oracle's, and the kernel tableau and the reduced
-    costs match it within 1e-12 of their scale. Returns the number of free
+    """The rows picked are the oracle's, and the kernel tableau, reduced costs
+    included, matches it within 1e-12 of its scale. Returns the number of free
     variables eliminated (None when the presolve alone settles the LP)."""
     calls = []
     kernel_tableau = lp._kernel_tableau
@@ -320,12 +418,11 @@ def _assert_elimination_matches_gauss_jordan(monkeypatch, prob):
         return None
     (args, got), = calls
     want = _gauss_jordan_kernel_tableau(*args)
-    for name, g, w in zip(("rows", "elim_cols", "krows", "kcols"), got[2:], want[2:]):
+    for name, g, w in zip(("rows", "elim_cols", "krows", "kcols"), got[1:], want[1:]):
         assert np.array_equal(g, w), name
-    for name, g, w in zip(("tableau", "cost"), got[:2], want[:2]):
-        assert g.shape == w.shape, name
-        assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(w), initial=0.0)), name
-    return got[2].size
+    assert got[0].shape == want[0].shape
+    assert np.max(np.abs(got[0] - want[0]), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want[0]), initial=0.0))
+    return got[1].size
 
 
 def test_block_elimination_matches_gauss_jordan_on_random_lps(monkeypatch):
@@ -369,18 +466,17 @@ def test_singular_elimination_block_raises(monkeypatch):
 # the final basis: only its equality and tight rows are factored
 # ---------------------------------------------------------------------------
 
-def _full_basis_solution(a_std, rhs, c_std, basis_col, me):
-    """Oracle: the whole final basis factored over every kept row, slack
-    columns included, as ``solve_lp`` did before it dropped the loose rows."""
+def _full_basis_solution(a_std, rhs, c_std, basis_col, x_nonbasic):
+    """Oracle: the whole final basis factored over every kept row, logical
+    columns included, with every nonbasic column moved to the rhs."""
     m, n = a_std.shape
-    slacks = np.vstack([np.zeros((me, m - me)), -np.eye(m - me)])
-    m_std = np.hstack([a_std, slacks])
-    c_struct = np.concatenate([c_std, np.zeros(m - me)])
-    kept = np.flatnonzero(basis_col >= 0)
-    basis_mat = m_std[np.ix_(kept, basis_col[kept])]
-    x_basic = lp._refined_solve(basis_mat, rhs[kept])
-    y_rows = lp._refined_solve(basis_mat.T, c_struct[basis_col[kept]])
-    return x_basic, y_rows
+    m_std = np.hstack([a_std, -np.eye(m)])
+    c_struct = np.concatenate([c_std, np.zeros(m)])
+    basis_mat = m_std[:, basis_col]
+    x_std = x_nonbasic.copy()
+    x_std[basis_col] = np.linalg.solve(basis_mat, rhs - m_std @ x_nonbasic)
+    y_rows = np.linalg.solve(basis_mat.T, c_struct[basis_col])
+    return x_std, y_rows
 
 
 def _assert_close(got, want):
@@ -413,42 +509,40 @@ def test_partitioned_solve_matches_full_basis_on_perfbench_networks(monkeypatch)
 
 
 def _spy_final_solve(monkeypatch):
-    """Record each final basis (``basis_col``, ``me``, structural width) and
-    the shape of every matrix handed to ``_refined_solve``."""
+    """Record each final basis (``basis_col``, structural width) and the shape
+    of every matrix handed to ``_refined_solve``."""
     bases, shapes = [], []
     basic_solution, refined = lp._basic_solution, lp._refined_solve
 
-    def basic_spy(a_std, rhs, c_std, basis_col, me):
-        bases.append((basis_col.copy(), me, a_std.shape[1]))
-        return basic_solution(a_std, rhs, c_std, basis_col, me)
+    def basic_spy(a_std, rhs, c_std, basis_col, x_nonbasic):
+        bases.append((basis_col.copy(), a_std.shape[1]))
+        return basic_solution(a_std, rhs, c_std, basis_col, x_nonbasic)
 
-    def refined_spy(a, b):
+    def refined_spy(a, inv, b):
         shapes.append(a.shape)
-        return refined(a, b)
+        return refined(a, inv, b)
 
     monkeypatch.setattr(lp, "_basic_solution", basic_spy)
     monkeypatch.setattr(lp, "_refined_solve", refined_spy)
     return bases, shapes
 
 
-def _tight_rows(basis_col, me, n):
-    """Kept equality rows and kept >= rows whose own slack is not basic."""
-    kept = np.flatnonzero(basis_col >= 0)
-    basic_slack_rows = me + basis_col[basis_col >= n] - n
-    return np.setdiff1d(kept, basic_slack_rows)
+def _tight_rows(basis_col, n):
+    """Kept rows whose own logical is not basic."""
+    return np.setdiff1d(np.arange(basis_col.size), basis_col[basis_col >= n] - n)
 
 
 def test_only_equality_and_tight_rows_are_factored(monkeypatch):
-    # a 35-bus dense OPF binds few of its lines: the flow rows of the others,
-    # and the p_max rows of generators below their limit, are loose
+    # a 35-bus dense OPF binds few of its lines: the ranged flow rows of the
+    # others are loose, while its 35 balance rows and the binding lines' rows
+    # are factored
     bases, shapes = _spy_final_solve(monkeypatch)
     sol = solve_lp(opf_lp_problem(assemble_lp(generate_random_network(0, 35, 0.35)), ref_bus=0))
     assert sol.status == OPTIMAL
-    (basis_col, me, n), = bases
-    tight = _tight_rows(basis_col, me, n)
+    (basis_col, n), = bases
+    tight = _tight_rows(basis_col, n)
     assert shapes == [(tight.size, tight.size)] * 2
-    assert tight.size < np.count_nonzero(basis_col >= 0)
-    assert np.count_nonzero(basis_col[:me] >= 0) < tight.size
+    assert 35 < tight.size < basis_col.size
 
 
 def test_every_kept_row_loose_factors_nothing(monkeypatch):
@@ -464,13 +558,13 @@ def test_every_kept_row_loose_factors_nothing(monkeypatch):
 
 def test_slack_basic_at_zero_is_degenerate(monkeypatch):
     # min x + y over free x, y with x + y >= 2, x - y >= 0 and 3x + y >= 4: all
-    # three rows meet at (1, 1), so two structural columns and one slack at 0
-    # are basic; that slack is evaluated as a x - b, not factored
+    # three rows meet at (1, 1), so two structural columns and one logical at
+    # 0 are basic; that logical is evaluated as a x - b, not factored
     bases, shapes = _spy_final_solve(monkeypatch)
     prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, -1.0], [3.0, 1.0]], b_ge=[2.0, 0.0, 4.0])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL and sol.x == pytest.approx([1.0, 1.0])
-    (basis_col, me, n), = bases
+    (basis_col, n), = bases
     assert np.count_nonzero(basis_col >= n) == 1
     assert shapes == [(2, 2), (2, 2)]
     assert sol.degenerate
@@ -537,15 +631,23 @@ def test_degenerate_flag_set_and_clear():
 # oracle equivalence (module-level slice; the acceptance suite runs 1000)
 # ---------------------------------------------------------------------------
 
-def test_matches_vertex_enumeration_oracle():
+def test_matches_vertex_enumeration_oracle(monkeypatch):
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    ranged = dict(statuses)
+    # the outcome of every dual phase 1: a dual-feasible basis, or a proof of none
+    phase1 = []
+    dual_phase1 = lp._dual_phase1
+    monkeypatch.setattr(lp, "_dual_phase1", lambda *args: phase1.append(dual_phase1(*args)) or phase1[-1])
     lps = [(seed, oracles.random_small_lp(seed)) for seed in range(300)]
     lps += [(f"bounded {seed}", oracles.random_bounded_lp(seed)) for seed in range(100)]
+    lps += [(f"ranged {seed}", oracles.random_ranged_lp(seed)) for seed in range(100)]
     for seed, (c, a_eq, b_eq, a_ge, b_ge) in lps:
         want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge)
         sol = solve_lp(_lp(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
         assert sol.status == want_status, f"seed {seed}: {sol.status} != {want_status}"
         statuses[want_status] += 1
+        if str(seed).startswith("ranged"):
+            ranged[want_status] += 1
         if want_status == "optimal":
             assert sol.objective == pytest.approx(want_value, abs=1e-6 * (1 + abs(want_value))), f"seed {seed}"
             assert sol.residuals["stationarity"] <= 1e-8
@@ -554,8 +656,10 @@ def test_matches_vertex_enumeration_oracle():
             assert sol.residuals["complementarity"] <= 1e-8
             assert sol.residuals["gap"] <= 1e-7 * (1 + abs(sol.objective))
             assert sol.ge_duals.min(initial=0.0) >= -1e-9
-    # the generator must exercise every status
+    # each generator must exercise every status
     assert min(statuses.values()) >= 15, statuses
+    assert min(ranged.values()) >= 15, ranged
+    assert sum(ok for ok, _ in phase1) >= 15 and sum(not ok for ok, _ in phase1) >= 15
 
 
 # ---------------------------------------------------------------------------
