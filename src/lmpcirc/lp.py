@@ -414,7 +414,9 @@ def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> t
     _start(tableau, aux)
     status, iters = _run(tableau, basis, aux, 1)
     if status != _kernels.STATUS_OPTIMAL:
-        raise ArithmeticError("dual phase 1 found no point of its bounded auxiliary problem")
+        # the auxiliary problem has the point 0, so a row the kernel cannot fix
+        # is a dual ray along which the phase-1 objective grows without bound
+        raise ArithmeticError("phase-1 objective unbounded (numerical failure)")
     if tableau[-1, -1] > _TOL_DUAL * scale:
         return False, iters
     # back to the original orientation; the logicals then hold B^-1

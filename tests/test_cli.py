@@ -358,6 +358,30 @@ def _assert_numerical(capsys, net, message):
     assert err == f"error: {message}\n"
 
 
+def _with_phase1(monkeypatch):
+    # the OPF's merit-order start is dual feasible, so no OPF runs a dual phase 1;
+    # one extra variable z <= 1 with cost -1 and no lower bound makes it run first
+    solve = lp.solve_lp
+
+    def solve_with_z(problem):
+        col = lambda a: np.hstack([a, np.zeros((a.shape[0], 1))])
+        z_row = np.eye(1, problem.n_vars + 1, problem.n_vars) * -1.0
+        return solve(lp.LpProblem(c=np.append(problem.c, -1.0), a_eq=col(problem.a_eq), b_eq=problem.b_eq,
+                                  a_ge=np.vstack([col(problem.a_ge), z_row]), b_ge=np.append(problem.b_ge, -1.0)))
+
+    monkeypatch.setattr(lp, "solve_lp", solve_with_z)
+
+
+def _iteration_cap(monkeypatch):
+    _with_phase1(monkeypatch)
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis, upper: (_kernels.STATUS_ITER_LIMIT, 0))
+
+
+def _phase1_unbounded(monkeypatch):
+    _with_phase1(monkeypatch)
+    monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis, upper: (_kernels.STATUS_INFEASIBLE, 0))
+
+
 def _phase2_iteration_cap(monkeypatch):
     # the OPF's merit-order start is dual feasible, so its one kernel call is phase 2
     monkeypatch.setattr(_kernels, "run_simplex", lambda tableau, basis, upper: (_kernels.STATUS_ITER_LIMIT, 0))
@@ -368,6 +392,8 @@ def _unbounded(monkeypatch):
 
 
 @pytest.mark.parametrize("fail, message", [
+    (_iteration_cap, "simplex iteration limit in phase 1"),
+    (_phase1_unbounded, "phase-1 objective unbounded (numerical failure)"),
     (_phase2_iteration_cap, "simplex iteration limit in phase 2"),
     (_unbounded, "numerical failure: the simplex found an unbounded ray, "
                  "which a DC-OPF with finite injection bounds cannot have"),
