@@ -1,25 +1,21 @@
 """DC optimal power flow: solve, classify marginal injectors, verify optimality.
 
-The OPF LP is the assembled network problem plus one equality row pinning bus
-0's angle to zero; ``solve_opf`` re-references the angles to the chosen bus
-afterwards, so that bus changes nothing but the angles. The LP presolve reads
-the pinning row as a fixed variable, whose multiplier is its reduced cost.
-That cost is zero up to rounding (the susceptance matrix and the
-angle-constraint rows both annihilate the all-ones vector, and every other
-angle is free, so its reduced cost is zero), so the reported duals satisfy the
-angle-stationarity block without it.
+``solve_opf`` solves the OPF in the injections ``p`` alone, from ``X``, the
+inverse of the susceptance Laplacian grounded at bus 0. KCL fixes the angles
+once the injections are known, ``theta = X (a - A p)`` with ``theta_0 = 0``,
+so each limited line's flow rows become rows over ``p`` (the PTDF form). The
+LP has the system-balance row, the injector bound rows and two flow rows per
+limited line; its presolve makes the bounds column bounds and each line's
+two rows one ranged row, and its dual simplex starts from the merit-order
+dispatch, which is dual feasible. A ranged row's dual goes to the side of the
+limit that binds, so ``mu_rows[2r]`` and ``mu_rows[2r + 1]`` keep their
+meaning.
 
-The other angles are basic through the balance rows: the LP solver eliminates
-the free angles before the simplex with one solve against the ground-reduced
-susceptance Laplacian, which is KCL fixing ``theta = X (d - A p)`` once the
-injections are known. The presolve makes each injector's limits bounds on its
-column and each limited line's two flow rows one ranged row. The simplex
-therefore sees one system-balance row and one ranged row per limited line, in
-injection (PTDF) form, and never prices an angle column. Its dual simplex
-starts from the merit-order dispatch, every injector at its cheaper limit,
-which is dual feasible, and pivots until the balance and every flow limit
-hold. A ranged row's dual goes to the side of the limit that binds, so
-``mu_rows[2r]`` and ``mu_rows[2r + 1]`` keep their meaning.
+The prices obey DC circuit laws: angle stationarity, ``B lmp = -D' mu_rows``,
+makes the LMPs ``lambda``, the balance row's dual, plus the node voltages of
+the price circuit grounded at bus 0, whose current sources are ``D' mu_rows``.
+The angles and the voltages are both solved from ``X``, and the solution is
+certified on the full blocks of the angle form before it is returned.
 """
 
 from __future__ import annotations
@@ -45,8 +41,8 @@ class OpfInfeasible(OpfError):
 
 
 class OpfNumerical(OpfError, ArithmeticError):
-    """The simplex failed numerically: the iteration cap, an unbounded ray, a
-    singular elimination block or final basis, or a solution that fails its
+    """The solve failed numerically: the iteration cap, an unbounded ray, a
+    singular reduced Laplacian or final basis, or a solution that fails its
     optimality certificate."""
 
 
@@ -125,8 +121,9 @@ class CheckReport:
 
 
 def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
-    """Generic LP over variables [p, theta] with a row pinning theta[ref_bus]
-    to zero appended."""
+    """The reference form of the OPF: the generic LP over ``[p, theta]`` with
+    a row pinning ``theta[ref_bus]`` to zero appended. ``solve_opf`` does not
+    use it; it is what an independent LP solver checks the OPF against."""
     n = opf.n
     nv = 2 * n + n
     a_eq = np.zeros((n + 1, nv))
@@ -145,42 +142,63 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
 
 
+def _injection_problem(net: Network, opf: OpfLp, x0: np.ndarray) -> lp.LpProblem:
+    """The OPF LP over ``p``, given ``x0``, ``X`` padded with a zero row and
+    column for bus 0. With ``ptdf_r = x0[from_r] - x0[to_r]``, limited line
+    ``r`` has the rows ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a`` and
+    ``[ptdf_r, -ptdf_r] p >= d_2r+1 + ptdf_r a``. Every entry comes from
+    elementwise operations, so none passes through BLAS."""
+    lines = [net.lines[k] for k in opf.limited_lines]
+    ptdf = x0[[ln.from_bus for ln in lines]] - x0[[ln.to_bus for ln in lines]]
+    shift = (ptdf * opf.a).sum(axis=1)
+    flow = np.hstack([ptdf, -ptdf])
+    a_flow = np.stack([-flow, flow], axis=1).reshape(-1, 2 * opf.n)
+    b_flow = opf.d + np.stack([-shift, shift], axis=1).ravel()
+    return lp.LpProblem(c=opf.c, a_eq=opf.A.sum(axis=0)[None, :], b_eq=[opf.a.sum()],
+                        a_ge=np.vstack([opf.C, a_flow]), b_ge=np.concatenate([opf.b, b_flow]))
+
+
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
     """Solve the network's OPF; raises OpfInfeasible with diagnostics, or
-    OpfNumerical when the simplex fails.
+    OpfNumerical when the solve fails. Every injection lies between finite
+    bounds, so a valid network's OPF has no unbounded ray.
 
-    Every injection lies between finite bounds and the angles cost nothing, so
-    the OPF of a valid network has no unbounded ray: a simplex that finds one,
-    hits its iteration cap, meets a singular elimination block or final basis,
-    or ends on an uncertified vertex has failed numerically.
-
-    The LP always pins bus 0's angle; ``ref_bus`` only re-references the
-    returned angles, so the dispatch and every dual do not depend on it."""
+    ``ref_bus`` only re-references the returned angles, so the dispatch and
+    every dual do not depend on it."""
     if not 0 <= ref_bus < net.n:
         raise ValueError(f"reference bus {ref_bus} out of range")
     opf = assemble_lp(net)
-    problem = opf_lp_problem(opf, 0)
+    n = net.n
+    lap = opf.B[1:, 1:]
     try:
-        sol = lp.solve_lp(problem)
+        x_red = lp._inverse(lap)
+    except np.linalg.LinAlgError:
+        raise OpfNumerical("singular reduced susceptance Laplacian") from None
+    try:
+        sol = lp.solve_lp(_injection_problem(net, opf, np.pad(x_red, ((1, 0), (1, 0)))))
     except ArithmeticError as exc:
         raise OpfNumerical(str(exc)) from exc
 
     if sol.status == lp.INFEASIBLE:
-        raise OpfInfeasible(*_infeasibility_details(net, sol))
+        raise OpfInfeasible(*_infeasibility_details(net, opf, sol))
     if sol.status == lp.UNBOUNDED:
         raise OpfNumerical("numerical failure: the simplex found an unbounded ray, "
                            "which a DC-OPF with finite injection bounds cannot have")
     if sol.status == lp.NUMERICAL:
-        residuals = ", ".join(f"{name} {value:.3g}" for name, value in sol.residuals.items())
         raise OpfNumerical(f"numerical failure: the LP solution fails its optimality certificate "
-                           f"(residuals: {residuals})")
+                           f"(residuals: {_listing(sol.residuals.items())})")
 
-    n = net.n
     p = sol.x[:2 * n]
-    theta = sol.x[2 * n:] - sol.x[2 * n + ref_bus]
-    lmp = sol.eq_duals[:n]
     gamma = sol.ge_duals[:opf.C.shape[0]]
     mu_rows = sol.ge_duals[opf.C.shape[0]:]
+    # KCL fixes the angles once the injections are known, and the prices are
+    # lambda plus the voltages of the price circuit: B v = -D' mu_rows, v_0 = 0
+    theta = np.zeros(n)
+    theta[1:] = lp._refined_solve(lap, x_red, (opf.a - (opf.A * p).sum(axis=1))[1:])
+    theta -= theta[ref_bus]
+    v = np.zeros(n)
+    v[1:] = lp._refined_solve(lap, x_red, -(opf.D * mu_rows[:, None]).sum(axis=0)[1:])
+    lmp = sol.eq_duals[0] + v
 
     mu = []
     for r, k in enumerate(opf.limited_lines):
@@ -191,24 +209,58 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
         sign = 1 if mu_rows[2 * r] >= mu_rows[2 * r + 1] else -1
         mu.append(LineDual(k, ln.from_bus, ln.to_bus, value, value / ln.susceptance, sign))
 
-    p_min = opf.b[:2 * n]
-    p_max = -opf.b[2 * n:]
-    margin = np.minimum(p - p_min, p_max - p)
+    margin = np.minimum(p - opf.b[:2 * n], -opf.b[2 * n:] - p)    # above p_min, below p_max
     marginal = tuple(int(j) for j in np.nonzero(margin > MARGINAL_EPS)[0])
 
     for arr in (p, theta, lmp, gamma, mu_rows):
         arr.flags.writeable = False
-    return DcopfSolution(
+    out = DcopfSolution(
         p=p, theta=theta, objective=sol.objective, lmp=lmp, mu=tuple(mu),
         mu_rows=mu_rows, gamma=gamma, marginal_slots=marginal,
         degenerate=sol.degenerate,
     )
+    report = verify_optimality(net, out)
+    if not report.all_passed:
+        raise OpfNumerical(f"numerical failure: the solution fails its optimality certificate on the full "
+                           f"OPF blocks (residuals: {_listing((c.name, c.value) for c in report.checks)})")
+    return out
 
 
-def _infeasibility_details(net: Network, sol: lp.LpSolution):
+def _listing(residuals) -> str:
+    return ", ".join(f"{name} {value:.3g}" for name, value in residuals)
+
+
+def _zones(net: Network) -> list[int]:
+    """Per bus, the label of its zone: its component once every limited line is removed."""
+    zone = list(range(net.n))
+
+    def root(i):
+        while zone[i] != i:
+            i = zone[i]
+        return i
+
+    for ln in net.lines:
+        if ln.flow_limit is None:
+            zone[root(ln.from_bus)] = root(ln.to_bus)
+    return [root(i) for i in range(net.n)]
+
+
+def _infeasibility_details(net: Network, opf: OpfLp, sol: lp.LpSolution):
     total_cap = sum(i.p_max for i in net.injectors if i.kind == KIND_GENERATOR)
     total_demand = float(net.fixed_demand.sum())
-    deficit_buses = sorted({orig for kind, orig, _ in sol.infeasible_rows if kind == "eq" and orig < net.n})
+    # each flow row the Farkas ray names is a limited line; a zone at one of
+    # its ends whose fixed demand exceeds its generation capacity is short
+    nc = opf.C.shape[0]
+    named = {opf.limited_lines[(i - nc) // 2] for kind, i, _ in sol.infeasible_rows if kind == "ge" and i >= nc}
+    zone = _zones(net)
+    demand, capacity = np.zeros(net.n), np.zeros(net.n)
+    np.add.at(demand, zone, net.fixed_demand)
+    for inj in net.injectors:
+        if inj.kind == KIND_GENERATOR:
+            capacity[zone[inj.bus]] += inj.p_max
+    short = {z for k in named for z in (zone[net.lines[k].from_bus], zone[net.lines[k].to_bus])
+             if demand[z] > capacity[z]}
+    deficit_buses = [bus for bus in range(net.n) if zone[bus] in short]
     cut_lines = [
         {"from": ln.from_bus, "to": ln.to_bus, "flow_limit": ln.flow_limit}
         for ln in net.lines

@@ -26,20 +26,8 @@ numbering.
 The standard form gives every kept row a logical column, ``a x - s = b``:
 ``s`` lies in ``[0, inf)`` on a ``>=`` row, in ``[0, range]`` on a ranged row
 and in ``[0, 0]`` on an equality row. Each free variable is split into
-``x' - v``. A free variable with an entry on an equality row is then
-eliminated there: in index order, each takes the unused equality row with the
-largest absolute entry in its column, picked by Gauss-Jordan pivots on the
-equality rows' block of free ``x'`` columns only. One solve against ``E``, the
-picked rows over the free variables' columns, substitutes them out of the
-other rows, the rhs and the costs; the simplex tableau is built from the
-result, the Schur complement of ``E`` next to the kept rows' logicals. The
-picked rows, their logicals and both columns of each eliminated variable stay
-out of it: a free basic variable meets no bound, so it never has to leave the
-basis (Maros, *Computational Techniques of the Simplex Method*, 2003, §9;
-Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §3.8).
-On the OPF, ``E`` is the ground-reduced susceptance Laplacian. A free
-variable left with no entry above the pivot tolerance on an unused equality
-row stays split.
+``x' - v``, so an LP made mostly of free variables takes many pivots; the OPF
+hands the solver none (``dcopf`` solves it in the injections alone).
 
 The rest is the bounded dual simplex of ``_kernels``. It starts from the
 basis of all logicals, with each column whose reduced cost is negative at its
@@ -57,17 +45,16 @@ proves it (a Farkas ray), with the shortfall that row cannot close.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
-factorization of the final basis, the eliminated pairs together with the
-simplex basis (one step of iterative refinement), so the reported solution
-does not carry accumulated tableau drift. Only the rows whose logical is
-nonbasic are factored, against the basic structural columns, with each
-column held at its upper bound moved to the rhs. A row whose logical is basic
-is loose: its dual is 0 and its logical is ``a x - b`` (complementary
-slackness; Bertsimas & Tsitsiklis 1997, §4.3). A ranged row's dual goes to
-its first row when positive and, negated, to its partner when negative. A
-singular elimination block or final basis raises ``ArithmeticError``, as
-does the iteration cap; a vertex whose residuals exceed their limits gets
-status ``numerical``.
+factorization of the final basis (one step of iterative refinement), so the
+reported solution does not carry accumulated tableau drift. Only the rows
+whose logical is nonbasic are factored, against the basic structural
+columns, with each column held at its upper bound moved to the rhs. A row
+whose logical is basic is loose: its dual is 0 and its logical is ``a x - b``
+(complementary slackness; Bertsimas & Tsitsiklis 1997, §4.3). A ranged row's
+dual goes to its first row when positive and, negated, to its partner when
+negative. A singular final basis raises ``ArithmeticError``, as does the
+iteration cap; a vertex whose residuals exceed their limits gets status
+``numerical``.
 """
 
 from __future__ import annotations
@@ -295,59 +282,17 @@ def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
                       partner=partner[ge_keep], ge_range=ge_range[ge_keep])
 
 
-def _eliminate_free(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot each free variable, in index order, onto the unused equality row
-    with the largest absolute entry in its ``x'`` column ``k`` of ``block`` (the
-    equality rows over the free ``x'`` columns, C-contiguous, overwritten),
-    lowest row on ties; a variable with no entry above the kernel's pivot
-    tolerance stays split. A pivot on the full tableau updates this block as it
-    does here, so these are the rows it would pick. Returns the rows pivoted on
-    and the ``k`` of their variables."""
-    me = block.shape[0]
-    used = np.zeros(me, dtype=bool)
-    rows, pivoted = [], []
-    for k in range(block.shape[1] if me else 0):
-        col = np.abs(block[:, k])
-        col[used] = 0.0
-        pr = int(np.argmax(col))
-        if col[pr] > _kernels.TOL_PIVOT:
-            _kernels._pivot(block, pr, k)
-            used[pr] = True
-            rows.append(pr)
-            pivoted.append(k)
-    return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
-
-
-def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, me: int, x_cols: np.ndarray):
-    """The simplex tableau once the rows ``_eliminate_free`` picks have
-    substituted the free variables out by one solve against ``E``. ``a_std``
-    holds the kept rows, equality rows first, over the ``x'`` columns and then
-    the ``v`` columns of the free variables, whose ``x'`` columns are ``x_cols``.
-
-    Each remaining row ``i`` reads ``s_i = a_i x - b_i``: its logical ``s_i``
-    is basic, so the row holds ``-a_i``, a unit entry on the logical and
-    ``-b_i``. The last row holds the reduced costs and the negated objective
-    offset. Returns the tableau, the eliminated rows and ``x'`` columns, and
-    the tableau's rows and columns in ``a_std``'s numbering (column
-    ``n + i``, past ``a_std``'s ``n``, is row ``i``'s logical)."""
-    m, n_var = a_std.shape
-    rows, k = _eliminate_free(a_std[:me].take(x_cols, axis=1))
-    elim_cols = x_cols[k]
-    kvar = np.delete(np.arange(n_var), np.concatenate([elim_cols, n_var - x_cols.size + k]))
-    krows = np.delete(np.arange(m), rows)
-    a_elim = a_std[rows]
-    try:
-        sub = np.linalg.solve(a_elim[:, elim_cols], np.column_stack([a_elim[:, kvar], rhs[rows]]))
-    except np.linalg.LinAlgError:
-        raise ArithmeticError("singular elimination block") from None
-    nk = kvar.size + krows.size
-    lhs = np.append(np.arange(kvar.size), nk)    # the variables' columns and the rhs
-    tableau = np.zeros((krows.size + 1, nk + 1))
-    tableau[:-1, lhs] = (a_std[np.ix_(krows, elim_cols)] @ sub
-                         - np.column_stack([a_std[np.ix_(krows, kvar)], rhs[krows]]))
-    tableau[np.arange(krows.size), kvar.size + np.arange(krows.size)] = 1.0
-    tableau[-1, lhs] = np.append(c_std[kvar], 0.0) - c_std[elim_cols] @ sub
-    return tableau, rows, elim_cols, krows, np.concatenate([kvar, n_var + krows])
+def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray) -> np.ndarray:
+    """The simplex tableau ``[-a_std | I | -rhs ; c_std | 0 | 0]``: each row
+    ``i`` reads ``s_i = a_i x - b_i`` with its logical ``s_i`` basic, and the
+    last row holds the reduced costs and the negated objective offset."""
+    m, n = a_std.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:-1, :n] = -a_std
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    tableau[:-1, -1] = -rhs
+    tableau[-1, :n] = c_std
+    return tableau
 
 
 def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis_col: np.ndarray,
@@ -432,14 +377,14 @@ def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> t
     return True, iters
 
 
-def _infeasible(tableau, basis, upper, krows, me, row_orig, iters) -> LpSolution:
+def _infeasible(tableau, basis, upper, me, row_orig, iters) -> LpSolution:
     """The rows in the support of the proving row of ``B^-1`` (held in the
     logical columns), each with the shortfall that row cannot close. A ranged
     row is named by its first row."""
     r, shortfall = _kernels.infeasible_row(tableau, basis, upper)
-    ray = np.abs(tableau[r, tableau.shape[1] - 1 - krows.size:-1])
+    ray = np.abs(tableau[r, tableau.shape[1] - 1 - basis.size:-1])
     support = np.flatnonzero(ray > 1e-9 * ray.max())
-    rows = tuple(("eq" if krows[i] < me else "ge", int(row_orig[krows[i]]), shortfall) for i in support)
+    rows = tuple(("eq" if i < me else "ge", int(row_orig[i]), shortfall) for i in support)
     return LpSolution(status=INFEASIBLE, iterations=iters, infeasible_rows=rows)
 
 
@@ -464,43 +409,40 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
     c_std = np.concatenate([c[cols], -c[split]])
     upper_std = np.concatenate([pre.upper[cols], np.full(split.size, np.inf), np.zeros(me), pre.ge_range])
+    free_std = np.concatenate([np.searchsorted(cols, split), cols.size + np.arange(split.size)])
 
-    tableau, elim_rows, elim_cols, krows, kcols = _kernel_tableau(
-        a_std, rhs, c_std, me, np.searchsorted(cols, split))
-    mk, nk = krows.size, kcols.size
-    upper = upper_std[kcols]
-    basis = np.arange(nk - mk, nk)
+    tableau = _kernel_tableau(a_std, rhs, c_std)
+    n_std = n_var + m
+    upper = upper_std.copy()
+    basis = np.arange(n_var, n_std)
 
     total_iters = 0
-    if np.any((tableau[-1, :nk] < -_TOL_DUAL) & (upper == np.inf)):
+    if np.any((tableau[-1, :n_std] < -_TOL_DUAL) & (upper == np.inf)):
         start = tableau.copy()
         dual_feasible, total_iters = _dual_phase1(tableau, basis, upper)
         if not dual_feasible:
             # the dual is infeasible: the LP is unbounded if it has a point at all
             start[-1] = 0.0
-            basis = np.arange(nk - mk, nk)
+            basis = np.arange(n_var, n_std)
             status, iters = _run(start, basis, upper, 1)
             if status == _kernels.STATUS_INFEASIBLE:
-                return _infeasible(start, basis, upper, krows, me, row_orig, total_iters + iters)
+                return _infeasible(start, basis, upper, me, row_orig, total_iters + iters)
             return LpSolution(status=UNBOUNDED, iterations=total_iters + iters)
 
     _start(tableau, upper)
     status, iters = _run(tableau, basis, upper, 2)
     total_iters += iters
     if status == _kernels.STATUS_INFEASIBLE:
-        return _infeasible(tableau, basis, upper, krows, me, row_orig, total_iters)
+        return _infeasible(tableau, basis, upper, me, row_orig, total_iters)
 
-    # the final basis is the eliminated pairs plus the kernel's; recompute the
-    # vertex and its duals from a fresh factorization of its tight rows, with
-    # each column stored flipped and nonbasic at its upper bound
-    basis_col = np.empty(m, dtype=np.intp)
-    basis_col[elim_rows] = elim_cols
-    basis_col[krows] = kcols[basis]
+    # recompute the vertex and its duals from a fresh factorization of the
+    # final basis's tight rows, with each column stored flipped and nonbasic
+    # at its upper bound
     at_upper = np.flatnonzero(upper < 0.0)
     at_upper = at_upper[~np.isin(at_upper, basis)]
-    x_nonbasic = np.zeros(n_var + m)
-    x_nonbasic[kcols[at_upper]] = -upper[at_upper]
-    x_std, y_rows = _basic_solution(a_std, rhs, c_std, basis_col, x_nonbasic)
+    x_nonbasic = np.zeros(n_std)
+    x_nonbasic[at_upper] = -upper[at_upper]
+    x_std, y_rows = _basic_solution(a_std, rhs, c_std, basis, x_nonbasic)
 
     x = pre.shift.copy()
     x[cols] += x_std[:cols.size]
@@ -524,8 +466,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     ge_duals[rows] = d[j] / problem.a_ge[rows, j]
 
     objective = float(problem.c @ x)
-    # a kernel basic variable at either bound; an eliminated free one has none
-    basic = kcols[basis]
+    # a basic variable at either bound; a split free variable has none, and an
+    # equality row's logical has no other value
+    basic = basis[~np.isin(basis, free_std) & (upper_std[basis] > 0.0)]
     near = np.minimum(np.abs(x_std[basic]), np.abs(upper_std[basic] - x_std[basic]))
     degenerate = bool(np.any(near <= _DEGENERACY_EPS))
 

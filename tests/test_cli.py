@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lmpcirc import OpfError, OpfNumerical, _kernels, cli, lp, solve_opf
+from lmpcirc import OpfError, OpfNumerical, _kernels, cli, dcopf, lp, solve_opf
 from lmpcirc.cli import EXIT_NUMERICAL, main
 
 import oracles
@@ -409,21 +410,42 @@ def test_exit_codes():
     assert codes == {0, 1, 2, 4, 5, 6}
 
 
-def test_singular_final_basis_exit6(capsys, monkeypatch, fig1_net):
-    def singular(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+def _dcopf_sees(monkeypatch, **overrides):
+    """Give ``dcopf`` its own view of the ``lp`` module, in which ``overrides``
+    replace the functions that ``solve_opf`` calls itself; the LP solver keeps
+    the real ones."""
+    monkeypatch.setattr(dcopf, "lp", types.SimpleNamespace(**{**vars(lp), **overrides}))
 
-    monkeypatch.setattr(lp, "_inverse", singular)
+
+def _singular(a):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_singular_final_basis_exit6(capsys, monkeypatch, fig1_net):
+    # only the final basis fails; the reduced Laplacian is inverted as usual
+    _dcopf_sees(monkeypatch, _inverse=lp._inverse)
+    monkeypatch.setattr(lp, "_inverse", _singular)
     _assert_numerical(capsys, fig1_net, "singular final basis")
 
 
-def test_singular_elimination_block_exit6(capsys, monkeypatch, fig1_net):
+def test_singular_reduced_laplacian_exit6(capsys, monkeypatch, fig1_net):
     # numpy's LinAlgError is a ValueError, which the CLI would report as exit 1
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
+    _dcopf_sees(monkeypatch, _inverse=_singular)
+    _assert_numerical(capsys, fig1_net, "singular reduced susceptance Laplacian")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    _assert_numerical(capsys, fig1_net, "singular elimination block")
+
+def test_uncertified_prices_exit6(capsys, monkeypatch, fig1_net):
+    # the LP's own certificate passes, but the angles and prices recovered from
+    # it are perturbed, so the check on the full OPF blocks fails
+    refined = lp._refined_solve
+    _dcopf_sees(monkeypatch, _refined_solve=lambda *args: refined(*args) + 1e-3)
+    with pytest.raises(OpfNumerical, match="fails its optimality certificate on the full OPF blocks"):
+        solve_opf(fig1_net)
+    code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error: numerical failure: ") and "fails its optimality certificate" in err
+    assert err.count("\n") == 1
 
 
 def test_uncertified_solution_exit6(capsys, monkeypatch):

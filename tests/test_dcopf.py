@@ -217,7 +217,7 @@ def _assert_rereferenced(base, other, ref_bus):
 
 
 def test_reference_bus_invariance(corpus200):
-    # the LP always pins bus 0's angle, so the reference bus moves nothing but
+    # the solve always grounds bus 0, so the reference bus moves nothing but
     # the angles: the dispatch and every dual are bit-equal for every reference
     for seed in (1, 4, 9, 11):
         net = generate_random_network(seed, 6, 0.5)
@@ -226,8 +226,8 @@ def test_reference_bus_invariance(corpus200):
             _assert_rereferenced(base, solve_opf(net, ref_bus=r), r)
     for net, sol in corpus200:
         _assert_rereferenced(sol, solve_opf(net, ref_bus=net.n // 2), net.n // 2)
-    # a degenerate optimum, where an LP pinning bus 5 instead of bus 0 ends on
-    # another dispatch that makes bus 5 marginal and grounds the circuit there
+    # a degenerate optimum, where a solve grounding bus 5 instead of bus 0 could
+    # end on another dispatch that makes bus 5 marginal and grounds the circuit there
     net = generate_random_network(22, 10, 0.35)
     base = solve_opf(net)
     assert base.marginal_buses(net) == (7, 8) and build_circuit(net, base).ground == 7
@@ -251,6 +251,26 @@ def test_infeasible_with_cut_diagnostics():
     assert diag["total_fixed_demand"] == 100.0
     assert 1 in diag["deficit_buses"]
     assert {"from": 0, "to": 1, "flow_limit": 10.0} in diag["cut_lines"]
+
+
+def test_infeasible_names_every_deficit_bus():
+    # two zones joined by the limited lines 1-2 (30 MW) and 0-3 (20 MW): the
+    # zone holding both loads, 50 MW each, can import at most 50 MW, in the
+    # network and in its mirror, whose loads and generators swap sides
+    def network(load_buses, gen_buses, double_b):
+        return Network(
+            buses=[Bus(i, 50.0 if i in load_buses else 0.0) for i in range(4)],
+            lines=[Line(0, 1, 2.0 if double_b == (0, 1) else 1.0), Line(1, 2, 1.0, 30.0),
+                   Line(2, 3, 2.0 if double_b == (2, 3) else 1.0), Line(0, 3, 1.0, 20.0)],
+            injectors=[Injector(bus, "generator", 10.0 + bus, 0.0, 200.0) for bus in gen_buses],
+        )
+
+    for net, deficit in ((network((2, 3), (0, 1), (2, 3)), [2, 3]), (network((0, 1), (2, 3), (0, 1)), [0, 1])):
+        with pytest.raises(OpfInfeasible, match="cannot be served") as exc:
+            solve_opf(net)
+        diag = exc.value.diagnostics
+        assert diag["deficit_buses"] == deficit
+        assert [(c["from"], c["to"]) for c in diag["cut_lines"]] == [(1, 2), (0, 3)]
 
 
 def test_infeasible_capacity_shortfall():
@@ -341,16 +361,20 @@ def test_scale_corpus_prices_obey_circuit_laws(scale_solves):
 
 
 def test_vertex_does_not_depend_on_blas_threads():
-    # the same LP solve in two child processes, one and two BLAS threads set in
-    # each child's own environment: the pivots and every bit of x agree
+    # the same OPF solves in two child processes, one and two BLAS threads set
+    # in each child's own environment: the kernel's pivots and every bit of the
+    # dispatch, the angles, the prices and the duals agree
     specs = [spec for spec in SCALE_CORPUS if spec[1:] == (200, 0.005)]
     code = (
         "import json\n"
-        "from lmpcirc import assemble_lp, generate_random_network, solve_lp\n"
-        "from lmpcirc.dcopf import opf_lp_problem\n"
+        "import lmpcirc._kernels as kernels\n"
+        "from lmpcirc import generate_random_network, solve_opf\n"
+        "run, pivots = kernels.run_simplex, []\n"
+        "kernels.run_simplex = lambda *args: pivots.append(run(*args)) or pivots[-1]\n"
         f"specs = {specs!r}\n"
-        "sols = [solve_lp(opf_lp_problem(assemble_lp(generate_random_network(*s)), ref_bus=0)) for s in specs]\n"
-        "print(json.dumps([[sol.iterations, sol.x.tobytes().hex()] for sol in sols]))\n"
+        "sols = [solve_opf(generate_random_network(*s)) for s in specs]\n"
+        "print(json.dumps([pivots] + [[a.tobytes().hex() for a in (sol.p, sol.theta, sol.lmp, sol.mu_rows, sol.gamma)]\n"
+        "                             for sol in sols]))\n"
     )
     runs = []
     for threads in ("1", "2"):
@@ -358,7 +382,7 @@ def test_vertex_does_not_depend_on_blas_threads():
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=300, check=True)
         runs.append(json.loads(done.stdout))
-    assert len(runs[0]) == 3
+    assert len(runs[0]) == 4 and [status for status, _ in runs[0][0]] == [0, 0, 0]
     assert runs[0] == runs[1]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import lmpcirc._kernels as kernels
 from lmpcirc import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, generate_random_network,
-                     lp, solve_lp)
+                     lp, solve_lp, solve_opf)
 from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
@@ -78,9 +78,9 @@ def test_uncertified_vertex_is_numerical(monkeypatch):
 
 
 def test_tableau_has_one_logical_per_row(monkeypatch, fig1_net):
-    # every kernel call sees the kept x' and v columns less the eliminated
-    # pairs, one logical per remaining row and the rhs; the logicals start as
-    # the identity, so they are the starting basis and carry B^-1
+    # every kernel call sees the kept x' and v columns, one logical per kept
+    # row and the rhs; the logicals start as the identity, so they are the
+    # starting basis and carry B^-1
     seen = _kernel_tableaus(monkeypatch)
     c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
     for prob in (opf_lp_problem(assemble_lp(fig1_net), ref_bus=0), _lp(c, a_eq, b_eq, a_ge, b_ge)):
@@ -90,30 +90,25 @@ def test_tableau_has_one_logical_per_row(monkeypatch, fig1_net):
         n_var = np.count_nonzero(~pre.fixed) + np.count_nonzero(~pre.fixed & ~pre.absorbed)
         seen.clear()
         assert solve_lp(prob).status == OPTIMAL
-        rows = seen[0][0].shape[0] - 1
-        # each eliminated free variable takes one equality row and its two columns
-        n_elim = me + mg - rows
-        assert 0 <= n_elim <= me
-        assert all(t.shape == (rows + 1, n_var - 2 * n_elim + rows + 1) for t, _ in seen)
+        rows = me + mg
+        assert all(t.shape == (rows + 1, n_var + rows + 1) for t, _ in seen)
         assert np.array_equal(seen[0][0][:rows, -rows - 1:-1], np.eye(rows))
 
 
 def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net):
-    # fig1's LP has 9 variables (6 injector slots, 3 angles) and 18 rows: 3 balance
-    # rows, the reference row, 12 injector bound rows and 2 flow-limit rows. The
-    # reference row fixes theta_0, equal bounds fix the 3 absent load slots at 0,
-    # the 3 generators' p_min rows become lower bounds and their p_max rows upper
-    # bounds on the columns, and the two opposite flow-limit rows become one
-    # ranged row. The two free angles are then eliminated on two balance rows,
-    # which leave with them
+    # fig1's injection-form LP has 6 variables (the injector slots) and 15 rows:
+    # the system-balance row, 12 injector bound rows and 2 flow-limit rows.
+    # Equal bounds fix the 3 absent load slots at 0, the 3 generators' p_min
+    # rows become lower bounds and their p_max rows upper bounds on the
+    # columns, and the two opposite flow-limit rows become one ranged row
     seen = _kernel_tableaus(monkeypatch)
-    prob = opf_lp_problem(assemble_lp(fig1_net), ref_bus=0)
-    assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (18, 9)
-    assert solve_lp(prob).status == OPTIMAL
-    (tableau, upper), = seen
+    problems = _lp_problems(monkeypatch)
+    solve_opf(fig1_net)
+    (prob,), ((tableau, upper),) = problems, seen
+    assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (15, 6)
     # rows: 1 system-balance row, 1 ranged flow-limit row
     assert tableau.shape[0] - 1 == 2
-    # columns: 3 generators (no v half), 2 logicals; no angle column
+    # columns: 3 generators, 2 logicals
     assert tableau.shape[1] - 1 == 5
     # every constraint row holds a generator column
     assert np.count_nonzero(tableau[:2, :3], axis=1).min() >= 1
@@ -135,6 +130,14 @@ def _kernel_tableaus(monkeypatch):
     return seen
 
 
+def _lp_problems(monkeypatch):
+    """Record every LP that ``solve_opf`` hands the solver."""
+    problems = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda prob: problems.append(prob) or solve(prob))
+    return problems
+
+
 def _assert_matches_oracle(prob, sol):
     status, value, x = oracles.brute_force_lp(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge)
     assert status == sol.status == OPTIMAL
@@ -146,18 +149,17 @@ def _assert_matches_oracle(prob, sol):
     assert sol.ge_duals == pytest.approx(ge_duals, abs=1e-9)
 
 
-def test_free_variables_are_eliminated_on_equality_rows(monkeypatch):
+def test_free_variables_on_equality_rows_are_split(monkeypatch):
     # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z free:
-    # both become basic on the two equality rows and leave the tableau, so the
-    # kernel sees no row and one column, y' with its upper bound 5. Its reduced
-    # cost is negative, so it starts at that bound, stored flipped (the bound
-    # negated). At the optimum y = 5 and both free variables are negative:
-    # x = -1, z = -3
+    # each stays split into x' - v, so the kernel sees both rows over x', z', y',
+    # v_x, v_z and two logicals. v_x and v_z cost -2 and -1 with no upper bound,
+    # so a dual phase 1 runs first. At the optimum y = 5 and both free
+    # variables are negative: x = -1, z = -3
     seen = _kernel_tableaus(monkeypatch)
     prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
                a_ge=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], b_ge=[0.0, -5.0])
     sol = solve_lp(prob)
-    assert [(t.shape, list(u)) for t, u in seen] == [((1, 2), [-5.0])]
+    assert [t.shape for t, _ in seen] == [(3, 8)] * 2
     assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
     assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.ge_duals == pytest.approx([0.0, 1.5])
     _assert_matches_oracle(prob, sol)
@@ -179,34 +181,44 @@ def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
     _assert_matches_oracle(prob, sol)
 
 
-def test_every_column_eliminated():
-    # x and y free on three equality rows: both are eliminated and the third row
-    # is left with no column, infeasible when it still demands anything
+def test_free_variables_on_surplus_equality_rows():
+    # x and y free on three equality rows: when the third row contradicts the
+    # other two, the Farkas ray that proves it combines all three
     rows = [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]]
     sol = solve_lp(_lp([1.0, 1.0], a_eq=rows, b_eq=[1.0, 0.0, 3.0]))
-    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("eq", 2, 1.5),)
-    # and redundant otherwise: its fixed logical stays basic and it prices at zero
+    assert sol.status == INFEASIBLE
+    assert [(kind, i) for kind, i, _ in sol.infeasible_rows] == [("eq", 0), ("eq", 1), ("eq", 2)]
+    # and redundant otherwise
     sol = solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0]))
     assert sol.status == OPTIMAL and sol.x == pytest.approx([0.5, 0.5])
     assert sol.objective == pytest.approx(1.0) and sol.residuals["stationarity"] <= 1e-12
 
 
 def test_opf_tableau_holds_no_angle_column(monkeypatch):
-    # on perfbench's opf_grid networks every non-reference angle is eliminated on
-    # a balance row, and the injector bounds are column bounds: the kernel sees
-    # the system-balance row and one ranged row per limited line, over the
-    # injector columns and one logical per row, in one call
+    # the OPF is solved in the injections alone, and the injector bounds are
+    # column bounds: on perfbench's opf_grid networks the kernel sees the
+    # system-balance row and one ranged row per limited line, over the
+    # injector columns and one logical per row, in one call. A line whose
+    # flow rows hold no movable injector (a bridge to buses with fixed demand
+    # alone) leaves them empty, and the presolve drops them
     seen = _kernel_tableaus(monkeypatch)
+    problems = _lp_problems(monkeypatch)
+    empty = 0
     for seed in range(17):
         net = generate_random_network(seed, 50, 0.022)
-        opf = assemble_lp(net)
-        n_inj = sum(inj.p_min < inj.p_max for inj in net.injectors)
-        rows = 1 + len(opf.limited_lines)
+        slots = [inj.bus if inj.kind == "generator" else net.n + inj.bus
+                 for inj in net.injectors if inj.p_min < inj.p_max]
         seen.clear()
-        assert solve_lp(opf_lp_problem(opf, ref_bus=0)).status == OPTIMAL
-        (tableau, upper), = seen
-        assert tableau.shape == (rows + 1, n_inj + rows + 1)
-        assert np.all(upper[:n_inj] != 0.0) and np.all(np.abs(upper) < np.inf)
+        problems.clear()
+        solve_opf(net)
+        (prob,), ((tableau, upper),) = problems, seen
+        flow_rows = prob.a_ge[4 * net.n:, slots]
+        n_empty = int(np.all(flow_rows == 0.0, axis=1).sum()) // 2
+        empty += n_empty
+        rows = 1 + len(net.limited_lines()) - n_empty
+        assert tableau.shape == (rows + 1, len(slots) + rows + 1)
+        assert np.all(upper[:len(slots)] != 0.0) and np.all(np.abs(upper) < np.inf)
+    assert empty == 1
 
 
 def test_conflicting_bounds_name_both_rows(monkeypatch):
@@ -334,12 +346,11 @@ def test_perfbench_networks_take_one_kernel_call():
         total = 0
         for seed in range(17):
             calls = []
-            prob = opf_lp_problem(assemble_lp(generate_random_network(seed, *family)), ref_bus=0)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "run_simplex", lambda *args: calls.append(args) or run(*args))
-                sol = solve_lp(prob)
-            assert sol.status == OPTIMAL and len(calls) == 1, (seed, family)
-            total += sol.iterations
+                mp.setattr(kernels, "run_simplex", lambda *args: calls.append(run(*args)) or calls[-1])
+                solve_opf(generate_random_network(seed, *family))
+            assert len(calls) == 1 and calls[0][0] == kernels.STATUS_OPTIMAL, (seed, family)
+            total += calls[0][1]
         assert total < limit, (family, total)
 
 
@@ -352,114 +363,6 @@ def test_deterministic_repeat():
     assert a.objective == b.objective
     assert np.array_equal(a.eq_duals, b.eq_duals)
     assert np.array_equal(a.ge_duals, b.ge_duals)
-
-
-# ---------------------------------------------------------------------------
-# the free-variable elimination against the Gauss-Jordan pivots it replaced
-# ---------------------------------------------------------------------------
-
-def _gauss_jordan_eliminate_free(tableau, me, x_cols):
-    """Oracle: the elimination as one Gauss-Jordan pivot per free variable on
-    the whole tableau, cost row included, on the unused equality row with the
-    largest absolute entry, lowest row on ties."""
-    used = np.zeros(me, dtype=bool)
-    rows, pivoted = [], []
-    for k, pc in enumerate(x_cols if me else ()):
-        col = np.abs(tableau[:me, pc])
-        col[used] = 0.0
-        pr = int(np.argmax(col))
-        if col[pr] > kernels.TOL_PIVOT:
-            kernels._pivot(tableau, pr, pc)
-            used[pr] = True
-            rows.append(pr)
-            pivoted.append(k)
-    return np.array(rows, dtype=np.intp), np.array(pivoted, dtype=np.intp)
-
-
-def _gauss_jordan_kernel_tableau(a_std, rhs, c_std, me, x_cols):
-    """Oracle for ``lp._kernel_tableau``: the tableau ``[a_std, -I, rhs;
-    c_std, 0, 0]``, one logical per row, pivoted as above, then cut down to
-    the rows and columns that stay (an eliminated row's logical is fixed at
-    0), with the constraint rows negated so that the logicals read +I."""
-    m, n_var = a_std.shape
-    full = np.zeros((m + 1, n_var + m + 1))
-    full[:m, :n_var] = a_std
-    full[np.arange(m), n_var + np.arange(m)] = -1.0
-    full[:m, -1] = rhs
-    full[m, :n_var] = c_std
-    rows, k = _gauss_jordan_eliminate_free(full, me, x_cols)
-    gone = np.zeros(full.shape[1], dtype=bool)
-    gone[x_cols[k]] = True
-    gone[n_var - x_cols.size + k] = True
-    gone[n_var + rows] = True
-    tcols = np.flatnonzero(~gone)
-    krows = np.setdiff1d(np.arange(m), rows)
-    tableau = full[np.append(krows, m)][:, tcols]
-    tableau[:-1] *= -1.0
-    return tableau, rows, x_cols[k], krows, tcols[:-1]
-
-
-def _assert_elimination_matches_gauss_jordan(monkeypatch, prob):
-    """The rows picked are the oracle's, and the kernel tableau, reduced costs
-    included, matches it within 1e-12 of its scale. Returns the number of free
-    variables eliminated (None when the presolve alone settles the LP)."""
-    calls = []
-    kernel_tableau = lp._kernel_tableau
-
-    def spy(*args):
-        out = kernel_tableau(*args)
-        calls.append((args, tuple(np.copy(x) for x in out)))    # the simplex pivots the tableau in place
-        return out
-
-    with monkeypatch.context() as mp:
-        mp.setattr(lp, "_kernel_tableau", spy)
-        solve_lp(prob)
-    if not calls:
-        return None
-    (args, got), = calls
-    want = _gauss_jordan_kernel_tableau(*args)
-    for name, g, w in zip(("rows", "elim_cols", "krows", "kcols"), got[1:], want[1:]):
-        assert np.array_equal(g, w), name
-    assert got[0].shape == want[0].shape
-    assert np.max(np.abs(got[0] - want[0]), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want[0]), initial=0.0))
-    return got[1].size
-
-
-def test_block_elimination_matches_gauss_jordan_on_random_lps(monkeypatch):
-    eliminated = []
-    for seed in range(60):
-        for gen in (oracles.random_small_lp, oracles.random_bounded_lp):
-            c, a_eq, b_eq, a_ge, b_ge = gen(seed)
-            eliminated.append(_assert_elimination_matches_gauss_jordan(monkeypatch, _lp(c, a_eq, b_eq, a_ge, b_ge)))
-    assert sum(n is not None and n > 0 for n in eliminated) >= 30
-    # x free but only in >= rows, so it stays split
-    only_ge = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
-                  a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                  b_ge=[-1.0, -3.0, 0.0, 0.0])
-    # two free variables on three equality rows, the third redundant
-    redundant = _lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0])
-    # no free variable at all
-    none_free = _lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[4.0], a_ge=np.eye(2), b_ge=[0.0, 0.0])
-    counts = [_assert_elimination_matches_gauss_jordan(monkeypatch, prob) for prob in (only_ge, redundant, none_free)]
-    assert counts == [0, 2, 0]
-
-
-def test_block_elimination_matches_gauss_jordan_on_perfbench_networks(monkeypatch):
-    # the opf_dense and opf_grid corpora: every angle but bus 0's is eliminated
-    for spec in [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]:
-        prob = opf_lp_problem(assemble_lp(generate_random_network(*spec)), ref_bus=0)
-        assert _assert_elimination_matches_gauss_jordan(monkeypatch, prob) == spec[1] - 1
-
-
-def test_singular_elimination_block_raises(monkeypatch):
-    # the block solve reports a singular block as a numerical failure, not as
-    # numpy's LinAlgError (a ValueError)
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(ArithmeticError, match="^singular elimination block$"):
-        solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +524,7 @@ def test_degenerate_flag_set_and_clear():
                        a_ge=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ge=[1.0, 1.0, 2.0]))
     assert deg.status == OPTIMAL and deg.degenerate
     # a free basic variable at zero sits at no bound: min y, x + y = 1, y >= 1
-    # has two active rows in two variables, with the eliminated x at 0
+    # has two active rows in two variables, with the split x at 0
     free_zero = solve_lp(_lp([0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[0.0, 1.0]], b_ge=[1.0]))
     assert free_zero.status == OPTIMAL and free_zero.x == pytest.approx([0.0, 1.0])
     assert not free_zero.degenerate
