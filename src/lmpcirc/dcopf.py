@@ -3,13 +3,13 @@
 ``solve_opf`` solves the OPF in the injections ``p`` alone, from ``X``, the
 inverse of the susceptance Laplacian grounded at bus 0. KCL fixes the angles
 once the injections are known, ``theta = X (a - A p)`` with ``theta_0 = 0``,
-so each limited line's flow rows become rows over ``p`` (the PTDF form). The
-LP has the system-balance row, the injector bound rows and two flow rows per
-limited line; its presolve makes the bounds column bounds and each line's
-two rows one ranged row, and its dual simplex starts from the merit-order
-dispatch, which is dual feasible. A ranged row's dual goes to the side of the
-limit that binds, so ``mu_rows[2r]`` and ``mu_rows[2r + 1]`` keep their
-meaning.
+so each limited line's flow limits become one ranged row over ``p`` (the
+PTDF form). The LP states the system-balance row, the injector limits as
+bounds on ``p`` and one ranged row per limited line, and its dual simplex
+starts from the merit-order dispatch, which is dual feasible. The bound
+duals are the reduced costs, which give ``gamma``; a ranged row's dual is
+positive when the line binds from -> to and negative when it binds the
+other way, which gives ``mu_rows[2r]`` and ``mu_rows[2r + 1]``.
 
 The prices obey DC circuit laws: angle stationarity, ``B lmp = -D' mu_rows``,
 makes the LMPs ``lambda``, the balance row's dual, plus the node voltages of
@@ -145,17 +145,17 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
 def _injection_problem(net: Network, opf: OpfLp, x0: np.ndarray) -> lp.LpProblem:
     """The OPF LP over ``p``, given ``x0``, ``X`` padded with a zero row and
     column for bus 0. With ``ptdf_r = x0[from_r] - x0[to_r]``, limited line
-    ``r`` has the rows ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a`` and
-    ``[ptdf_r, -ptdf_r] p >= d_2r+1 + ptdf_r a``. Every entry comes from
-    elementwise operations, so none passes through BLAS."""
+    ``r`` is the ranged row ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a``, up to
+    ``-(d_2r+1 + ptdf_r a)``, and the injector limits are the bounds. Every
+    entry comes from elementwise operations, so none passes through BLAS."""
+    n = opf.n
     lines = [net.lines[k] for k in opf.limited_lines]
     ptdf = x0[[ln.from_bus for ln in lines]] - x0[[ln.to_bus for ln in lines]]
     shift = (ptdf * opf.a).sum(axis=1)
-    flow = np.hstack([ptdf, -ptdf])
-    a_flow = np.stack([-flow, flow], axis=1).reshape(-1, 2 * opf.n)
-    b_flow = opf.d + np.stack([-shift, shift], axis=1).ravel()
+    b_from, b_to = opf.d[0::2] - shift, opf.d[1::2] + shift     # binding from -> to, and back
     return lp.LpProblem(c=opf.c, a_eq=opf.A.sum(axis=0)[None, :], b_eq=[opf.a.sum()],
-                        a_ge=np.vstack([opf.C, a_flow]), b_ge=np.concatenate([opf.b, b_flow]))
+                        a_ge=-np.hstack([ptdf, -ptdf]), b_ge=b_from, range_ge=-(b_from + b_to),
+                        lower=opf.b[:2 * n], upper=-opf.b[2 * n:])
 
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
@@ -189,8 +189,10 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
                            f"(residuals: {_listing(sol.residuals.items())})")
 
     p = sol.x[:2 * n]
-    gamma = sol.ge_duals[:opf.C.shape[0]]
-    mu_rows = sol.ge_duals[opf.C.shape[0]:]
+    # a positive reduced cost prices the injector's p_min row and a negative one
+    # its p_max row; a line's positive dual prices row 2r and a negative one 2r + 1
+    gamma = np.concatenate(_sides(sol.reduced_costs))
+    mu_rows = np.stack(_sides(sol.ge_duals), axis=1).ravel()
     # KCL fixes the angles once the injections are known, and the prices are
     # lambda plus the voltages of the price circuit: B v = -D' mu_rows, v_0 = 0
     theta = np.zeros(n)
@@ -226,6 +228,11 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
     return out
 
 
+def _sides(dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A signed dual as the nonnegative duals of its lower and upper side."""
+    return np.where(dual < 0.0, 0.0, dual), np.where(dual < 0.0, -dual, 0.0)
+
+
 def _listing(residuals) -> str:
     return ", ".join(f"{name} {value:.3g}" for name, value in residuals)
 
@@ -250,8 +257,7 @@ def _infeasibility_details(net: Network, opf: OpfLp, sol: lp.LpSolution):
     total_demand = float(net.fixed_demand.sum())
     # each flow row the Farkas ray names is a limited line; a zone at one of
     # its ends whose fixed demand exceeds its generation capacity is short
-    nc = opf.C.shape[0]
-    named = {opf.limited_lines[(i - nc) // 2] for kind, i, _ in sol.infeasible_rows if kind == "ge" and i >= nc}
+    named = {opf.limited_lines[i] for kind, i, _ in sol.infeasible_rows if kind == "ge"}
     zone = _zones(net)
     demand, capacity = np.zeros(net.n), np.zeros(net.n)
     np.add.at(demand, zone, net.fixed_demand)

@@ -1,33 +1,21 @@
 """Self-contained dense linear-program solver with exact basis duals.
 
-Solves ``min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge`` with free variables;
-a bound on a variable is a row with one nonzero. A presolve reads those
-singleton rows as bounds, the first step of standard LP presolve (Andersen &
-Andersen, Math. Programming 71, 1995):
+Solves ``min c'x  s.t.  A_eq x = b_eq,  b_ge <= A_ge x <= b_ge + range_ge,
+lower <= x <= upper``. A bound may be infinite, and a ``>=`` row whose range
+is ``inf`` is one-sided. The standard form is built straight from what the
+problem states:
 
-- the tightest lower bound ``l`` on a variable (lowest row on ties) makes it
-  ``l + x'`` with one column ``x' >= 0``, and its row leaves the LP;
-- the tightest upper bound ``u`` of such a variable bounds its column,
-  ``x' <= u - l``, and its row leaves the LP too; a variable with no lower
-  bound keeps its upper bounds as rows;
-- an equality singleton, or a tightest lower and upper bound that are equal,
-  fixes the variable: its column and those rows leave, and its other rows
-  become empty rows, infeasible if they demand anything;
-- a lower bound above an upper bound is infeasible, naming both rows;
-- two ``>=`` rows whose coefficients are exact negatives, ``a x >= b1`` and
-  ``-a x >= b2``, become one ranged row ``a x - s = b1`` with its slack
-  boxed in ``[0, -(b1 + b2)]``, infeasible, naming both rows, when
-  ``b1 + b2`` is positive. On the OPF these are each limited line's two rows.
+- a variable with a finite lower bound ``l`` is ``l + x'`` with one column
+  ``x' >= 0``, boxed by ``x' <= u - l`` when its upper bound ``u`` is finite;
+- a variable with only an upper bound is ``u - x'``;
+- a variable with equal bounds is fixed and has no column;
+- a free variable is split into ``x' - v``, so an LP made mostly of free
+  variables takes many pivots. The OPF hands the solver none: ``dcopf``
+  states the injector limits as bounds and solves it in the injections alone.
 
-A row that left is priced afterwards from its variable's reduced cost over
-the kept rows, so every dual and ``infeasible_rows`` use the problem's row
-numbering.
-
-The standard form gives every kept row a logical column, ``a x - s = b``:
-``s`` lies in ``[0, inf)`` on a ``>=`` row, in ``[0, range]`` on a ranged row
-and in ``[0, 0]`` on an equality row. Each free variable is split into
-``x' - v``, so an LP made mostly of free variables takes many pivots; the OPF
-hands the solver none (``dcopf`` solves it in the injections alone).
+Every row gets a logical column, ``a x - s = b``: ``s`` lies in ``[0, 0]`` on
+an equality row and in ``[0, range]`` on a ``>=`` row. A row or a bound is
+written once as what it is, so nothing is read back out of the rows.
 
 The rest is the bounded dual simplex of ``_kernels``. It starts from the
 basis of all logicals, with each column whose reduced cost is negative at its
@@ -51,10 +39,13 @@ whose logical is nonbasic are factored, against the basic structural
 columns, with each column held at its upper bound moved to the rhs. A row
 whose logical is basic is loose: its dual is 0 and its logical is ``a x - b``
 (complementary slackness; Bertsimas & Tsitsiklis 1997, §4.3). A ranged row's
-dual goes to its first row when positive and, negated, to its partner when
-negative. A singular final basis raises ``ArithmeticError``, as does the
-iteration cap; a vertex whose residuals exceed their limits gets status
-``numerical``.
+dual is positive when its lower side binds and negative when its upper side
+does. ``reduced_costs``, ``c - A_eq' y_eq - A_ge' y_ge``, are the duals of
+the bounds: positive ones price a lower bound, negative ones an upper bound.
+A singular final basis raises ``ArithmeticError``, as does the iteration cap;
+a vertex whose residuals (rows, ranges and bounds, the reduced costs' signs,
+complementarity, the rows' dual signs and the gap) exceed their limits gets
+status ``numerical``.
 """
 
 from __future__ import annotations
@@ -72,19 +63,27 @@ NUMERICAL = "numerical"
 
 _DEGENERACY_EPS = 1e-9
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
-_TOL_RHS = 1e-9         # largest demand an empty row or a bound conflict may leave unmet
 _TOL_DUAL = 1e-9        # a reduced cost below -this on a column with no upper bound is dual infeasible
+
+
+def _stated(value, size: int, default: float) -> np.ndarray:
+    return np.full(size, default) if value is None else np.atleast_1d(np.asarray(value, dtype=float))
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c'x over free x subject to a_eq x = b_eq and a_ge x >= b_ge."""
+    """min c'x subject to a_eq x = b_eq, b_ge <= a_ge x <= b_ge + range_ge and
+    lower <= x <= upper. Bounds left out are infinite (the variables are
+    free) and ranges left out are ``inf`` (the rows are one-sided)."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
     a_ge: np.ndarray
     b_ge: np.ndarray
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    range_ge: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -98,7 +97,17 @@ class LpProblem:
         for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge)):
+        lower, upper = _stated(self.lower, nv, -np.inf), _stated(self.upper, nv, np.inf)
+        range_ge = _stated(self.range_ge, b_ge.size, np.inf)
+        if lower.shape != (nv,) or upper.shape != (nv,) or range_ge.shape != b_ge.shape:
+            raise ValueError("bound/range dimensions disagree")
+        # every comparison with NaN is false, so these refuse NaN too
+        if not (np.all(lower <= upper) and np.all(lower < np.inf) and np.all(upper > -np.inf)):
+            raise ValueError("bounds need lower <= upper, lower < inf and upper > -inf")
+        if not np.all(range_ge >= 0.0):
+            raise ValueError("range_ge entries must be nonnegative")
+        for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge),
+                          ("lower", lower), ("upper", upper), ("range_ge", range_ge)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -113,6 +122,7 @@ class LpSolution:
     objective: float | None = None
     eq_duals: np.ndarray | None = None
     ge_duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
     degenerate: bool = False
     iterations: int = 0
     residuals: dict | None = None
@@ -150,136 +160,6 @@ def _refined_solve(a: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     iterative refinement; every product is an elementwise sum."""
     x = (inv * b).sum(axis=1)
     return x + (inv * (b - (a * x).sum(axis=1))).sum(axis=1)
-
-
-def _tightest(rows: np.ndarray, var: np.ndarray, bound: np.ndarray, nv: int, largest: bool) -> np.ndarray:
-    """Per variable, the row holding its largest (or smallest) bound, the lowest
-    row on ties; -1 for a variable with no such row."""
-    order = np.lexsort((rows, -bound if largest else bound, var))
-    var = var[order]
-    first = np.ones(var.size, dtype=bool)
-    first[1:] = var[1:] != var[:-1]
-    best = np.full(nv, -1, dtype=np.intp)
-    best[var[first]] = rows[order[first]]
-    return best
-
-
-def _pair_opposite_rows(a_ge: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row of ``a_ge``, the later row among ``rows`` whose coefficients
-    are its exact negatives, or -1. Rows pair in order, each with the first
-    unpaired earlier row it negates."""
-    partner = np.full(a_ge.shape[0], -1, dtype=np.intp)
-    unpaired: dict[bytes, list[int]] = {}
-    for i in rows:
-        row = a_ge[i] + 0.0     # -0.0 -> 0.0
-        mates = unpaired.get((0.0 - row).tobytes())
-        if mates:
-            partner[mates.pop(0)] = i
-        else:
-            unpaired.setdefault(row.tobytes(), []).append(int(i))
-    return partner
-
-
-@dataclass(frozen=True)
-class _Presolved:
-    """Singleton rows read as bounds and opposite rows read as ranges.
-    Variable j is ``shift[j] + x'`` with ``0 <= x' <= upper[j]`` when its
-    lower bound is absorbed, ``shift[j]`` when fixed and free otherwise; the
-    rows behind those bounds leave the LP. Rows are numbered as in the
-    problem, with -1 where a variable or row has no such row."""
-
-    low_row: np.ndarray    # tightest lower bound (a > 0 in a >= row)
-    up_row: np.ndarray     # tightest upper bound (a < 0 in a >= row)
-    fix_row: np.ndarray    # first equality singleton
-    absorbed: np.ndarray   # lower bound absorbed into x'
-    bounded: np.ndarray    # absorbed, with its upper bound on the column
-    pinned: np.ndarray     # fixed by equal tightest lower and upper bounds
-    fixed: np.ndarray      # pinned or fixed by an equality singleton
-    shift: np.ndarray
-    upper: np.ndarray      # bound on x' (inf when none)
-    b_eq: np.ndarray       # right-hand sides once x is shift + x'
-    b_ge: np.ndarray
-    eq_keep: np.ndarray    # rows that stay, each with a nonzero on a column that stays
-    ge_keep: np.ndarray
-    partner: np.ndarray    # per kept >= row, the row it is ranged with
-    ge_range: np.ndarray   # per kept >= row, its slack's upper bound (inf unless ranged)
-
-
-def _presolve(problem: LpProblem) -> _Presolved | LpSolution:
-    """Read singleton rows as bounds, pair opposite rows into ranges and drop
-    empty rows; an ``INFEASIBLE`` solution when the bounds or a pair conflict
-    or an empty row demands anything."""
-    nv = problem.n_vars
-    a_eq, b_eq, a_ge, b_ge = problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge
-    nz_eq = np.count_nonzero(a_eq, axis=1)
-    nz_ge = np.count_nonzero(a_ge, axis=1)
-
-    rows = np.flatnonzero(nz_eq == 1)
-    var = np.argmax(a_eq[rows] != 0.0, axis=1)
-    fix_row = np.full(nv, -1, dtype=np.intp)
-    first_var, first = np.unique(var, return_index=True)
-    fix_row[first_var] = rows[first]
-
-    rows = np.flatnonzero(nz_ge == 1)
-    var = np.argmax(a_ge[rows] != 0.0, axis=1)
-    bound = b_ge[rows] / a_ge[rows, var]
-    up = a_ge[rows, var] < 0.0
-    low_row = _tightest(rows[~up], var[~up], bound[~up], nv, largest=True)
-    up_row = _tightest(rows[up], var[up], bound[up], nv, largest=False)
-
-    lo, hi = np.full(nv, -np.inf), np.full(nv, np.inf)
-    for row, value in ((low_row, lo), (up_row, hi)):
-        j = np.flatnonzero(row >= 0)
-        value[j] = b_ge[row[j]] / a_ge[row[j], j]
-    conflicts = []
-    for j in np.flatnonzero(lo - hi > _TOL_RHS):
-        # each row's violation where the other bound holds
-        conflicts += [("ge", int(low_row[j]), float(b_ge[low_row[j]] - a_ge[low_row[j], j] * hi[j])),
-                      ("ge", int(up_row[j]), float(b_ge[up_row[j]] - a_ge[up_row[j], j] * lo[j]))]
-    if conflicts:
-        return LpSolution(status=INFEASIBLE, infeasible_rows=tuple(conflicts))
-
-    pinned = (fix_row < 0) & (lo == hi)
-    fixed = pinned | (fix_row >= 0)
-    absorbed = ~fixed & (low_row >= 0)
-    bounded = absorbed & (up_row >= 0)
-    shift = np.where(absorbed | pinned, lo, 0.0)
-    j = np.flatnonzero(fix_row >= 0)
-    shift[j] = b_eq[fix_row[j]] / a_eq[fix_row[j], j]
-    upper = np.where(bounded, hi - lo, np.inf)
-    b_eq, b_ge = b_eq - a_eq @ shift, b_ge - a_ge @ shift
-
-    eq_gone = np.zeros(nz_eq.size, dtype=bool)
-    eq_gone[fix_row[fix_row >= 0]] = True
-    ge_gone = np.zeros(nz_ge.size, dtype=bool)
-    ge_gone[low_row[absorbed | pinned]] = True
-    ge_gone[up_row[bounded | pinned]] = True
-    # a row whose variables are all fixed is empty: infeasible if its rhs demands anything
-    eq_kept = nz_eq > np.count_nonzero(a_eq[:, fixed], axis=1)
-    ge_kept = nz_ge > np.count_nonzero(a_ge[:, fixed], axis=1)
-    for kind, gone, kept, rhs, demand in (("eq", eq_gone, eq_kept, b_eq, np.abs(b_eq)),
-                                          ("ge", ge_gone, ge_kept, b_ge, b_ge)):
-        bad = np.flatnonzero(~gone & ~kept & (demand > _TOL_RHS))
-        if bad.size:
-            i = int(bad[0])
-            return LpSolution(status=INFEASIBLE, infeasible_rows=((kind, i, float(rhs[i])),))
-
-    partner = _pair_opposite_rows(a_ge, np.flatnonzero(~ge_gone & ge_kept))
-    first = np.flatnonzero(partner >= 0)
-    gap = b_ge[first] + b_ge[partner[first]]
-    # both rows of a pair fall short by the same amount where the other one holds
-    conflicts = tuple(("ge", int(r), float(g)) for i, g in zip(first, gap) if g > _TOL_RHS for r in (i, partner[i]))
-    if conflicts:
-        return LpSolution(status=INFEASIBLE, infeasible_rows=conflicts)
-    ge_gone[partner[first]] = True
-    ge_range = np.full(nz_ge.size, np.inf)
-    ge_range[first] = np.maximum(-gap, 0.0)
-
-    ge_keep = np.flatnonzero(~ge_gone & ge_kept)
-    return _Presolved(low_row=low_row, up_row=up_row, fix_row=fix_row, absorbed=absorbed, bounded=bounded,
-                      pinned=pinned, fixed=fixed, shift=shift, upper=upper, b_eq=b_eq, b_ge=b_ge,
-                      eq_keep=np.flatnonzero(~eq_gone & eq_kept), ge_keep=ge_keep,
-                      partner=partner[ge_keep], ge_range=ge_range[ge_keep])
 
 
 def _kernel_tableau(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray) -> np.ndarray:
@@ -377,38 +257,39 @@ def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> t
     return True, iters
 
 
-def _infeasible(tableau, basis, upper, me, row_orig, iters) -> LpSolution:
+def _infeasible(tableau, basis, upper, me, iters) -> LpSolution:
     """The rows in the support of the proving row of ``B^-1`` (held in the
-    logical columns), each with the shortfall that row cannot close. A ranged
-    row is named by its first row."""
+    logical columns), each with the shortfall that row cannot close."""
     r, shortfall = _kernels.infeasible_row(tableau, basis, upper)
     ray = np.abs(tableau[r, tableau.shape[1] - 1 - basis.size:-1])
     support = np.flatnonzero(ray > 1e-9 * ray.max())
-    rows = tuple(("eq" if i < me else "ge", int(row_orig[i]), shortfall) for i in support)
+    rows = tuple(("eq", int(i), shortfall) if i < me else ("ge", int(i - me), shortfall) for i in support)
     return LpSolution(status=INFEASIBLE, iterations=iters, infeasible_rows=rows)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
-    pre = _presolve(problem)
-    if isinstance(pre, LpSolution):
-        return pre
-    c = problem.c
-    me, mg = pre.eq_keep.size, pre.ge_keep.size
-    m = me + mg
+    c, lower, range_ge = problem.c, problem.lower, problem.range_ge
+    has_lower, has_upper = lower > -np.inf, problem.upper < np.inf
+    me = problem.a_eq.shape[0]
+    m = me + problem.a_ge.shape[0]
 
-    # standard form: columns [x', v, logicals]. A kept variable is shift + x' - v,
-    # with a v column only when it is free; row i is a_i x - s_i = b_i
-    cols = np.flatnonzero(~pre.fixed)
-    split = np.flatnonzero(~pre.fixed & ~pre.absorbed)
-    n_var = cols.size + split.size
+    # standard form: columns [x', v, logicals]. A variable is origin + x' with
+    # its origin at its lower bound, or origin - x' at its upper bound when it
+    # has no lower one; a free one is x' - v, and a fixed one has no column.
+    # Row i is a_i x - s_i = b_i
+    origin = np.where(has_lower, lower, np.where(has_upper, problem.upper, 0.0))
+    cols = np.flatnonzero(lower < problem.upper)
+    split = np.flatnonzero(~has_lower & ~has_upper)
     var_cols = np.concatenate([cols, split])
-    a_std = np.vstack([problem.a_eq[pre.eq_keep], problem.a_ge[pre.ge_keep]]).take(var_cols, axis=1)
-    a_std[:, cols.size:] *= -1.0
-    rhs = np.concatenate([pre.b_eq[pre.eq_keep], pre.b_ge[pre.ge_keep]])
-    row_orig = np.concatenate([pre.eq_keep, pre.ge_keep])
-    c_std = np.concatenate([c[cols], -c[split]])
-    upper_std = np.concatenate([pre.upper[cols], np.full(split.size, np.inf), np.zeros(me), pre.ge_range])
+    sign = np.concatenate([np.where(has_lower | ~has_upper, 1.0, -1.0)[cols], np.full(split.size, -1.0)])
+    n_var = var_cols.size
+    a_std = np.vstack([problem.a_eq, problem.a_ge]).take(var_cols, axis=1)
+    a_std[:, sign < 0.0] *= -1.0
+    rhs = np.concatenate([problem.b_eq - problem.a_eq @ origin, problem.b_ge - problem.a_ge @ origin])
+    c_std = c[var_cols] * sign
+    box = np.where(has_lower & has_upper, problem.upper - lower, np.inf)
+    upper_std = np.concatenate([box[cols], np.full(split.size, np.inf), np.zeros(me), range_ge])
     free_std = np.concatenate([np.searchsorted(cols, split), cols.size + np.arange(split.size)])
 
     tableau = _kernel_tableau(a_std, rhs, c_std)
@@ -426,14 +307,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             basis = np.arange(n_var, n_std)
             status, iters = _run(start, basis, upper, 1)
             if status == _kernels.STATUS_INFEASIBLE:
-                return _infeasible(start, basis, upper, me, row_orig, total_iters + iters)
+                return _infeasible(start, basis, upper, me, total_iters + iters)
             return LpSolution(status=UNBOUNDED, iterations=total_iters + iters)
 
     _start(tableau, upper)
     status, iters = _run(tableau, basis, upper, 2)
     total_iters += iters
     if status == _kernels.STATUS_INFEASIBLE:
-        return _infeasible(tableau, basis, upper, me, row_orig, total_iters)
+        return _infeasible(tableau, basis, upper, me, total_iters)
 
     # recompute the vertex and its duals from a fresh factorization of the
     # final basis's tight rows, with each column stored flipped and nonbasic
@@ -444,44 +325,22 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x_nonbasic[at_upper] = -upper[at_upper]
     x_std, y_rows = _basic_solution(a_std, rhs, c_std, basis, x_nonbasic)
 
-    x = pre.shift.copy()
-    x[cols] += x_std[:cols.size]
+    x = origin.copy()
+    x[cols] += x_std[:cols.size] * sign[:cols.size]
     x[split] -= x_std[cols.size:n_var]
-
-    eq_duals = np.zeros(problem.a_eq.shape[0])
-    ge_duals = np.zeros(problem.a_ge.shape[0])
-    eq_duals[pre.eq_keep] = y_rows[:me]
-    # a ranged row's dual goes to its first row when positive, else to its partner
-    y_ge = y_rows[me:]
-    other = (y_ge < 0.0) & (pre.partner >= 0)
-    ge_duals[np.where(other, pre.partner, pre.ge_keep)] = np.where(other, -y_ge, y_ge)
-    # a row that left the LP prices its variable's reduced cost over the kept rows
+    eq_duals, ge_duals = y_rows[:me], y_rows[me:]
     d = c - problem.a_eq.T @ eq_duals - problem.a_ge.T @ ge_duals
-    j = np.flatnonzero(pre.fix_row >= 0)
-    eq_duals[pre.fix_row[j]] = d[j] / problem.a_eq[pre.fix_row[j], j]
-    # an absorbed lower row; of a bounded or pinned variable's two rows, the
-    # lower one when d_j >= 0, else the upper one
-    j = np.flatnonzero(pre.absorbed | pre.pinned)
-    rows = np.where((pre.bounded | pre.pinned)[j] & (d[j] < 0.0), pre.up_row[j], pre.low_row[j])
-    ge_duals[rows] = d[j] / problem.a_ge[rows, j]
 
-    objective = float(problem.c @ x)
+    objective = float(c @ x)
     # a basic variable at either bound; a split free variable has none, and an
     # equality row's logical has no other value
     basic = basis[~np.isin(basis, free_std) & (upper_std[basis] > 0.0)]
     near = np.minimum(np.abs(x_std[basic]), np.abs(upper_std[basic] - x_std[basic]))
     degenerate = bool(np.any(near <= _DEGENERACY_EPS))
 
-    slack = problem.a_ge @ x - problem.b_ge
-    residuals = {
-        "primal_eq": float(np.max(np.abs(problem.a_eq @ x - problem.b_eq), initial=0.0)),
-        "primal_ge": float(np.max(-slack, initial=0.0)) if slack.size else 0.0,
-        "stationarity": float(np.max(np.abs(problem.a_eq.T @ eq_duals + problem.a_ge.T @ ge_duals - problem.c), initial=0.0)),
-        "complementarity": float(np.max(np.abs(ge_duals * slack), initial=0.0)) if slack.size else 0.0,
-        "dual_sign": float(max(0.0, -np.min(ge_duals, initial=0.0))),
-        "gap": float(abs(objective - (problem.b_eq @ eq_duals + problem.b_ge @ ge_duals))),
-    }
-    data_scale = max(float(np.max(np.abs(v), initial=0.0)) for v in (problem.c, problem.b_eq, problem.b_ge))
+    residuals = _residuals(problem, x, eq_duals, ge_duals, d, objective)
+    data = (c, problem.b_eq, problem.b_ge, lower[has_lower], problem.upper[has_upper], range_ge[range_ge < np.inf])
+    data_scale = max(float(np.max(np.abs(v), initial=0.0)) for v in data)
     certified = all(
         value <= _CERT_RTOL * (1.0 + (abs(objective) if name == "gap" else data_scale))
         for name, value in residuals.items()
@@ -489,6 +348,39 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     return LpSolution(
         status=OPTIMAL if certified else NUMERICAL, x=x, objective=objective,
-        eq_duals=eq_duals, ge_duals=ge_duals,
+        eq_duals=eq_duals, ge_duals=ge_duals, reduced_costs=d,
         degenerate=degenerate, iterations=total_iters, residuals=residuals,
     )
+
+
+def _worst(*arrays) -> float:
+    """The largest entry of any of ``arrays``, or 0 when none is positive."""
+    return float(max(0.0, *(np.max(v, initial=0.0) for v in arrays)))
+
+
+def _residuals(problem: LpProblem, x, eq_duals, ge_duals, d, objective) -> dict:
+    """The optimality certificate of ``x`` with row duals ``eq_duals`` and
+    ``ge_duals`` and bound duals ``d`` over every stated row, range and bound.
+    A positive dual prices a lower side (of a row or a bound) and a negative
+    one an upper side, which must then be finite: on a one-sided row that is
+    the dual sign, on a variable stationarity."""
+    lower, upper, range_ge = problem.lower, problem.upper, problem.range_ge
+    has_lower, has_upper, ranged = lower > -np.inf, upper < np.inf, range_ge < np.inf
+    slack = problem.a_ge @ x - problem.b_ge
+    room = np.where(ranged, range_ge - slack, 0.0)      # a ranged row's slack below its upper side
+    over, under = np.where(has_lower, x - lower, 0.0), np.where(has_upper, upper - x, 0.0)
+    y_low, y_up = np.maximum(ge_duals, 0.0), np.minimum(ge_duals, 0.0)
+    d_low, d_up = np.maximum(d, 0.0), np.minimum(d, 0.0)
+    dual_objective = (problem.b_eq @ eq_duals + problem.b_ge @ ge_duals
+                      + np.where(ranged, range_ge, 0.0) @ y_up
+                      + np.where(has_lower, lower, 0.0) @ d_low + np.where(has_upper, upper, 0.0) @ d_up)
+    return {
+        "primal_eq": _worst(np.abs(problem.a_eq @ x - problem.b_eq)),
+        "primal_ge": _worst(-slack, -room),
+        "primal_bounds": _worst(-over, -under),
+        "stationarity": _worst(d_low[~has_lower], -d_up[~has_upper]),
+        "complementarity": _worst(np.abs(y_low * slack), np.abs(y_up * room),
+                                  np.abs(d_low * over), np.abs(d_up * under)),
+        "dual_sign": _worst(-ge_duals[~ranged]),
+        "gap": float(abs(objective - dual_objective)),
+    }

@@ -60,17 +60,33 @@ def _candidate_vertices(a_eq, b_eq, a_ge, b_ge, box):
     return x[feas]
 
 
-def brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, box=BOX):
+def expand_rows(nv, a_ge, b_ge, lower=None, upper=None, range_ge=None):
+    """``a_ge`` and ``b_ge`` with each stated range and finite bound written
+    as ``>=`` rows after them: every ranged row's upper side
+    ``-a x >= -(b + range)``, then ``x_j >= lower_j``, then ``-x_j >= -upper_j``."""
+    a_ge = np.asarray(a_ge, float).reshape(-1, nv)
+    b_ge = np.asarray(b_ge, float).reshape(-1)
+    lower = np.full(nv, -np.inf) if lower is None else np.asarray(lower, float)
+    upper = np.full(nv, np.inf) if upper is None else np.asarray(upper, float)
+    range_ge = np.full(b_ge.size, np.inf) if range_ge is None else np.asarray(range_ge, float)
+    ranged, low, up = np.isfinite(range_ge), np.isfinite(lower), np.isfinite(upper)
+    eye = np.eye(nv)
+    rows = np.vstack([a_ge, -a_ge[ranged], eye[low], -eye[up]])
+    rhs = np.concatenate([b_ge, -(b_ge + range_ge)[ranged], lower[low], -upper[up]])
+    return rows, rhs
+
+
+def brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, box=BOX, lower=None, upper=None, range_ge=None):
     """Classify and solve a small LP by exhaustive vertex enumeration.
 
+    Stated bounds and ranges are written as rows first (``expand_rows``).
     Returns (status, value, x) with value/x None unless optimal. Raises if the
     boxed optimum touches the artificial box (instance out of oracle range).
     """
     c = np.asarray(c, float)
     a_eq = np.asarray(a_eq, float).reshape(-1, c.size)
-    a_ge = np.asarray(a_ge, float).reshape(-1, c.size)
     b_eq = np.asarray(b_eq, float).reshape(-1)
-    b_ge = np.asarray(b_ge, float).reshape(-1)
+    a_ge, b_ge = expand_rows(c.size, a_ge, b_ge, lower, upper, range_ge)
 
     verts = _candidate_vertices(a_eq, b_eq, a_ge, b_ge, box)
     if verts.shape[0] == 0:
@@ -114,6 +130,69 @@ def kkt_duals(c, a_eq, b_eq, a_ge, b_ge, x, active_tol=1e-6):
     ge_duals = np.zeros(a_ge.shape[0])
     ge_duals[active] = mult[a_eq.shape[0]:]
     return eq_duals, ge_duals, resid
+
+
+def stated_form(c, a_eq, b_eq, a_ge, b_ge):
+    """The same LP with bounds and ranges stated rather than written as rows.
+
+    Per variable, the first ``>=`` singleton row that bounds it from below and
+    the first that bounds it from above become its ``lower`` and ``upper``,
+    unless the bound would cross the other one; then, among the rows left,
+    each row and the first later row that is its exact negative become one
+    ranged row, unless the pair leaves no point. Every other row stays.
+
+    Returns the LpProblem fields and, per row of ``a_ge``, where it went:
+    ``("row", k)`` (row ``k``, its lower side when ranged), ``("range", k)``
+    (the upper side of row ``k``), ``("lower", j, a)`` or ``("upper", j, a)``
+    (the bound on ``x_j`` of a row with coefficient ``a``)."""
+    c = np.asarray(c, float)
+    a_ge = np.asarray(a_ge, float).reshape(-1, c.size)
+    b_ge = np.asarray(b_ge, float).reshape(-1)
+    lower, upper = np.full(c.size, -np.inf), np.full(c.size, np.inf)
+    where, kept = [None] * b_ge.size, []
+    for i, row in enumerate(a_ge):
+        (nz,) = np.nonzero(row)
+        if nz.size == 1:
+            j, a = int(nz[0]), float(row[nz[0]])
+            value = b_ge[i] / a
+            if a > 0 and lower[j] == -np.inf and value <= upper[j]:
+                lower[j], where[i] = value, ("lower", j, a)
+                continue
+            if a < 0 and upper[j] == np.inf and value >= lower[j]:
+                upper[j], where[i] = value, ("upper", j, a)
+                continue
+        kept.append(i)
+    rows, rhs, ranges = [], [], []
+    for pos, i in enumerate(kept):
+        if where[i] is not None:
+            continue
+        where[i] = ("row", len(rows))
+        mate = next((k for k in kept[pos + 1:] if where[k] is None and np.array_equal(a_ge[k], -a_ge[i])
+                     and b_ge[i] + b_ge[k] <= 0.0), None)
+        if mate is not None:
+            where[mate] = ("range", len(rows))
+        rows.append(a_ge[i])
+        rhs.append(b_ge[i])
+        ranges.append(np.inf if mate is None else -(b_ge[i] + b_ge[mate]))
+    fields = dict(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=np.array(rows).reshape(-1, c.size), b_ge=np.array(rhs),
+                  lower=lower, upper=upper, range_ge=np.array(ranges))
+    return fields, where
+
+
+def row_duals(where, range_ge, ge_duals, reduced_costs):
+    """The duals of the rows ``stated_form`` read, from a solution of its
+    stated LP: a ranged row's signed dual split over its two sides, and a
+    bound's reduced cost divided by the coefficient of the row it came from."""
+    out = []
+    for kind, k, *coef in where:
+        if kind == "row":
+            out.append(max(ge_duals[k], 0.0) if np.isfinite(range_ge[k]) else ge_duals[k])
+        elif kind == "range":
+            out.append(-min(ge_duals[k], 0.0))
+        else:
+            d = reduced_costs[k]
+            out.append((max(d, 0.0) if kind == "lower" else min(d, 0.0)) / coef[0])
+    return np.array(out)
 
 
 def nodal_voltages_pinv(n_nodes, lines, sources, ground):

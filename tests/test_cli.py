@@ -361,14 +361,17 @@ def _assert_numerical(capsys, net, message):
 
 def _with_phase1(monkeypatch):
     # the OPF's merit-order start is dual feasible, so no OPF runs a dual phase 1;
-    # one extra variable z <= 1 with cost -1 and no lower bound makes it run first
+    # one extra free variable z with cost -1 and the row z <= 1 makes it run
+    # first (stated as a bound, z <= 1 would start z there, dual feasible)
     solve = lp.solve_lp
 
     def solve_with_z(problem):
         col = lambda a: np.hstack([a, np.zeros((a.shape[0], 1))])
         z_row = np.eye(1, problem.n_vars + 1, problem.n_vars) * -1.0
         return solve(lp.LpProblem(c=np.append(problem.c, -1.0), a_eq=col(problem.a_eq), b_eq=problem.b_eq,
-                                  a_ge=np.vstack([col(problem.a_ge), z_row]), b_ge=np.append(problem.b_ge, -1.0)))
+                                  a_ge=np.vstack([col(problem.a_ge), z_row]), b_ge=np.append(problem.b_ge, -1.0),
+                                  lower=np.append(problem.lower, -np.inf), upper=np.append(problem.upper, np.inf),
+                                  range_ge=np.append(problem.range_ge, np.inf)))
 
     monkeypatch.setattr(lp, "solve_lp", solve_with_z)
 

@@ -9,7 +9,7 @@ from lmpcirc.dcopf import opf_lp_problem
 import oracles
 
 
-def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None):
+def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None, **stated):
     nv = len(c)
     return LpProblem(
         c=np.asarray(c, float),
@@ -17,7 +17,11 @@ def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None):
         b_eq=np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
         a_ge=np.zeros((0, nv)) if a_ge is None else np.asarray(a_ge, float),
         b_ge=np.zeros(0) if b_ge is None else np.asarray(b_ge, float),
+        **stated,
     )
+
+
+INF = np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +61,33 @@ def test_empty_row_presolve():
     assert sol.status == INFEASIBLE
 
 
+@pytest.mark.parametrize("stated, message", [
+    (dict(lower=[1.0, 0.0], upper=[0.0, 1.0]), "lower <= upper"),
+    (dict(lower=[INF, 0.0]), "lower < inf"),
+    (dict(upper=[1.0, -INF]), "upper > -inf"),
+    (dict(lower=[np.nan, 0.0]), "lower <= upper"),
+    (dict(upper=[1.0, np.nan]), "lower <= upper"),
+    (dict(range_ge=[-1.0]), "nonnegative"),
+    (dict(range_ge=[np.nan]), "nonnegative"),
+    (dict(lower=[0.0, 0.0, 0.0]), "dimensions"),
+    (dict(upper=[1.0]), "dimensions"),
+    (dict(range_ge=[1.0, 1.0]), "dimensions"),
+], ids=["lower-above-upper", "lower-plus-inf", "upper-minus-inf", "lower-nan", "upper-nan",
+        "negative-range", "nan-range", "lower-length", "upper-length", "range-length"])
+def test_stated_bounds_and_ranges_are_validated(stated, message):
+    with pytest.raises(ValueError, match=message):
+        _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], **stated)
+
+
+def test_stated_bounds_and_ranges_default_to_free_and_one_sided():
+    prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0])
+    assert list(prob.lower) == [-INF, -INF] and list(prob.upper) == [INF, INF] and list(prob.range_ge) == [INF]
+    # infinite bounds may be stated, and equal bounds and an empty range are allowed
+    prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[-INF, 2.0], upper=[INF, 2.0], range_ge=[0.0])
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([-2.0, 2.0]) and sol.ge_duals == pytest.approx([1.0])
+
+
 def test_singular_final_basis_raises(monkeypatch):
     # no least-squares stand-in: a basis that cannot be factored is a numerical failure
     def singular(a):
@@ -68,8 +99,7 @@ def test_singular_final_basis_raises(monkeypatch):
 
 
 def test_uncertified_vertex_is_numerical(monkeypatch):
-    # a factored vertex whose residuals fail the certificate is never labelled optimal;
-    # the two-variable row keeps a basis to factor once y >= 0 is presolved away
+    # a factored vertex whose residuals fail the certificate is never labelled optimal
     refined = lp._refined_solve
     monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda *args: refined(*args) + 1e-3)
     sol = solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
@@ -77,39 +107,66 @@ def test_uncertified_vertex_is_numerical(monkeypatch):
     assert sol.residuals["stationarity"] > 1e-7
 
 
+def test_certificate_checks_rows_ranges_and_bounds():
+    # min x + 2y with x + y = 2, 0 <= x - y <= 2 (a ranged row), x >= -10 (a
+    # one-sided row), x in [0, 4] and y >= 0: the optimum x = 2, y = 0 has
+    # every residual 0, and each violation below shows in its own residual
+    prob = _lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], a_ge=[[1.0, -1.0], [1.0, 0.0]], b_ge=[0.0, -10.0],
+               range_ge=[2.0, INF], lower=[0.0, 0.0], upper=[4.0, INF])
+    sol = solve_lp(prob)
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([2.0, 0.0])
+    assert sol.ge_duals == pytest.approx([0.0, 0.0]) and sol.reduced_costs == pytest.approx([0.0, 1.0])
+    assert all(value == 0.0 for value in sol.residuals.values())
+    x, eq, ge, d, obj = sol.x, sol.eq_duals, sol.ge_duals, sol.reduced_costs, sol.objective
+    for name, args, value in (
+        ("primal_bounds", ([2.0, -0.5], eq, ge, d, obj), 0.5),                   # below y's lower bound
+        ("primal_ge", ([2.5, 0.0], eq, ge, d, obj), 0.5),                        # above the row's range
+        ("stationarity", (x, eq, ge, np.array([0.0, -1.0]), obj), 1.0),        # y has no upper bound to price
+        ("complementarity", (x, eq, np.array([0.0, 1.0]), d, obj), 12.0),      # a loose row priced
+        ("complementarity", (x, eq, np.array([1.0, 0.0]), d, obj), 2.0),       # the range's loose lower side
+        ("complementarity", (x, eq, ge, np.array([1.0, 1.0]), obj), 2.0),      # x off its lower bound priced
+        ("dual_sign", (x, eq, np.array([0.0, -1.0]), d, obj), 1.0),            # a one-sided row priced below
+        ("gap", (x, eq, ge, d, obj + 1.0), 1.0),
+    ):
+        residuals = lp._residuals(prob, np.asarray(args[0]), *args[1:])
+        assert residuals[name] == pytest.approx(value), name
+
+
 def test_tableau_has_one_logical_per_row(monkeypatch, fig1_net):
-    # every kernel call sees the kept x' and v columns, one logical per kept
-    # row and the rhs; the logicals start as the identity, so they are the
-    # starting basis and carry B^-1
+    # every kernel call sees an x' column per variable with unequal bounds, a
+    # v column per free one, one logical per row and the rhs; the logicals
+    # start as the identity, so they are the starting basis and carry B^-1
+    problems = _lp_problems(monkeypatch)
+    solve_opf(fig1_net)
     seen = _kernel_tableaus(monkeypatch)
     c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
-    for prob in (opf_lp_problem(assemble_lp(fig1_net), ref_bus=0), _lp(c, a_eq, b_eq, a_ge, b_ge)):
+    # bounded below only, free, boxed, above only, fixed, above only, free
+    bounds = dict(lower=[0.0, -INF, 10.0, -INF, 6.5, -INF, -INF], upper=[INF, INF, 20.0, 6.0, 6.5, 0.0, INF])
+    for prob in (problems[0], _lp(c, a_eq, b_eq, a_ge, b_ge), _lp(c, a_eq, b_eq, a_ge, b_ge, **bounds)):
         assert prob.a_eq.shape[0] > 0
-        pre = lp._presolve(prob)
-        me, mg = pre.eq_keep.size, pre.ge_keep.size
-        n_var = np.count_nonzero(~pre.fixed) + np.count_nonzero(~pre.fixed & ~pre.absorbed)
+        free = (prob.lower == -INF) & (prob.upper == INF)
+        n_var = np.count_nonzero(prob.lower < prob.upper) + np.count_nonzero(free)
         seen.clear()
         assert solve_lp(prob).status == OPTIMAL
-        rows = me + mg
+        rows = prob.a_eq.shape[0] + prob.a_ge.shape[0]
         assert all(t.shape == (rows + 1, n_var + rows + 1) for t, _ in seen)
         assert np.array_equal(seen[0][0][:rows, -rows - 1:-1], np.eye(rows))
 
 
-def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net):
-    # fig1's injection-form LP has 6 variables (the injector slots) and 15 rows:
-    # the system-balance row, 12 injector bound rows and 2 flow-limit rows.
-    # Equal bounds fix the 3 absent load slots at 0, the 3 generators' p_min
-    # rows become lower bounds and their p_max rows upper bounds on the
-    # columns, and the two opposite flow-limit rows become one ranged row
+def test_opf_states_injector_limits_as_bounds(monkeypatch, fig1_net):
+    # fig1's injection-form LP has 6 variables (the injector slots), the
+    # system-balance row and one ranged row for its one limited line, and
+    # states the injector limits as bounds. The 3 absent load slots have equal
+    # bounds and no column; the generators' columns are boxed by p_max
     seen = _kernel_tableaus(monkeypatch)
     problems = _lp_problems(monkeypatch)
     solve_opf(fig1_net)
     (prob,), ((tableau, upper),) = problems, seen
-    assert (prob.a_eq.shape[0] + prob.a_ge.shape[0], prob.n_vars) == (15, 6)
-    # rows: 1 system-balance row, 1 ranged flow-limit row
-    assert tableau.shape[0] - 1 == 2
-    # columns: 3 generators, 2 logicals
-    assert tableau.shape[1] - 1 == 5
+    assert (prob.a_eq.shape[0], prob.a_ge.shape[0], prob.n_vars) == (1, 1, 6)
+    assert np.all(np.isfinite(prob.lower)) and np.all(np.isfinite(prob.upper)) and np.isfinite(prob.range_ge[0])
+    # rows: 1 system-balance row, 1 ranged flow-limit row; columns: 3
+    # generators, 2 logicals
+    assert tableau.shape == (3, 6)
     # every constraint row holds a generator column
     assert np.count_nonzero(tableau[:2, :3], axis=1).min() >= 1
     # generators up to p_max = 200, the balance row's logical fixed at 0, the
@@ -117,13 +174,16 @@ def test_presolve_leaves_no_singleton_row_or_fixed_column(monkeypatch, fig1_net)
     assert upper == pytest.approx([200.0, 200.0, 200.0, 0.0, 40.0])
 
 
-def _kernel_tableaus(monkeypatch):
-    """Record a copy of the tableau and bounds every kernel call starts from."""
+def _kernel_tableaus(monkeypatch, bases=None):
+    """Record a copy of the tableau and bounds every kernel call starts from,
+    and each call's basis array, which the kernel leaves final, in ``bases``."""
     seen = []
     run = kernels.run_simplex
 
     def spy(tableau, basis, upper):
         seen.append((tableau.copy(), upper.copy()))
+        if bases is not None:
+            bases.append(basis)
         return run(tableau, basis, upper)
 
     monkeypatch.setattr(kernels, "run_simplex", spy)
@@ -138,15 +198,25 @@ def _lp_problems(monkeypatch):
     return problems
 
 
+def _expanded_duals(prob, sol):
+    """``sol``'s duals on the rows ``oracles.expand_rows`` writes for ``prob``."""
+    y, d = sol.ge_duals, sol.reduced_costs
+    ranged = np.isfinite(prob.range_ge)
+    return np.concatenate([np.where(ranged, np.maximum(y, 0.0), y), -np.minimum(y, 0.0)[ranged],
+                           np.maximum(d, 0.0)[np.isfinite(prob.lower)], -np.minimum(d, 0.0)[np.isfinite(prob.upper)]])
+
+
 def _assert_matches_oracle(prob, sol):
-    status, value, x = oracles.brute_force_lp(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge)
+    stated = dict(lower=prob.lower, upper=prob.upper, range_ge=prob.range_ge)
+    status, value, x = oracles.brute_force_lp(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge, **stated)
     assert status == sol.status == OPTIMAL
     assert sol.objective == pytest.approx(value, abs=1e-9)
     assert sol.x == pytest.approx(x, abs=1e-9)
-    eq_duals, ge_duals, resid = oracles.kkt_duals(prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge, x)
+    a_ge, b_ge = oracles.expand_rows(prob.n_vars, prob.a_ge, prob.b_ge, **stated)
+    eq_duals, ge_duals, resid = oracles.kkt_duals(prob.c, prob.a_eq, prob.b_eq, a_ge, b_ge, x)
     assert resid < 1e-9
     assert sol.eq_duals == pytest.approx(eq_duals, abs=1e-9)
-    assert sol.ge_duals == pytest.approx(ge_duals, abs=1e-9)
+    assert _expanded_duals(prob, sol) == pytest.approx(ge_duals, abs=1e-9)
 
 
 def test_free_variables_on_equality_rows_are_split(monkeypatch):
@@ -157,11 +227,11 @@ def test_free_variables_on_equality_rows_are_split(monkeypatch):
     # variables are negative: x = -1, z = -3
     seen = _kernel_tableaus(monkeypatch)
     prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
-               a_ge=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], b_ge=[0.0, -5.0])
+               lower=[-INF, -INF, 0.0], upper=[INF, INF, 5.0])
     sol = solve_lp(prob)
     assert [t.shape for t, _ in seen] == [(3, 8)] * 2
     assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
-    assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.ge_duals == pytest.approx([0.0, 1.5])
+    assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.reduced_costs == pytest.approx([0.0, 0.0, -1.5])
     _assert_matches_oracle(prob, sol)
 
 
@@ -172,12 +242,11 @@ def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
     # upper bound, so a dual phase 1 runs first. At the optimum x = -1 < 0
     seen = _kernel_tableaus(monkeypatch)
     prob = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
-               a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-               b_ge=[-1.0, -3.0, 0.0, 0.0])
+               a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], b_ge=[-1.0, -3.0], lower=[-INF, 0.0, 0.0])
     sol = solve_lp(prob)
     assert len(seen) == 2 and all(t.shape == (4, 8) for t, _ in seen)
     assert sol.x == pytest.approx([-1.0, 0.0, 4.0])
-    assert sol.ge_duals == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert sol.ge_duals == pytest.approx([1.0, 0.0]) and sol.reduced_costs == pytest.approx([0.0, 1.0, 0.0])
     _assert_matches_oracle(prob, sol)
 
 
@@ -195,13 +264,14 @@ def test_free_variables_on_surplus_equality_rows():
 
 
 def test_opf_tableau_holds_no_angle_column(monkeypatch):
-    # the OPF is solved in the injections alone, and the injector bounds are
+    # the OPF is solved in the injections alone, and the injector limits are
     # column bounds: on perfbench's opf_grid networks the kernel sees the
     # system-balance row and one ranged row per limited line, over the
     # injector columns and one logical per row, in one call. A line whose
-    # flow rows hold no movable injector (a bridge to buses with fixed demand
-    # alone) leaves them empty, and the presolve drops them
-    seen = _kernel_tableaus(monkeypatch)
+    # flow row holds no movable injector (a bridge to buses with fixed demand
+    # alone) keeps its row, whose logical stays basic
+    bases = []
+    seen = _kernel_tableaus(monkeypatch, bases)
     problems = _lp_problems(monkeypatch)
     empty = 0
     for seed in range(17):
@@ -210,99 +280,109 @@ def test_opf_tableau_holds_no_angle_column(monkeypatch):
                  for inj in net.injectors if inj.p_min < inj.p_max]
         seen.clear()
         problems.clear()
+        bases.clear()
         solve_opf(net)
-        (prob,), ((tableau, upper),) = problems, seen
-        flow_rows = prob.a_ge[4 * net.n:, slots]
-        n_empty = int(np.all(flow_rows == 0.0, axis=1).sum()) // 2
-        empty += n_empty
-        rows = 1 + len(net.limited_lines()) - n_empty
+        (prob,), ((tableau, upper),), (basis,) = problems, seen, bases
+        empty_rows = np.flatnonzero(np.all(prob.a_ge[:, slots] == 0.0, axis=1))
+        empty += empty_rows.size
+        rows = 1 + len(net.limited_lines())
         assert tableau.shape == (rows + 1, len(slots) + rows + 1)
         assert np.all(upper[:len(slots)] != 0.0) and np.all(np.abs(upper) < np.inf)
+        # the logical of flow row k is column len(slots) + 1 + k
+        assert np.all(np.isin(len(slots) + 1 + empty_rows, basis))
     assert empty == 1
 
 
-def test_conflicting_bounds_name_both_rows(monkeypatch):
-    def no_simplex(*args):
-        raise AssertionError("the presolve alone proves these infeasible")
-
-    monkeypatch.setattr(kernels, "run_simplex", no_simplex)
-    # x >= 3 (row 1) above x <= 2 (row 2); each row carries its violation where
-    # the other bound holds
+def test_conflicting_bounds_name_both_rows():
+    # x >= 3 (row 1) above x <= 2 (row 2): the Farkas ray names both rows,
+    # each with the shortfall 1
     sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], b_ge=[0.0, 3.0, -2.0]))
-    assert sol.status == INFEASIBLE and sol.iterations == 0
+    assert sol.status == INFEASIBLE
     assert sol.infeasible_rows == (("ge", 1, 1.0), ("ge", 2, 1.0))
-    # a fixed variable's other rows become empty and face the empty-row check
+    # stated as a bound, x <= 2 leaves row 1 alone to name
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0]], b_ge=[0.0, 3.0], upper=[2.0, INF]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 1, 1.0),)
+    # 2x = 4 against x >= 3 names both rows; x fixed at 2 by equal bounds has no
+    # column, so its row is empty and names itself
     sol = solve_lp(_lp([1.0], a_eq=[[2.0]], b_eq=[4.0], a_ge=[[1.0]], b_ge=[3.0]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("eq", 0, 1.0), ("ge", 0, 1.0))
+    sol = solve_lp(_lp([1.0], a_ge=[[1.0]], b_ge=[3.0], lower=[2.0], upper=[2.0]))
     assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 0, 1.0),)
 
 
 def test_singleton_rows_price_their_variable():
-    # the tightest lower bound (x >= 3, row 1) is absorbed and prices d / a; the
-    # looser one and the upper bound stay as rows and price at zero
-    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0],
-                       a_ge=[[2.0, 0.0], [0.5, 0.0], [-1.0, 0.0]], b_ge=[2.0, 1.5, -5.0]))
+    # a singleton row is a row like any other; stated as a bound it prices
+    # its variable through the reduced cost, d_j = coefficient * row dual.
+    # The tightest lower bound (x >= 3, row 1) prices d / a; the looser one
+    # and the upper bound price at zero
+    rows = dict(a_ge=[[2.0, 0.0], [0.5, 0.0], [-1.0, 0.0]], b_ge=[2.0, 1.5, -5.0])
+    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0], **rows))
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([3.0, 7.0])
     assert sol.ge_duals == pytest.approx([0.0, 2.0, 0.0])
-    # the tightest lower bound meets the upper bound, so x is fixed without a
-    # pivot; of the two tied lower rows the first one is priced
+    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0], lower=[3.0, -INF], upper=[5.0, INF]))
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([3.0, 7.0])
+    assert sol.reduced_costs == pytest.approx([1.0, 0.0])
+    # x >= 1, x >= 3 twice and x <= 3 meet at x = 3, where the first tight
+    # lower row prices it; stated, x is fixed at 3 and prices its cost
     sol = solve_lp(_lp([1.0], a_ge=[[1.0], [1.0], [1.0], [-1.0]], b_ge=[1.0, 3.0, 3.0, -3.0]))
-    assert sol.status == OPTIMAL and sol.iterations == 0 and sol.x == pytest.approx([3.0])
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([3.0])
     assert sol.ge_duals == pytest.approx([0.0, 1.0, 0.0, 0.0])
-    # equal bounds fix x: d = c goes to the lower row when >= 0, else to the upper row
+    sol = solve_lp(_lp([1.0], lower=[3.0], upper=[3.0]))
+    assert sol.status == OPTIMAL and sol.iterations == 0 and sol.x == pytest.approx([3.0])
+    assert sol.reduced_costs == pytest.approx([1.0])
+    # equal bounds fix x: c goes to the lower row when >= 0, else to the upper row
     for cost, duals in ((3.0, [3.0, 0.0]), (-3.0, [0.0, 1.5])):
         sol = solve_lp(_lp([cost], a_ge=[[1.0], [-2.0]], b_ge=[4.0, -8.0]))
         assert sol.status == OPTIMAL and sol.x == pytest.approx([4.0])
         assert sol.ge_duals == pytest.approx(duals)
+        sol = solve_lp(_lp([cost], lower=[4.0], upper=[4.0]))
+        assert sol.status == OPTIMAL and sol.x == pytest.approx([4.0]) and sol.reduced_costs == pytest.approx([cost])
     # an equality singleton prices d / a
     sol = solve_lp(_lp([3.0, 1.0], a_eq=[[2.0, 0.0]], b_eq=[4.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[5.0, 0.0]))
     assert sol.status == OPTIMAL and sol.x == pytest.approx([2.0, 3.0])
     assert sol.eq_duals == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0, 0.0])
 
 
-def test_conflicting_pair_names_both_rows(monkeypatch):
-    def no_simplex(*args):
-        raise AssertionError("the presolve alone proves this infeasible")
-
-    monkeypatch.setattr(kernels, "run_simplex", no_simplex)
+def test_conflicting_pair_names_both_rows():
     # x + y >= 3 (row 0) and -x - y >= -2 (row 1) are exact negatives that no
-    # point meets: both rows fall short by 1 where the other one holds
+    # point meets: the Farkas ray names both, each with the shortfall 1
     sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]], b_ge=[3.0, -2.0, 0.0]))
-    assert sol.status == INFEASIBLE and sol.iterations == 0
+    assert sol.status == INFEASIBLE
     assert sol.infeasible_rows == (("ge", 0, 1.0), ("ge", 1, 1.0))
 
 
 def test_ranged_row_dual_lands_on_the_binding_side(monkeypatch):
-    # 1 <= x - y <= 3 as rows 0 (x - y >= 1) and 1 (-x + y >= -3), with x and y
-    # in [0, 10] by rows 2-5: the kernel sees one ranged row, its slack in [0, 2]
+    # 1 <= x - y <= 3 as one ranged row, its slack in [0, 2], with x and y in
+    # [0, 10] as bounds; its dual is positive when the lower side binds and
+    # negative when the upper side does
     seen = _kernel_tableaus(monkeypatch)
-    a_ge = [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-    b_ge = [1.0, -3.0, 0.0, -10.0, 0.0, -10.0]
-    # min -x + 2y pushes x - y up to 3, at x = 3, y = 0: the upper side, row 1, binds
-    prob = _lp([-1.0, 2.0], a_ge=a_ge, b_ge=b_ge)
+    stated = dict(a_ge=[[1.0, -1.0]], b_ge=[1.0], range_ge=[2.0], lower=[0.0, 0.0], upper=[10.0, 10.0])
+    # min -x + 2y pushes x - y up to 3, at x = 3, y = 0: the upper side binds
+    prob = _lp([-1.0, 2.0], **stated)
     sol = solve_lp(prob)
     assert sol.x == pytest.approx([3.0, 0.0])
-    assert sol.ge_duals == pytest.approx([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    assert sol.ge_duals == pytest.approx([-1.0]) and sol.reduced_costs == pytest.approx([0.0, 1.0])
     _assert_matches_oracle(prob, sol)
-    # min x - 2y pushes it down to 1, at x = 10, y = 9: the lower side, row 0, binds
-    prob = _lp([1.0, -2.0], a_ge=a_ge, b_ge=b_ge)
+    # min x - 2y pushes it down to 1, at x = 10, y = 9: the lower side binds
+    prob = _lp([1.0, -2.0], **stated)
     sol = solve_lp(prob)
     assert sol.x == pytest.approx([10.0, 9.0])
-    assert sol.ge_duals == pytest.approx([2.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    assert sol.ge_duals == pytest.approx([2.0]) and sol.reduced_costs == pytest.approx([-1.0, 0.0])
     _assert_matches_oracle(prob, sol)
     assert [t.shape for t, _ in seen] == [(2, 4)] * 2
     assert all(abs(u[-1]) == 2.0 for _, u in seen)
 
 
 def test_variable_at_its_upper_bound_prices_its_upper_row(monkeypatch):
-    # x in [1, 4] by rows 0 and 1 (-2x >= -8) and y >= 0 by row 2 are column
-    # bounds; the kernel keeps only x + y >= 0. min -x + y puts x at its upper
-    # bound, so row 1 prices d_x / a = -1 / -2 = 0.5 and row 0 prices nothing
+    # x in [1, 4] and y >= 0 are column bounds; the kernel sees only the row
+    # x + y >= 0. min -x + y puts x at its upper bound, so its reduced cost -1
+    # prices the upper bound: as the row -2x >= -8 that is -1 / -2 = 0.5
     seen = _kernel_tableaus(monkeypatch)
-    prob = _lp([-1.0, 1.0], a_ge=[[1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ge=[1.0, -8.0, 0.0, 0.0])
+    prob = _lp([-1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[1.0, 0.0], upper=[4.0, INF])
     sol = solve_lp(prob)
     assert sol.x == pytest.approx([4.0, 0.0])
-    assert sol.ge_duals == pytest.approx([0.0, 0.5, 1.0, 0.0])
+    assert sol.ge_duals == pytest.approx([0.0]) and sol.reduced_costs == pytest.approx([-1.0, 1.0])
     _assert_matches_oracle(prob, sol)
     # x' starts at its upper bound 3, stored flipped; y' has none
     (tableau, upper), = seen
@@ -329,12 +409,11 @@ def test_dual_phase1_failures_raise(monkeypatch):
 def test_dual_infeasible_lp_is_unbounded_or_infeasible():
     # min -x - y over x, y >= 0: the costs fall without bound, so phase 1 finds
     # no dual-feasible basis and a zero-cost solve asks whether any point exists
-    rows, costs = [[1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0]
-    sol = solve_lp(_lp(costs, a_ge=rows + [[1.0, -1.0]], b_ge=[0.0, 0.0, -1.0]))
+    sol = solve_lp(_lp([-1.0, -1.0], a_ge=[[1.0, -1.0]], b_ge=[-1.0], lower=[0.0, 0.0]))
     assert sol.status == UNBOUNDED
-    # with x + y <= -1 (row 2) there is none: row 2 falls short by 1 and proves it
-    sol = solve_lp(_lp(costs, a_ge=rows + [[-1.0, -1.0]], b_ge=[0.0, 0.0, 1.0]))
-    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 2, 1.0),)
+    # with x + y <= -1 (row 0) there is none: row 0 falls short by 1 and proves it
+    sol = solve_lp(_lp([-1.0, -1.0], a_ge=[[-1.0, -1.0]], b_ge=[1.0], lower=[0.0, 0.0]))
+    assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 0, 1.0),)
 
 
 def test_perfbench_networks_take_one_kernel_call():
@@ -449,13 +528,14 @@ def test_only_equality_and_tight_rows_are_factored(monkeypatch):
 
 
 def test_every_kept_row_loose_factors_nothing(monkeypatch):
-    # min x + y with x >= 1 and y >= 2 read as bounds; the one kept row,
-    # x + y >= 0, has slack 3, so the factored system is 0 x 0
+    # min x + y with the bounds x >= 1 and y >= 2; the one row, x + y >= 0,
+    # has slack 3, so the factored system is 0 x 0
     bases, shapes = _spy_final_solve(monkeypatch)
-    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], b_ge=[0.0, 1.0, 2.0]))
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[1.0, 2.0]))
     assert sol.status == OPTIMAL
     assert shapes == [(0, 0), (0, 0)]
-    assert sol.x == pytest.approx([1.0, 2.0]) and sol.ge_duals == pytest.approx([0.0, 1.0, 1.0])
+    assert sol.x == pytest.approx([1.0, 2.0]) and sol.ge_duals == pytest.approx([0.0])
+    assert sol.reduced_costs == pytest.approx([1.0, 1.0])
     assert sol.residuals["stationarity"] == 0.0 and not sol.degenerate
 
 
@@ -544,6 +624,7 @@ def test_matches_vertex_enumeration_oracle(monkeypatch):
     lps = [(seed, oracles.random_small_lp(seed)) for seed in range(300)]
     lps += [(f"bounded {seed}", oracles.random_bounded_lp(seed)) for seed in range(100)]
     lps += [(f"ranged {seed}", oracles.random_ranged_lp(seed)) for seed in range(100)]
+    stated = np.zeros(3, dtype=int)
     for seed, (c, a_eq, b_eq, a_ge, b_ge) in lps:
         want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge)
         sol = solve_lp(_lp(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
@@ -559,10 +640,49 @@ def test_matches_vertex_enumeration_oracle(monkeypatch):
             assert sol.residuals["complementarity"] <= 1e-8
             assert sol.residuals["gap"] <= 1e-7 * (1 + abs(sol.objective))
             assert sol.ge_duals.min(initial=0.0) >= -1e-9
+        if isinstance(seed, str):
+            stated += _assert_stated_encoding_agrees(seed, c, a_eq, b_eq, a_ge, b_ge, sol)
     # each generator must exercise every status
     assert min(statuses.values()) >= 15, statuses
     assert min(ranged.values()) >= 15, ranged
     assert sum(ok for ok, _ in phase1) >= 15 and sum(not ok for ok, _ in phase1) >= 15
+    # the stated encodings hold bounds and ranges, and many optima have unique
+    # duals to compare
+    assert np.all(stated >= [600, 80, 40]), stated
+
+
+def _assert_stated_encoding_agrees(seed, c, a_eq, b_eq, a_ge, b_ge, sol):
+    """Solve the LP once more with its singleton rows stated as bounds and its
+    opposite rows as ranges (``oracles.stated_form``): the status and the
+    objective agree with the rows' run and with the oracle, which expands the
+    bounds and ranges to rows itself. At an optimum the reduced costs and the
+    signed ranged duals, read back onto the rows, satisfy the rows' KKT
+    conditions, and equal ``kkt_duals`` wherever its multipliers are unique.
+    Returns the counts of stated bounds, ranges and unique comparisons."""
+    fields, where = oracles.stated_form(c, a_eq, b_eq, a_ge, b_ge)
+    prob = LpProblem(**fields)
+    got = solve_lp(prob)
+    want_status, want_value, _ = oracles.brute_force_lp(**fields)
+    assert got.status == want_status == sol.status, f"seed {seed}"
+    counts = np.array([np.isfinite(prob.lower).sum() + np.isfinite(prob.upper).sum(),
+                       np.isfinite(prob.range_ge).sum(), 0])
+    if got.status != OPTIMAL:
+        return counts
+    tol = 1e-6 * (1 + abs(want_value))
+    assert got.objective == pytest.approx(want_value, abs=tol) and got.objective == pytest.approx(sol.objective, abs=tol)
+    for name, value in got.residuals.items():
+        assert value <= (1e-7 * (1 + abs(got.objective)) if name == "gap" else 1e-8), (seed, name)
+    y = oracles.row_duals(where, prob.range_ge, got.ge_duals, got.reduced_costs)
+    slack = a_ge @ got.x - b_ge
+    assert np.max(np.abs(a_eq.T @ got.eq_duals + a_ge.T @ y - c)) <= 1e-8, f"seed {seed}"
+    assert y.min() >= -1e-9 and np.max(np.abs(y * slack)) <= 1e-8, f"seed {seed}"
+    eq_duals, ge_duals, resid = oracles.kkt_duals(c, a_eq, b_eq, a_ge, b_ge, got.x)
+    active = np.flatnonzero(slack <= 1e-6 * (1.0 + np.abs(b_ge)))
+    stacked = np.vstack([a_eq, a_ge[active]]).T
+    if resid < 1e-9 and np.linalg.matrix_rank(stacked) == stacked.shape[1]:
+        assert got.eq_duals == pytest.approx(eq_duals, abs=1e-8) and y == pytest.approx(ge_duals, abs=1e-8), seed
+        counts[2] = 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
