@@ -1,9 +1,6 @@
 """The simplex pivot kernel: a bounded-variable dual simplex on a dense numpy
 tableau.
 
-``lp`` calls ``run_simplex`` and ``_pivot`` through this module, so a caller
-can swap or wrap either here.
-
 Tableau layout: rows 0..m-1 are constraints, the last row is the reduced-cost
 row; the last column is the right-hand side, with tableau[-1, -1] holding the
 negated objective. ``basis[i]`` is the column basic in row i. Column j lies in
@@ -20,24 +17,25 @@ flipped or not.
 Dual simplex (Lemke 1954; Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, 1997, §4.5) with the bound-flipping ratio test (Maros,
 *Computational Techniques of the Simplex Method*, 2003, §10; Koberstein &
-Suhl, *Comput. Optim. Appl.* 37, 2007). The start must be dual feasible: no
-nonbasic column that can move has a negative reduced cost. Each iteration
-takes the basic variable furthest outside its bounds, lowest row on ties,
-out to the bound it violates. The ratio test passes the breakpoints
-``d_j / |alpha_j|`` in ratio order, lowest column on ties: while the slope of
-the dual objective, the violation the row has left, stays above
+Suhl, *Comput. Optim. Appl.* 37, 2007). The start is part of the method:
+before its first iteration ``run_simplex`` puts every nonbasic column with a
+finite positive upper bound and a reduced cost below ``-TOL_DUAL`` at that
+bound. From the basis of all logicals on the OPF, where every column is
+boxed, that is the merit-order dispatch. At a basis that is already optimal
+it moves nothing, since a reduced cost that rounding has left just below 0 is
+not below ``-TOL_DUAL``. The start must then be dual feasible: no nonbasic
+column that can move has a reduced cost below ``-TOL_DUAL``.
+
+Each iteration takes the basic variable furthest outside its bounds, lowest
+row on ties, out to the bound it violates. The ratio test passes the
+breakpoints ``d_j / |alpha_j|`` in ratio order, lowest column on ties: while
+the slope of the dual objective, the violation the row has left, stays above
 ``TOL_PRIMAL`` past a boxed candidate, that candidate is flipped to its other
 bound instead of entering. A row that no candidate can repair proves the LP
 infeasible: its row of ``B^-1`` is a Farkas ray.
 
-A pivot eliminates only the block where both the pivot column and the pivot
-row are nonzero, computing each of those entries as ``t - f * p`` exactly as
-the dense rank-1 update does. Every skipped entry would have had
-``f * p == ±0`` subtracted from it, which leaves a nonzero entry unchanged and
-at most flips the sign of a zero. Nothing downstream can tell ``-0.0`` from
-``0.0``: every comparison, argmin, argmax and ratio treats them alike, and no
-tableau entry that may be zero is ever a divisor. So the pivot choices, the
-iteration counts and every nonzero entry are those of the dense update.
+A pivot is the dense rank-1 Gauss-Jordan update of every row, cost row
+included, applied one block of rows at a time.
 """
 
 import numpy as np
@@ -50,25 +48,24 @@ STATUS_ITER_LIMIT = 2
 
 TOL_PRIMAL = 1e-9      # a basic value further than this outside its bounds leaves
 TOL_PIVOT = 1e-9       # smallest row entry the ratio test accepts
+TOL_DUAL = 1e-9        # a reduced cost below -this is dual infeasible at the column's lower bound
 STALL_LIMIT = 60       # pivots without progress before lowest-index rules
+# rows per block of the pivot's update: the update's temporary then stays a
+# small slice of the tableau instead of a second copy of it
+_BLOCK_ROWS = 256
 
 
 def _pivot(tableau, pr, pc):
     """Gauss-Jordan pivot on (pr, pc) in place: the pivot row is scaled to a
-    unit pivot and eliminated from every other row, cost row included.
-
-    The tableau must be C-contiguous: the block update writes through a flat
-    view, which for any other layout would be a copy that is silently lost."""
-    if not tableau.flags.c_contiguous:
-        raise ValueError("simplex tableau must be C-contiguous")
-    ncols = tableau.shape[1]
-    tableau[pr, :] /= tableau[pr, pc]
-    rows = np.flatnonzero(tableau[:, pc])
-    rows = rows[rows != pr]
-    cols = np.flatnonzero(tableau[pr])
-    idx = rows[:, None] * ncols + cols
-    flat = tableau.reshape(-1)
-    flat[idx] -= tableau[rows, pc][:, None] * tableau[pr, cols]
+    unit pivot and eliminated from every other row, cost row included."""
+    tableau[pr] /= tableau[pr, pc]
+    # the pivot row's own update turns a -0.0 in it into 0.0, so the blocks
+    # after it read a copy, as a one-shot update over every row would
+    row, factors = tableau[pr].copy(), tableau[:, pc].copy()
+    factors[pr] = 0.0
+    for start in range(0, tableau.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        tableau[block] -= factors[block, None] * row
     tableau[:, pc] = 0.0
     tableau[pr, pc] = 1.0
 
@@ -103,7 +100,9 @@ def infeasible_row(tableau, basis, upper):
 
 
 def run_simplex(tableau, basis, upper):
-    """Pivot a dual-feasible tableau to optimality in place.
+    """Put each nonbasic column with a finite positive upper bound and a
+    reduced cost below ``-TOL_DUAL`` at that bound, then pivot the tableau,
+    which must now be dual feasible, to optimality in place.
 
     The leaving row is the largest bound violation, lowest row on ties; after
     ``STALL_LIMIT`` pivots without dual-objective progress the rules switch
@@ -112,12 +111,14 @@ def run_simplex(tableau, basis, upper):
     pivots. Returns (status, iterations).
     """
     m, n = tableau.shape[0] - 1, tableau.shape[1] - 1
-    if not m:
-        return STATUS_OPTIMAL, 0
-    max_iter = 200 + 40 * (m + n)
     bound = np.abs(upper)
     movable = bound > 0.0    # a fixed column never enters
     movable[basis] = False
+    pushed_up = movable & (tableau[-1, :n] < -TOL_DUAL) & (upper > 0.0) & (upper < np.inf)
+    flip(tableau, np.flatnonzero(pushed_up), upper)
+    if not m:
+        return STATUS_OPTIMAL, 0
+    max_iter = 200 + 40 * (m + n)
     bland = False
     stall = 0
     last_obj = tableau[-1, -1]

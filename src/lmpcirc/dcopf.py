@@ -253,17 +253,21 @@ def _zones(net: Network) -> list[int]:
 
 
 def _infeasibility_details(net: Network, opf: OpfLp, sol: lp.LpSolution):
-    total_cap = sum(i.p_max for i in net.injectors if i.kind == KIND_GENERATOR)
+    gens = [i for i in net.injectors if i.kind == KIND_GENERATOR]
+    loads = [i for i in net.injectors if i.kind != KIND_GENERATOR]
+    total_cap = sum(i.p_max for i in gens)
     total_demand = float(net.fixed_demand.sum())
+    # the balance needs generation minus load equal to the fixed demand
+    min_load, max_load = sum(i.p_min for i in loads), sum(i.p_max for i in loads)
+    must_run = sum(i.p_min for i in gens)
     # each flow row the Farkas ray names is a limited line; a zone at one of
     # its ends whose fixed demand exceeds its generation capacity is short
     named = {opf.limited_lines[i] for kind, i, _ in sol.infeasible_rows if kind == "ge"}
     zone = _zones(net)
     demand, capacity = np.zeros(net.n), np.zeros(net.n)
     np.add.at(demand, zone, net.fixed_demand)
-    for inj in net.injectors:
-        if inj.kind == KIND_GENERATOR:
-            capacity[zone[inj.bus]] += inj.p_max
+    for inj in gens:
+        capacity[zone[inj.bus]] += inj.p_max
     short = {z for k in named for z in (zone[net.lines[k].from_bus], zone[net.lines[k].to_bus])
              if demand[z] > capacity[z]}
     deficit_buses = [bus for bus in range(net.n) if zone[bus] in short]
@@ -278,9 +282,12 @@ def _infeasibility_details(net: Network, opf: OpfLp, sol: lp.LpSolution):
         "deficit_buses": deficit_buses,
         "cut_lines": cut_lines,
     }
-    if total_cap < total_demand:
+    if total_cap < total_demand + min_load:
         msg = (f"infeasible: total generation capacity {total_cap:g} MW cannot cover "
-               f"fixed demand {total_demand:g} MW")
+               f"fixed demand {total_demand:g} MW" + (f" plus minimum load {min_load:g} MW" if min_load else ""))
+    elif must_run > total_demand + max_load:
+        msg = (f"infeasible: must-run generation {must_run:g} MW exceeds "
+               f"fixed demand {total_demand:g} MW" + (f" plus maximum load {max_load:g} MW" if max_load else ""))
     elif deficit_buses:
         msg = (f"infeasible: demand at bus(es) {deficit_buses} cannot be served; "
                f"limited boundary lines: {[(c['from'], c['to']) for c in cut_lines]}")

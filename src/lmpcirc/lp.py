@@ -17,19 +17,22 @@ Every row gets a logical column, ``a x - s = b``: ``s`` lies in ``[0, 0]`` on
 an equality row and in ``[0, range]`` on a ``>=`` row. A row or a bound is
 written once as what it is, so nothing is read back out of the rows.
 
-The rest is the bounded dual simplex of ``_kernels``. It starts from the
-basis of all logicals, with each column whose reduced cost is negative at its
-upper bound; on the OPF, where every column is boxed, that is the merit-order
-dispatch and the start is dual feasible. A column with a negative cost and no
-upper bound makes the start dual infeasible. Then a dual phase 1 solves
-Fourer's auxiliary problem through the same kernel (Koberstein & Suhl,
+The rest is the bounded dual simplex of ``_kernels``, which makes its own
+start: it puts each nonbasic column whose reduced cost is below
+``-_kernels.TOL_DUAL`` at its finite upper bound, so every call here hands it
+the tableau as built. From
+the basis of all logicals on the OPF, where every column is boxed, that start
+is the merit-order dispatch and it is dual feasible. A column with a negative
+cost and no upper bound makes the start dual infeasible. Then a dual phase 1
+solves Fourer's auxiliary problem through the same kernel (Koberstein & Suhl,
 *Comput. Optim. Appl.* 37, 2007, §3): the original costs, a zero rhs, every
 column with no upper bound boxed in ``[0, 1]`` and every other column fixed
-at 0. An optimum of 0 leaves a dual-feasible basis for phase 2; a negative
-one proves the dual infeasible, and one more kernel call with zero costs
-tells an unbounded LP from an infeasible one. An infeasible LP names, in
-``infeasible_rows``, the rows in the support of the row of ``B^-1`` that
-proves it (a Farkas ray), with the shortfall that row cannot close.
+at 0. An optimum of 0 leaves a basis for phase 2 that is dual feasible once
+the kernel has made its start; a negative one proves the dual infeasible, and
+one more kernel call with zero costs tells an unbounded LP from an infeasible
+one. An infeasible LP names, in ``infeasible_rows``, the rows in the support
+of the row of ``B^-1`` that proves it (a Farkas ray), with the shortfall that
+row cannot close.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
@@ -63,7 +66,6 @@ NUMERICAL = "numerical"
 
 _DEGENERACY_EPS = 1e-9
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
-_TOL_DUAL = 1e-9        # a reduced cost below -this on a column with no upper bound is dual infeasible
 
 
 def _stated(value, size: int, default: float) -> np.ndarray:
@@ -210,12 +212,6 @@ def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis
     return x_std, y_rows
 
 
-def _start(tableau: np.ndarray, upper: np.ndarray) -> None:
-    """Put each column whose reduced cost is negative at its finite upper bound."""
-    cost = tableau[-1, :-1]
-    _kernels.flip(tableau, np.flatnonzero((cost < 0.0) & (upper > 0.0) & (upper < np.inf)), upper)
-
-
 def _run(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray, phase: int) -> tuple[int, int]:
     status, iters = _kernels.run_simplex(tableau, basis, upper)
     if status == _kernels.STATUS_ITER_LIMIT:
@@ -229,20 +225,19 @@ def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> t
     whether its optimum is 0 and the pivots taken. When it is, the tableau
     is left at the auxiliary's final basis with the rhs of the original
     problem and every column back at its lower bound, dual feasible but for
-    the columns ``_start`` puts at their upper bound."""
+    the columns the kernel's start puts at their upper bound."""
     mk = basis.size
     logicals = slice(tableau.shape[1] - 1 - mk, tableau.shape[1] - 1)
     rhs = tableau[:, -1].copy()
     scale = 1.0 + float(np.max(np.abs(tableau[-1, :-1])))
     tableau[:, -1] = 0.0
     aux = np.where(upper == np.inf, 1.0, 0.0)
-    _start(tableau, aux)
     status, iters = _run(tableau, basis, aux, 1)
     if status != _kernels.STATUS_OPTIMAL:
         # the auxiliary problem has the point 0, so a row the kernel cannot fix
         # is a dual ray along which the phase-1 objective grows without bound
         raise ArithmeticError("phase-1 objective unbounded (numerical failure)")
-    if tableau[-1, -1] > _TOL_DUAL * scale:
+    if tableau[-1, -1] > _kernels.TOL_DUAL * scale:
         return False, iters
     # back to the original orientation; the logicals then hold B^-1
     flipped = np.flatnonzero(aux < 0.0)
@@ -298,7 +293,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     basis = np.arange(n_var, n_std)
 
     total_iters = 0
-    if np.any((tableau[-1, :n_std] < -_TOL_DUAL) & (upper == np.inf)):
+    if np.any((tableau[-1, :n_std] < -_kernels.TOL_DUAL) & (upper == np.inf)):
         start = tableau.copy()
         dual_feasible, total_iters = _dual_phase1(tableau, basis, upper)
         if not dual_feasible:
@@ -310,7 +305,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 return _infeasible(start, basis, upper, me, total_iters + iters)
             return LpSolution(status=UNBOUNDED, iterations=total_iters + iters)
 
-    _start(tableau, upper)
     status, iters = _run(tableau, basis, upper, 2)
     total_iters += iters
     if status == _kernels.STATUS_INFEASIBLE:

@@ -386,11 +386,13 @@ def superpose_doc(c: EquivalentCircuit, impact: CongestionImpact) -> dict:
 
 def superpose_text(doc: dict) -> str:
     heads = [f"source {s['from']}->{s['to']} ({fnum(s['amps'])} A)" for s in doc["sources"]]
-    out = ["node  " + "".join(f"{h:<26}" for h in heads) + "total"]
+    # each cell is padded and then followed by one space, so a longer one
+    # still ends before the next cell starts
+    out = ["node  " + "".join(f"{h:<25} " for h in heads) + "total"]
     for i in range(len(doc["totals"])):
         row = f"{i:<5d} "
         for v in doc["contributions"]:
-            row += f"{fnum(v[i]):<26}"
+            row += f"{fnum(v[i]):<25} "
         row += fnum(doc["totals"][i])
         out.append(row)
     out.append("")
@@ -398,8 +400,8 @@ def superpose_text(doc: dict) -> str:
     for s in doc["sources"]:
         neg = ",".join(str(b) for b in s["negative_buses"]) or "-"
         out.append(
-            f"{s['from']}->{s['to']} ({fnum(s['amps'])} A)".ljust(23)
-            + f"{fnum(s['min_contribution']):<19}{fnum(s['max_contribution']):<19}{neg}"
+            f"{s['from']}->{s['to']} ({fnum(s['amps'])} A)".ljust(22)
+            + f" {fnum(s['min_contribution']):<18} {fnum(s['max_contribution']):<18} {neg}"
         )
     return "\n".join(out) + "\n"
 

@@ -283,6 +283,36 @@ def test_infeasible_capacity_shortfall():
         solve_opf(net)
 
 
+def _two_bus_with_load(gen_range, load_range):
+    # 50 MW of fixed demand at bus 0, a generator at bus 1, a load at bus 0 and
+    # an unlimited line between them
+    return Network(
+        buses=[Bus(0, 50.0), Bus(1)],
+        lines=[Line(0, 1, 1.0)],
+        injectors=[Injector(1, "generator", 10.0, *gen_range), Injector(0, "load", 30.0, *load_range)],
+    )
+
+
+def test_infeasible_names_minimum_load():
+    # 60 MW of capacity covers the fixed demand, but not the 20 MW the load must take on top
+    with pytest.raises(OpfInfeasible) as exc:
+        solve_opf(_two_bus_with_load((0.0, 60.0), (20.0, 30.0)))
+    assert str(exc.value) == ("infeasible: total generation capacity 60 MW cannot cover "
+                              "fixed demand 50 MW plus minimum load 20 MW")
+    assert set(exc.value.diagnostics) == {"total_generation_capacity", "total_fixed_demand",
+                                          "deficit_buses", "cut_lines"}
+
+
+def test_infeasible_names_must_run_surplus():
+    # the generator must run at 59 MW, more than the fixed demand and the load's 5 MW can take
+    with pytest.raises(OpfInfeasible) as exc:
+        solve_opf(_two_bus_with_load((59.0, 60.0), (0.0, 5.0)))
+    assert str(exc.value) == ("infeasible: must-run generation 59 MW exceeds "
+                              "fixed demand 50 MW plus maximum load 5 MW")
+    assert set(exc.value.diagnostics) == {"total_generation_capacity", "total_fixed_demand",
+                                          "deficit_buses", "cut_lines"}
+
+
 # every network is feasible by construction: seeds 0-19 at 40 and 50 buses,
 # perfbench's 17 opf_dense networks, seven grid-like networks at 100 buses and
 # three at 200, and two dense networks at 100 buses

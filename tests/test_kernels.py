@@ -1,50 +1,42 @@
-"""Kernel checks: the sparse numpy pivot against the dense update it replaces."""
+"""Kernel checks: the blocked pivot against the one-shot dense update."""
 
 import numpy as np
-import pytest
 
-from lmpcirc import LpProblem, _kernels, generate_random_network, solve_lp, solve_opf
+from lmpcirc import _kernels, generate_random_network, solve_opf
 
-import oracles
-
-SPARSE_PIVOT = _kernels._pivot
+PIVOT = _kernels._pivot
 
 
-def _dense_pivot(tableau, pr, pc):
-    """The dense rank-1 Gauss-Jordan update the sparse pivot must reproduce."""
-    tableau[pr, :] /= tableau[pr, pc]
+def _one_shot_pivot(tableau, pr, pc):
+    """The rank-1 Gauss-Jordan update in one step over every row."""
+    tableau[pr] /= tableau[pr, pc]
     factors = tableau[:, pc].copy()
     factors[pr] = 0.0
-    tableau -= factors[:, None] * tableau[pr, None, :]
+    tableau -= np.multiply.outer(factors, tableau[pr])
     tableau[:, pc] = 0.0
     tableau[pr, pc] = 1.0
 
 
-def _sparse_tableau(rng, m, n, density):
-    t = np.where(rng.random((m, n)) < density, rng.normal(size=(m, n)), 0.0)
-    t[rng.random((m, n)) < 0.1] = -0.0
-    return t
-
-
 def _assert_pivots_agree(tableau, pr, pc):
     want = tableau.copy()
-    _dense_pivot(want, pr, pc)
-    SPARSE_PIVOT(tableau, pr, pc)
-    assert np.array_equal(tableau, want)
+    _one_shot_pivot(want, pr, pc)
+    PIVOT(tableau, pr, pc)
+    # bit for bit, the sign of every zero included
+    assert tableau.tobytes() == want.tobytes()
 
 
-def test_sparse_pivot_matches_dense_update(monkeypatch):
+def test_blocked_pivot_matches_one_shot_update(monkeypatch):
     rng = np.random.default_rng(8)
-    for k in range(200):
-        m, n = (int(v) for v in rng.integers(2, 30, size=2))
-        t = _sparse_tableau(rng, m, n, density=rng.choice([0.05, 0.3, 0.9]))
-        pr, pc = int(rng.integers(m)), int(rng.integers(n))
-        if k % 4 == 1:      # the pivot is the only nonzero of its column
-            t[:, pc] = rng.choice([0.0, -0.0], size=m)
-        elif k % 4 == 2:    # ... or of its row
-            t[pr, :] = rng.choice([0.0, -0.0], size=n)
-        t[pr, pc] = rng.normal() or 1.0
-        _assert_pivots_agree(t, pr, pc)
+    block = _kernels._BLOCK_ROWS
+    # one block, a block exactly, one row past it, and three blocks with a short last one
+    for m in (1, block - 1, block, block + 1, 2 * block + 3):
+        for pr in (0, m - 1):       # the pivot row in the first block and in the last
+            n = int(rng.integers(2, 40))
+            t = np.where(rng.random((m, n)) < 0.4, rng.normal(size=(m, n)), 0.0)
+            t[rng.random((m, n)) < 0.1] = -0.0
+            pc = int(rng.integers(n))
+            t[pr, pc] = rng.normal() or 1.0
+            _assert_pivots_agree(t, pr, pc)
 
     # every pivot of the solver on 50-bus grid-like networks
     def checked(tableau, pr, pc):
@@ -58,25 +50,24 @@ def test_sparse_pivot_matches_dense_update(monkeypatch):
             solve_opf(generate_random_network(seed, 50, 0.022))
         assert pivots
 
-    # whole solves: the sparse kernel against the dense one swapped in
-    for seed in range(60):
-        c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(seed)
-        prob = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
-        sparse = solve_lp(prob)
-        with monkeypatch.context() as mp:
-            mp.setattr(_kernels, "_pivot", _dense_pivot)
-            dense = solve_lp(prob)
-        assert sparse.status == dense.status
-        assert sparse.iterations == dense.iterations
-        if sparse.status == "optimal":
-            assert np.array_equal(sparse.x, dense.x)
-            assert np.array_equal(sparse.eq_duals, dense.eq_duals)
-            assert np.array_equal(sparse.ge_duals, dense.ge_duals)
 
+def test_start_moves_nothing_at_an_optimal_basis(monkeypatch):
+    # a second call on a solve's final tableau is a warm restart at the
+    # optimum: the start flips no column and the kernel takes no pivot. On
+    # (0, 50, 0.022) one column ends with a reduced cost of about -1.3e-14,
+    # which a start that flipped every negative reduced cost would move
+    run = _kernels.run_simplex
+    finals = []
 
-def test_pivot_refuses_non_contiguous_tableau():
-    t = np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        SPARSE_PIVOT(t, 0, 0)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        SPARSE_PIVOT(np.ones((3, 8))[:, ::2], 1, 1)
+    def spy(tableau, basis, upper):
+        finals.append((tableau, basis, upper))
+        return run(tableau, basis, upper)
+
+    monkeypatch.setattr(_kernels, "run_simplex", spy)
+    for spec in [(seed, 50, 0.022) for seed in range(17)] + [(seed, 35, 0.35) for seed in range(17)]:
+        finals.clear()
+        solve_opf(generate_random_network(*spec))
+        (tableau, basis, upper), = finals
+        again = tableau.copy(), basis.copy(), upper.copy()
+        assert run(*again) == (_kernels.STATUS_OPTIMAL, 0), spec
+        assert again[0].tobytes() == tableau.tobytes() and np.array_equal(again[2], upper), spec

@@ -384,9 +384,10 @@ def test_variable_at_its_upper_bound_prices_its_upper_row(monkeypatch):
     assert sol.x == pytest.approx([4.0, 0.0])
     assert sol.ge_duals == pytest.approx([0.0]) and sol.reduced_costs == pytest.approx([-1.0, 1.0])
     _assert_matches_oracle(prob, sol)
-    # x' starts at its upper bound 3, stored flipped; y' has none
+    # x' is handed to the kernel at its lower bound, boxed by 3, and the
+    # kernel's start puts it at that upper bound; y' has none
     (tableau, upper), = seen
-    assert tableau.shape == (2, 4) and list(upper) == [-3.0, np.inf, np.inf]
+    assert tableau.shape == (2, 4) and list(upper) == [3.0, np.inf, np.inf]
 
 
 def test_dual_phase1_failures_raise(monkeypatch):
@@ -485,9 +486,17 @@ def test_partitioned_solve_matches_full_basis_on_random_lps(monkeypatch):
 
 
 def test_partitioned_solve_matches_full_basis_on_perfbench_networks(monkeypatch):
-    # the opf_dense and opf_grid corpora: generator seeds 0-16
-    for spec in [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]:
-        _assert_matches_full_basis(monkeypatch, opf_lp_problem(assemble_lp(generate_random_network(*spec)), ref_bus=0))
+    # the opf_dense and opf_grid corpora, generator seeds 0-16, in two forms:
+    # the B-theta reference LP, and the injection LP that solve_opf solves
+    specs = [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]
+    nets = [generate_random_network(*spec) for spec in specs]
+    with monkeypatch.context() as mp:
+        injection = _lp_problems(mp)
+        for net in nets:
+            solve_opf(net)
+    assert len(injection) == len(specs)
+    for prob in [opf_lp_problem(assemble_lp(net), ref_bus=0) for net in nets] + injection:
+        _assert_matches_full_basis(monkeypatch, prob)
 
 
 def _spy_final_solve(monkeypatch):

@@ -326,6 +326,23 @@ def test_recover_text_keeps_long_cells_apart():
         assert [float(v) for v in cells[1:]] == pytest.approx(res.delta[i], abs=1e-9)
 
 
+def test_superpose_text_keeps_long_cells_apart():
+    # a 28-character header cell and a 23-character source label are wider
+    # than their cells, and each is still followed by a space
+    sources = [
+        {"from": 30, "to": 10, "amps": 31.6004851, "min_contribution": -1.5, "max_contribution": 2.0,
+         "negative_buses": [1]},
+        {"from": 130, "to": 145, "amps": 116.703482, "min_contribution": 0.0, "max_contribution": 3.0,
+         "negative_buses": []},
+    ]
+    doc = {"sources": sources, "contributions": [[2.0, -1.5], [3.0, 0.0]], "totals": [5.0, -1.5]}
+    text = reports.superpose_text(doc).splitlines()
+    assert text[0] == "node  source 30->10 (31.6004851 A) source 130->145 (116.703482 A) total"
+    assert text[1] == "0     2                         3                         5"
+    assert text[-2] == "30->10 (31.6004851 A)  -1.5               2                  1"
+    assert text[-1] == "130->145 (116.703482 A) 0                  3                  -"
+
+
 def test_solution_table_aligns_line_rows_past_bus_9():
     # every line row starts its cells where the header's do, also once
     # from_bus has two digits
