@@ -121,7 +121,7 @@ def predict_negative_prices(c: EquivalentCircuit, s: CircuitSolution) -> Negativ
     the price test is the economically meaningful one and is the flag.
     """
     prices = s.voltages + c.offset
-    witnesses = tuple(int(i) for i in np.nonzero(prices < -_NEG_EPS)[0])
+    witnesses = tuple(np.flatnonzero(prices < -_NEG_EPS).tolist())
     vmin = float(s.voltages.min())
     ground_is_minimum = s.voltages[c.ground] <= vmin + _NEG_EPS
     k = int(np.argmin(prices))
@@ -162,8 +162,6 @@ def congestion_impact(c: EquivalentCircuit) -> CongestionImpact:
         vectors=vectors,
         min_contribution=tuple(float(v.min()) for v in vectors),
         max_contribution=tuple(float(v.max()) for v in vectors),
-        negative_buses=tuple(
-            tuple(int(i) for i in np.nonzero(v < -_NEG_EPS)[0]) for v in vectors
-        ),
+        negative_buses=tuple(tuple(np.flatnonzero(v < -_NEG_EPS).tolist()) for v in vectors),
         totals=s.voltages,
     )

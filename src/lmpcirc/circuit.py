@@ -15,11 +15,13 @@ toward the lower-priced end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import sub
 
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network, _laplacian, _spanning_tree
+from .network import Network, _columns, _laplacian, _spanning_tree
 
 BINDING_EPS = 1e-7
 
@@ -60,6 +62,13 @@ class SeriesVoltageSource:
 
 @dataclass(frozen=True)
 class EquivalentCircuit:
+    """Resistors and current sources over nodes 0..n_nodes-1.
+
+    The branch arrays and the ground-reduced conductance matrix are built
+    once, the first time a solve needs them, and kept on the object (read
+    only), so its solve, superposition and branch currents share them.
+    """
+
     n_nodes: int
     resistors: tuple[Resistor, ...]
     current_sources: tuple[CurrentSource, ...]
@@ -72,7 +81,33 @@ class EquivalentCircuit:
         return len(self.resistors) >= self.n_nodes
 
     def conductance_matrix(self) -> np.ndarray:
-        return _laplacian(self.n_nodes, _branches(self.resistors))
+        """A fresh full conductance matrix: 1/ohms stamped resistor by resistor."""
+        f, t, ohms = self._branch_arrays
+        return _laplacian(self.n_nodes, f, t, 1.0 / ohms)
+
+    @cached_property
+    def _branch_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(from, to, ohms) of every resistor, in circuit order."""
+        arrays = _columns((r.from_node, r.to_node, r.ohms) for r in self.resistors)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """The conductance matrix without ground's row and column, and the
+        node ids it keeps. A disconnected graph raises on every access: a
+        raising property caches nothing."""
+        f, t, ohms = self._branch_arrays
+        if len(_spanning_tree(self.n_nodes, zip(f.tolist(), t.tolist()))) < self.n_nodes:
+            raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
+        node = np.arange(self.n_nodes)
+        keep = node[node != self.ground]
+        pos = np.empty_like(node)   # kept nodes in order, ground last and so dropped
+        pos[keep], pos[self.ground] = node[:-1], node[-1]
+        g = _laplacian(self.n_nodes - 1, pos[f], pos[t], 1.0 / ohms)
+        g.flags.writeable = False
+        return g, keep
 
     def injections(self) -> np.ndarray:
         """Net source current into each node."""
@@ -105,10 +140,6 @@ class LoopSum:
     total: float
 
 
-def _branches(resistors) -> list[tuple[int, int, float]]:
-    return [(r.from_node, r.to_node, 1.0 / r.ohms) for r in resistors]
-
-
 def _binding_sources(sol: DcopfSolution) -> list[tuple[int, int, float]]:
     """(export, import, amps) of every flow limit whose price exceeds BINDING_EPS."""
     return [(d.export_bus, d.import_bus, d.value) for d in sol.mu if d.value > BINDING_EPS]
@@ -135,9 +166,27 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
     return _assemble(n_nodes, lines, sources, ground, offset)
 
 
+def _lines_valid(n_nodes, lines) -> bool:
+    """True when every (from, to, susceptance) line has two distinct ends in
+    [0, n_nodes) and a susceptance that is not <= 0, checked in numpy. False
+    when a line fails, or when the lines are not an m x 3 array of plain
+    numbers, which only the Python walk in ``_assemble`` can judge."""
+    try:
+        a = np.array(lines)
+    except ValueError:  # ragged rows
+        return False
+    if a.dtype.kind not in "iuf" or a.shape != (len(lines), 3):
+        return False
+    i, j, sus = a.T
+    return bool(np.all((0 <= i) & (i < n_nodes) & (0 <= j) & (j < n_nodes) & (i != j) & ~(sus <= 0)))
+
+
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Validate (from, to, susceptance) lines and (from, to, amps) sources and
-    build the circuit: one resistor of 1/susceptance ohms per line."""
+    build the circuit: one resistor of 1/susceptance ohms per line.
+
+    The lines are checked in numpy first; the Python walk, which names the
+    first bad line, runs only when that check fails."""
     def check_ends(what, i, j):
         for k in (i, j):
             if not 0 <= k < n_nodes:
@@ -145,12 +194,12 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
         if i == j:
             raise CircuitError(f"{what} ({i}, {j}): both ends on node {i}")
 
-    pairs = set()
-    for i, j, sus in lines:
-        check_ends("line", i, j)
-        if sus <= 0:
-            raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
-        pairs.add((min(i, j), max(i, j)))
+    if not _lines_valid(n_nodes, lines):
+        for i, j, sus in lines:
+            check_ends("line", i, j)
+            if sus <= 0:
+                raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
+    pairs = {(min(i, j), max(i, j)) for i, j, _ in lines}
     for i, j, amps in sources:
         check_ends("source", i, j)
         if amps <= 0:
@@ -167,12 +216,10 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
 
 
 def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
-    """Node voltages for each column of ``injections``: one ground-reduced
-    conductance matrix, one batched solve, one refinement step."""
-    if len(_spanning_tree(c.n_nodes, [(r.from_node, r.to_node) for r in c.resistors])) < c.n_nodes:
-        raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
-    keep = [i for i in range(c.n_nodes) if i != c.ground]
-    g, rhs = c.conductance_matrix()[np.ix_(keep, keep)], injections[keep]
+    """Node voltages for each column of ``injections``: the circuit's
+    ground-reduced conductance matrix, one batched solve, one refinement step."""
+    g, keep = c._reduced
+    rhs = injections[keep]
     x = np.linalg.solve(g, rhs)
     v = np.zeros(injections.shape)
     v[keep] = x + np.linalg.solve(g, rhs - g @ x)
@@ -180,10 +227,8 @@ def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
 
 
 def _branch_currents(c: EquivalentCircuit, v: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    return tuple(
-        (r.from_node, r.to_node, float((v[r.from_node] - v[r.to_node]) / r.ohms))
-        for r in c.resistors
-    )
+    f, t, ohms = c._branch_arrays
+    return tuple(zip(f.tolist(), t.tolist(), ((v[f] - v[t]) / ohms).tolist()))
 
 
 def solve_circuit(c: EquivalentCircuit) -> CircuitSolution:
@@ -245,34 +290,38 @@ def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[
         {(min(u, v), max(u, v)) for u, v in edges} - tree_edges
     )
 
-    def path_to_root(x):
-        path = []
-        while x is not None:
-            path.append(x)
-            x = parent[x]
-        return path
+    depth = {}
+    for x, p in parent.items():               # breadth-first: every parent comes first
+        depth[x] = 0 if p is None else depth[p] + 1
 
     cycles = []
     for u, v in chords:
-        pu, pv = path_to_root(u), path_to_root(v)
-        anc = set(pu)
-        meet = next(x for x in pv if x in anc)
-        up = pu[:pu.index(meet) + 1]          # u ... meet
-        down = pv[:pv.index(meet)][::-1]      # below meet ... v
-        cycles.append(up + down)              # u -> meet -> v (-> u via chord)
+        up, down = [u], [v]                   # walk both ends up to their meeting node
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        down.pop()                            # the meeting node, already ending up
+        cycles.append(up + down[::-1])        # u -> meet -> v (-> u via chord)
     return cycles
 
 
 def kvl_loop_sums(edges, lmps) -> list[LoopSum]:
     """Sum of price drops around each fundamental cycle of the (from, to)
     edges over nodes 0..len(lmps)-1 (each sum telescopes to zero)."""
-    lam = np.asarray(lmps, dtype=float)
-    return [loop_sum_along(cyc, lam) for cyc in fundamental_cycles(lam.size, list(edges))]
+    lam = np.asarray(lmps, dtype=float).tolist()
+    return [_loop_sum(cyc, lam) for cyc in fundamental_cycles(len(lam), list(edges))]
 
 
 def loop_sum_along(nodes: list[int], lmps) -> LoopSum:
     """Price-drop sum around an explicit closed walk of bus ids."""
-    lam = np.asarray(lmps, dtype=float)
-    walk = list(nodes) + [nodes[0]]
-    terms = tuple(float(lam[walk[i]] - lam[walk[i + 1]]) for i in range(len(nodes)))
+    return _loop_sum(list(nodes), np.asarray(lmps, dtype=float).tolist())
+
+
+def _loop_sum(nodes: list[int], lam: list[float]) -> LoopSum:
+    prices = [lam[k] for k in nodes]
+    terms = tuple(map(sub, prices, prices[1:] + prices[:1]))
     return LoopSum(nodes=tuple(nodes), terms=terms, total=float(sum(terms)))

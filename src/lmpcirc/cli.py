@@ -17,8 +17,9 @@ Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
 unwritable path), 2 infeasible, 4 no congestion / no marginal injector
 (circuit undefined), 5 check failed, 6 numerical failure (the simplex
 iteration cap, an unbounded simplex ray, a singular reduced Laplacian or final
-basis, or a solution that fails its optimality certificate). Code 3 is unused: a
-schema-valid OPF bounds every injection, so it is never unbounded.
+basis, or a solution that fails its optimality certificate), 7 out of memory
+(numpy's message names the array shape and dtype it could not allocate). Code 3
+is unused: a schema-valid OPF bounds every injection, so it is never unbounded.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_INFEASIBLE = 2
 EXIT_NO_CIRCUIT = 4
 EXIT_CHECK_FAILED = 5
 EXIT_NUMERICAL = 6
+EXIT_MEMORY = 7
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -173,14 +175,8 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except OpfInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
-        diag = exc.diagnostics
-        if diag:
-            print(
-                f"  capacity {diag['total_generation_capacity']:g} MW vs fixed demand "
-                f"{diag['total_fixed_demand']:g} MW; deficit buses {diag['deficit_buses']}; "
-                f"limited boundary lines {[(c['from'], c['to']) for c in diag['cut_lines']]}",
-                file=sys.stderr,
-            )
+        for line in _infeasible_detail(exc.diagnostics):
+            print(f"  {line}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NoCongestion, NoMarginalInjector) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -191,6 +187,27 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_MEMORY
+
+
+def _infeasible_detail(diag: dict) -> list[str]:
+    """The diagnostics that bear on an infeasibility: the capacity totals when
+    capacity falls short of the fixed demand, and the deficit buses with their
+    limited boundary lines when the proof names any. A must-run surplus, or a
+    shortfall only once minimum loads are added, gets neither: its message
+    already gives the totals it compares."""
+    if not diag:
+        return []
+    out = []
+    if diag["total_generation_capacity"] < diag["total_fixed_demand"]:
+        out.append(f"capacity {diag['total_generation_capacity']:g} MW vs fixed demand "
+                   f"{diag['total_fixed_demand']:g} MW")
+    if diag["deficit_buses"]:
+        out.append(f"deficit buses {diag['deficit_buses']}; limited boundary lines "
+                   f"{[(c['from'], c['to']) for c in diag['cut_lines']]}")
+    return out
 
 
 if __name__ == "__main__":

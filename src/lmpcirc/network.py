@@ -169,15 +169,24 @@ def _slot(n: int, inj: Injector) -> int:
     return inj.bus if inj.kind == KIND_GENERATOR else n + inj.bus
 
 
-def _laplacian(size: int, branches: Iterable[tuple[int, int, float]]) -> np.ndarray:
-    """Weighted Laplacian of (i, j, weight) branches: one unbuffered ``np.add.at``
-    stamps (i, j), (j, i), (i, i), (j, j) branch after branch, so every
-    floating-point sum keeps the given order and the matrix is reproducible."""
+def _columns(branches: Iterable[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, w) branches as three arrays: the ends as indices, the weights as floats."""
     ijw = np.array(list(branches), dtype=float).reshape(-1, 3)
-    i, j, w = ijw[:, 0].astype(np.intp), ijw[:, 1].astype(np.intp), ijw[:, 2]
+    return ijw[:, 0].astype(np.intp), ijw[:, 1].astype(np.intp), ijw[:, 2]
+
+
+def _laplacian(size: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted Laplacian of the branches (i[k], j[k], w[k]): one unbuffered
+    ``np.add.at`` stamps (i, j), (j, i), (i, i), (j, j) branch after branch, so
+    every floating-point sum keeps the given order and the matrix is reproducible.
+
+    A stamp in a row or column at ``size`` or beyond is dropped: with one node
+    numbered last and ``size`` one less, the result is the Laplacian without
+    that node's row and column, each entry summed as in the full one."""
+    rows, cols = np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()
+    inside = (rows < size) & (cols < size)
     g = np.zeros((size, size))
-    np.add.at(g, (np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()),
-              np.stack([-w, -w, w, w], 1).ravel())
+    np.add.at(g, (rows[inside], cols[inside]), np.stack([-w, -w, w, w], 1).ravel()[inside])
     return g
 
 
@@ -186,7 +195,7 @@ def build_b_matrix(net: Network) -> np.ndarray:
 
     Symmetric with zero row sums (the all-ones vector is in the null space).
     """
-    b = _laplacian(net.n, ((ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines))
+    b = _laplacian(net.n, *_columns((ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines))
     b.flags.writeable = False
     return b
 

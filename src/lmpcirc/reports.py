@@ -7,7 +7,10 @@ identical inputs produce byte-identical documents across platforms.
 ``dumps`` writes ``json.dumps(indent=2)``'s layout in one walk over the
 document and formats floats in batches with ``%.9g``: the document's scalar
 floats in one batch at the end, each row of floats in its own batch as the
-walk reaches it, so no batch grows with the size of a large matrix.
+walk reaches it, so no batch grows with the size of a large matrix. A row is
+one ``%.9g`` pass with the separators baked into the format, so its text is
+written whole; only a row holding a token json writes differently (an
+integral value, an exponent, ``nan`` or ``inf``) is rewritten token by token.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
         inner = nl + "  "
         types = set(map(type, x))
         if types == {float}:
-            out.append("[" + inner + ("," + inner).join(_float_tokens(x)) + nl + "]")
+            out.append("[" + inner + _float_row(x, "," + inner) + nl + "]")
         elif types == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
         else:
@@ -143,6 +146,27 @@ def _scalar(x) -> str:
 def _key(k) -> str:
     # json turns int, float, bool and None keys into strings and refuses other types
     return json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
+
+
+def _float_row(row, sep: str) -> str:
+    """json's text of ``round9(x)`` for each float x of ``row``, joined by
+    ``sep`` (a comma, a newline and the indentation, so it ends in a space).
+
+    One ``%.9g`` pass writes the whole row with the separators in place, and
+    each exact zero's ``0`` becomes json's ``0.0``. If then no token has an
+    exponent and every token a point, each is a fraction of at least 1e-4 in
+    magnitude that json writes just so. Any other row (one holding an integral
+    value, ``-0.0``, ``1e-05``, ``nan`` or ``inf``) is written by ``_float_tokens``.
+    """
+    # a space before the first token and a comma after the last, so that
+    # every token, like those inside, follows a space and precedes a comma
+    text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
+    zeros = row.count(0.0)  # -0.0 counts too, and its "-0" is left for the fallback
+    if zeros:
+        text = text.replace(" 0,", " 0.0,", zeros)
+    if "e" in text or text.count(".") != len(row):
+        return sep.join(_float_tokens(row))
+    return text[1:-1]
 
 
 def _float_tokens(row) -> list[str]:

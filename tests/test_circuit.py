@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -168,10 +169,11 @@ def test_lmp_roundtrip_on_corpus_slice(corpus200):
 
 
 def test_disconnected_circuit_raises():
-    from lmpcirc import CircuitError
+    # on every call, not only the first: a failed check leaves nothing cached
     c = circuit_from_parts(4, [(0, 1, 1.0), (2, 3, 1.0)], [(0, 1, 5.0)], ground=0, offset=0.0)
-    with pytest.raises(CircuitError, match="disconnected"):
-        solve_circuit(c)
+    for solve in (solve_circuit, superpose, solve_circuit, superpose):
+        with pytest.raises(CircuitError, match="disconnected"):
+            solve(c)
 
 
 @pytest.mark.parametrize("lines, sources, match", [
@@ -186,6 +188,108 @@ def test_assembly_rejects_bad_branch_ends(lines, sources, match):
     # and a self-loop source would silently contribute nothing
     with pytest.raises(CircuitError, match=match):
         circuit_from_parts(2, lines, sources, ground=0, offset=0.0)
+
+
+def _bad_line_cases():
+    chain = [(i, i + 1, 1.0 + i % 7) for i in range(399)]
+    chain += [(i % 400, (i * 37 + 11) % 400, 2.0) for i in range(600) if (i * 37 + 11) % 400 != i % 400]
+    for bad, message in (((-1, 3, 1.0), r"line \(-1, 3\): node -1 out of range \[0, 400\)"),
+                         ((3, 400, 1.0), r"line \(3, 400\): node 400 out of range \[0, 400\)"),
+                         ((7, 7, 1.0), r"line \(7, 7\): both ends on node 7"),
+                         ((7, 8, 0.0), r"line 7-8: susceptance must be > 0"),
+                         ((7, 8, -2.5), r"line 7-8: susceptance must be > 0")):
+        yield chain + [bad], message                       # after every valid line
+        yield chain[:500] + [bad] + chain[500:], message   # in the middle
+        yield chain[:500] + [bad, (5, 5, 1.0)] + chain[500:], message  # the first bad one is named
+
+
+@pytest.mark.parametrize("lines, match", list(_bad_line_cases()))
+def test_invalid_line_among_many_valid_ones_is_named(lines, match):
+    with pytest.raises(CircuitError, match="^" + match + "$"):
+        circuit_from_parts(400, lines, [(0, 1, 3.0)], ground=0, offset=0.0)
+
+
+# ---------------------------------------------------------------------------
+# one ground-reduced system per circuit
+# ---------------------------------------------------------------------------
+
+def _random_circuit(seed, n=60, extra=90, n_sources=8):
+    rng = np.random.default_rng(seed)
+    lines = [(int(rng.integers(0, k)), k, float(rng.uniform(0.5, 2.0))) for k in range(1, n)]
+    while len(lines) < n - 1 + extra:
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        lines.append((i, j, float(rng.uniform(0.5, 2.0))))
+    sources = [(i, j, float(rng.uniform(1.0, 100.0)))
+               for i, j, _ in (lines[k] for k in rng.choice(len(lines), n_sources, replace=False))]
+    return circuit_from_parts(n, lines, sources, ground=int(rng.integers(0, n)), offset=3.5)
+
+
+def _reference_voltages(c, injections):
+    """The nodal solve written out: a fresh full matrix reduced by np.ix_."""
+    keep = [i for i in range(c.n_nodes) if i != c.ground]
+    g, rhs = c.conductance_matrix()[np.ix_(keep, keep)], injections[keep]
+    x = np.linalg.solve(g, rhs)
+    v = np.zeros(injections.shape)
+    v[keep] = x + np.linalg.solve(g, rhs - g @ x)
+    return v
+
+
+def _same_solution(a, b):
+    assert np.array_equal(a.voltages, b.voltages)
+    assert a.branch_currents == b.branch_currents
+    if a.per_source_voltages is None:
+        assert b.per_source_voltages is None
+    else:
+        assert all(np.array_equal(x, y) for x, y in zip(a.per_source_voltages, b.per_source_voltages, strict=True))
+
+
+def _circuits():
+    yield case7_circuit()
+    for seed in range(4):
+        yield _random_circuit(seed)
+
+
+def test_solves_match_the_written_out_nodal_solve():
+    for c in _circuits():
+        s = solve_circuit(c)
+        assert np.array_equal(s.voltages, _reference_voltages(c, c.injections()))
+        v = s.voltages
+        assert s.branch_currents == tuple(
+            (r.from_node, r.to_node, float((v[r.from_node] - v[r.to_node]) / r.ohms)) for r in c.resistors)
+        sp = superpose(c)
+        j = np.column_stack([c.injections()] + [np.bincount([src.to_node, src.from_node], [src.amps, -src.amps],
+                                                            minlength=c.n_nodes) for src in c.current_sources])
+        want = _reference_voltages(c, j)
+        assert np.array_equal(sp.voltages, want[:, 0])
+        assert all(np.array_equal(x, y) for x, y in zip(sp.per_source_voltages, want[:, 1:].T, strict=True))
+
+
+def test_cached_system_gives_the_same_bits_in_any_order():
+    # replace(c) is a new object with nothing cached on it
+    for c in _circuits():
+        s = solve_circuit(replace(c))
+        want = {"solve": s, "superpose": superpose(replace(c)), "kcl": kcl_residuals(replace(c), s)}
+        calls = {"solve": solve_circuit, "superpose": superpose, "kcl": lambda circ: kcl_residuals(circ, s)}
+        for order in itertools.permutations(calls):
+            circ = replace(c)
+            for name in order + order:   # and again, from the cache
+                got = calls[name](circ)
+                if name == "kcl":
+                    assert np.array_equal(got, want["kcl"])
+                else:
+                    _same_solution(got, want[name])
+
+
+def test_writing_into_the_conductance_matrix_changes_no_later_solve():
+    for c in _circuits():
+        want = solve_circuit(replace(c))
+        circ = replace(c)
+        circ.conductance_matrix()[:] = 7.0          # before the first solve
+        _same_solution(solve_circuit(circ), want)
+        g = circ.conductance_matrix()
+        g *= -3.0                                    # after it
+        _same_solution(solve_circuit(circ), want)
+        assert np.array_equal(circ.conductance_matrix(), replace(c).conductance_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +504,29 @@ def _random_connected_edges(rng, n):
     return [edges[k] for k in rng.permutation(len(edges))]   # unsorted input order
 
 
+def _cycles_by_root_paths(n, edges):
+    """fundamental_cycles written the long way: each chord's two paths to the
+    root, cut at the first node they share."""
+    from lmpcirc.network import _spanning_tree
+
+    parent = _spanning_tree(n, edges)
+    tree = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
+
+    def path_to_root(x):
+        path = []
+        while x is not None:
+            path.append(x)
+            x = parent[x]
+        return path
+
+    cycles = []
+    for u, v in sorted({(min(u, v), max(u, v)) for u, v in edges} - tree):
+        pu, pv = path_to_root(u), path_to_root(v)
+        meet = next(x for x in pv if x in set(pu))
+        cycles.append(pu[:pu.index(meet) + 1] + pv[:pv.index(meet)][::-1])
+    return cycles
+
+
 def test_fundamental_cycles_close_via_chords():
     rng = np.random.default_rng(5)
     graphs = [(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])]
@@ -407,6 +534,7 @@ def test_fundamental_cycles_close_via_chords():
         graphs.append((int(n), _random_connected_edges(rng, int(n))))
     for n, edges in graphs:
         cycles = fundamental_cycles(n, edges)
+        assert cycles == _cycles_by_root_paths(n, edges)
         edge_set = {tuple(sorted(e)) for e in edges}
         assert len(cycles) == len(edges) - n + 1  # chords = m - (n - 1)
         for cyc in cycles:

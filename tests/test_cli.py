@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lmpcirc import OpfError, OpfNumerical, _kernels, cli, dcopf, lp, solve_opf
-from lmpcirc.cli import EXIT_NUMERICAL, main
+from lmpcirc.cli import EXIT_MEMORY, EXIT_NUMERICAL, main
 
 import oracles
 from conftest import case_path
@@ -289,6 +289,36 @@ def test_infeasible_exit2_with_cut(capsys):
     assert "deficit buses" in err
 
 
+def test_must_run_surplus_prints_no_capacity_comparison(capsys, tmp_path):
+    # a 59-60 MW generator against 50 MW of fixed demand and a 0-5 MW load:
+    # capacity covers the demand, so "capacity 60 MW vs fixed demand 50 MW"
+    # would not bear on the named cause, and no deficit bus is named
+    path = tmp_path / "surplus.json"
+    path.write_text(json.dumps({
+        "buses": [{"id": 0, "demand": 50}, {"id": 1, "demand": 0}],
+        "lines": [{"from": 0, "to": 1, "susceptance": 1}],
+        "injectors": [{"bus": 1, "kind": "generator", "cost": 10, "p_min": 59, "p_max": 60},
+                      {"bus": 0, "kind": "load", "cost": 30, "p_min": 0, "p_max": 5}],
+    }))
+    code, out, err = run_cli(capsys, "solve", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: infeasible: must-run generation 59 MW exceeds "
+                   "fixed demand 50 MW plus maximum load 5 MW\n")
+
+
+def test_capacity_shortfall_prints_the_capacity_comparison(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "buses": [{"id": 0, "demand": 0}, {"id": 1, "demand": 100}],
+        "lines": [{"from": 0, "to": 1, "susceptance": 1}],
+        "injectors": [{"bus": 0, "kind": "generator", "cost": 5, "p_min": 0, "p_max": 20}],
+    }))
+    code, _, err = run_cli(capsys, "solve", "-i", str(path))
+    assert code == 2
+    assert err.splitlines()[1:] == ["  capacity 20 MW vs fixed demand 100 MW"]
+
+
 def test_uncongested_circuit_exit4(capsys):
     code, _, err = run_cli(capsys, "circuit", "-i", str(DATA / "uncongested_3bus.json"))
     assert code == 4
@@ -344,6 +374,24 @@ def test_iteration_cap_exit6(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))
     assert code == EXIT_NUMERICAL == 6
     assert err == "error: simplex iteration limit in phase 2\n"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("solve", "-i", str(case_path("fig1_3bus.json"))), "lmpcirc.cli.solve_opf"),
+    (("recover", "-i", str(DATA / "case7_limited.json")), "lmpcirc.cli.recover_lmps"),
+])
+def test_out_of_memory_exit7(capsys, monkeypatch, argv, target):
+    # numpy's _ArrayMemoryError is a MemoryError; raised here, never allocated
+    message = "Unable to allocate 2.99 GiB for an array with shape (19728, 20341) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_MEMORY == 7
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def _assert_numerical(capsys, net, message):
@@ -408,9 +456,10 @@ def test_simplex_failures_are_numerical(capsys, monkeypatch, fig1_net, fail, mes
 
 
 def test_exit_codes():
-    # code 3 (unbounded) is retired: a schema-valid OPF has no unbounded ray
+    # code 3 (unbounded) is retired: a schema-valid OPF has no unbounded ray;
+    # code 7 is out of memory
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
-    assert codes == {0, 1, 2, 4, 5, 6}
+    assert codes == {0, 1, 2, 4, 5, 6, 7}
 
 
 def _dcopf_sees(monkeypatch, **overrides):

@@ -17,7 +17,7 @@ from lmpcirc import (
     parse_network,
     solve_opf,
 )
-from lmpcirc.network import _laplacian, balance_residual
+from lmpcirc.network import _columns, _laplacian, balance_residual
 
 
 def triangle(limits=(None, None, None), b=(1.0, 1.0, 1.0)):
@@ -89,8 +89,8 @@ def test_laplacian_keeps_the_loop_summation_order():
             i, j = rng.choice(size, 2, replace=False)
             branches.append((int(i), int(j), float(rng.uniform(0.01, 10.0) ** rng.choice([1, 3]))))
         branches += branches[: m // 3]  # parallel copies of earlier branches
-        assert np.array_equal(_laplacian(size, branches), _loop_laplacian(size, branches))
-    assert np.array_equal(_laplacian(3, []), np.zeros((3, 3)))
+        assert np.array_equal(_laplacian(size, *_columns(branches)), _loop_laplacian(size, branches))
+    assert np.array_equal(_laplacian(3, *_columns([])), np.zeros((3, 3)))
     # the perfbench OPF networks: 17 dense (35 buses) and 17 grid-like (50 buses)
     for seed in range(17):
         for n, p in ((35, 0.35), (50, 0.022)):

@@ -92,6 +92,56 @@ def test_values_near_format_switches_match_oracle():
     assert_same([x + 0.5 for x in row])
 
 
+def _fractions(rng, size):
+    """Plain fractions: every %.9g token has a point and no exponent."""
+    return rng.uniform(-1000.0, 1000.0, size).tolist()
+
+
+def _row_fast_path_cases():
+    rng = np.random.default_rng(12)
+    f = _fractions(rng, 400)
+    yield [0.0] * 400
+    yield [0.0]
+    yield [0.0, 0.0]
+    yield [0.0 if k % 2 else x for k, x in enumerate(f)]          # zeros at odd places
+    yield [x if k % 2 else 0.0 for k, x in enumerate(f)]          # zeros at both ends
+    yield [0.0 if k % 5 in (1, 2) else x for k, x in enumerate(f)]        # two in a row
+    yield [0.0 if k % 7 in (0, 1, 2) else x for k, x in enumerate(f)]     # three in a row
+    yield [0.0, 0.0, 0.0] + f[:10] + [0.0, 0.0]
+    yield f[:5] + [0.0, 0.0, 0.0]
+    yield [-0.0] + f[:5] + [-0.0, 0.0, -0.0]
+    yield [-0.0] * 10
+    yield [0.0, -0.0] + f[:5]
+    yield f[:10] + [1.0, -2.0, 10.0, 100.0, 123456789.0, 0.0]
+    yield [3.0] + f[:10]
+    yield f[:10] + [1e-13, -5e-15, 9.9999999e-13, 0.0] + f[10:20]
+    for special in (1.5e-05, -2e-07, 1e20, 1.5e16, 1e-13, 2e9, 7.0, float("nan"), float("inf"),
+                    float("-inf")):
+        for at in (0, 200, 399):
+            yield f[:at] + [special] + f[at + 1:]
+
+
+def test_row_fast_path_matches_oracle():
+    for row in _row_fast_path_cases():
+        assert_same(row)
+        assert_same({"a": {"b": row}, "c": [[row, 1.5]]})  # other indentations
+        assert_same(tuple(row))
+
+
+def test_row_of_fractions_and_zeros_is_written_in_one_pass(monkeypatch):
+    # only a row json writes differently token by token takes the per-token path
+    calls = []
+    tokens = reports._float_tokens
+    monkeypatch.setattr(reports, "_float_tokens", lambda row: calls.append(len(row)) or tokens(row))
+    rng = np.random.default_rng(13)
+    f = _fractions(rng, 400)
+    for row in ([0.0] * 400, [0.0] + f + [0.0, 0.0], f):
+        assert_same(row)
+    assert calls == []
+    assert_same(f + [-0.0])
+    assert calls == [401]
+
+
 def test_small_rows_and_single_values():
     for x in EDGES:
         assert_same([x])
