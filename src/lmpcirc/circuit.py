@@ -94,18 +94,15 @@ class EquivalentCircuit:
         return arrays
 
     @cached_property
-    def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
+    def _reduced(self) -> tuple[np.ndarray, list[int]]:
         """The conductance matrix without ground's row and column, and the
         node ids it keeps. A disconnected graph raises on every access: a
         raising property caches nothing."""
-        f, t, ohms = self._branch_arrays
+        f, t, _ = self._branch_arrays
         if len(_spanning_tree(self.n_nodes, zip(f.tolist(), t.tolist()))) < self.n_nodes:
             raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
-        node = np.arange(self.n_nodes)
-        keep = node[node != self.ground]
-        pos = np.empty_like(node)   # kept nodes in order, ground last and so dropped
-        pos[keep], pos[self.ground] = node[:-1], node[-1]
-        g = _laplacian(self.n_nodes - 1, pos[f], pos[t], 1.0 / ohms)
+        keep = [i for i in range(self.n_nodes) if i != self.ground]
+        g = self.conductance_matrix()[np.ix_(keep, keep)]
         g.flags.writeable = False
         return g, keep
 
@@ -166,27 +163,9 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
     return _assemble(n_nodes, lines, sources, ground, offset)
 
 
-def _lines_valid(n_nodes, lines) -> bool:
-    """True when every (from, to, susceptance) line has two distinct ends in
-    [0, n_nodes) and a susceptance that is not <= 0, checked in numpy. False
-    when a line fails, or when the lines are not an m x 3 array of plain
-    numbers, which only the Python walk in ``_assemble`` can judge."""
-    try:
-        a = np.array(lines)
-    except ValueError:  # ragged rows
-        return False
-    if a.dtype.kind not in "iuf" or a.shape != (len(lines), 3):
-        return False
-    i, j, sus = a.T
-    return bool(np.all((0 <= i) & (i < n_nodes) & (0 <= j) & (j < n_nodes) & (i != j) & ~(sus <= 0)))
-
-
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Validate (from, to, susceptance) lines and (from, to, amps) sources and
-    build the circuit: one resistor of 1/susceptance ohms per line.
-
-    The lines are checked in numpy first; the Python walk, which names the
-    first bad line, runs only when that check fails."""
+    build the circuit: one resistor of 1/susceptance ohms per line."""
     def check_ends(what, i, j):
         for k in (i, j):
             if not 0 <= k < n_nodes:
@@ -194,12 +173,12 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
         if i == j:
             raise CircuitError(f"{what} ({i}, {j}): both ends on node {i}")
 
-    if not _lines_valid(n_nodes, lines):
-        for i, j, sus in lines:
-            check_ends("line", i, j)
-            if sus <= 0:
-                raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
-    pairs = {(min(i, j), max(i, j)) for i, j, _ in lines}
+    pairs = set()
+    for i, j, sus in lines:
+        check_ends("line", i, j)
+        if sus <= 0:
+            raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
+        pairs.add((min(i, j), max(i, j)))
     for i, j, amps in sources:
         check_ends("source", i, j)
         if amps <= 0:

@@ -178,15 +178,10 @@ def _columns(branches: Iterable[tuple[int, int, float]]) -> tuple[np.ndarray, np
 def _laplacian(size: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted Laplacian of the branches (i[k], j[k], w[k]): one unbuffered
     ``np.add.at`` stamps (i, j), (j, i), (i, i), (j, j) branch after branch, so
-    every floating-point sum keeps the given order and the matrix is reproducible.
-
-    A stamp in a row or column at ``size`` or beyond is dropped: with one node
-    numbered last and ``size`` one less, the result is the Laplacian without
-    that node's row and column, each entry summed as in the full one."""
-    rows, cols = np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()
-    inside = (rows < size) & (cols < size)
+    every floating-point sum keeps the given order and the matrix is reproducible."""
     g = np.zeros((size, size))
-    np.add.at(g, (rows[inside], cols[inside]), np.stack([-w, -w, w, w], 1).ravel()[inside])
+    np.add.at(g, (np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()),
+              np.stack([-w, -w, w, w], 1).ravel())
     return g
 
 

@@ -9,8 +9,9 @@ document and formats floats in batches with ``%.9g``: the document's scalar
 floats in one batch at the end, each row of floats in its own batch as the
 walk reaches it, so no batch grows with the size of a large matrix. A row is
 one ``%.9g`` pass with the separators baked into the format, so its text is
-written whole; only a row holding a token json writes differently (an
-integral value, an exponent, ``nan`` or ``inf``) is rewritten token by token.
+written whole; in a row holding a token json writes differently (an
+integral value, an exponent, ``nan`` or ``inf``) that row text is split and
+only those tokens are rewritten.
 """
 
 from __future__ import annotations
@@ -155,33 +156,40 @@ def _float_row(row, sep: str) -> str:
     One ``%.9g`` pass writes the whole row with the separators in place, and
     each exact zero's ``0`` becomes json's ``0.0``. If then no token has an
     exponent and every token a point, each is a fraction of at least 1e-4 in
-    magnitude that json writes just so. Any other row (one holding an integral
-    value, ``-0.0``, ``1e-05``, ``nan`` or ``inf``) is written by ``_float_tokens``.
+    magnitude that json writes just so. In any other row (one holding an
+    integral value, ``-0.0``, ``1e-05``, ``nan`` or ``inf``) the tokens json
+    writes differently are rewritten one by one by ``_json_tokens``.
     """
     # a space before the first token and a comma after the last, so that
     # every token, like those inside, follows a space and precedes a comma
     text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
-    zeros = row.count(0.0)  # -0.0 counts too, and its "-0" is left for the fallback
+    zeros = row.count(0.0)  # -0.0 counts too, and its "-0" is left for _json_tokens
     if zeros:
         text = text.replace(" 0,", " 0.0,", zeros)
     if "e" in text or text.count(".") != len(row):
-        return sep.join(_float_tokens(row))
+        return sep.join(_json_tokens(text[1:-1].split(sep)))
     return text[1:-1]
 
 
 def _float_tokens(row) -> list[str]:
-    """json's text of ``round9(x)`` for each float x of ``row``.
-
-    One ``%.9g`` pass over the row does round9's rounding. A token with a
-    point and no exponent is a fraction of at least 1e-4 in magnitude, and
-    json writes the rounded value just so. Every other token (``123``,
-    ``1e+09``, ``1e-05``, ``nan``, ``inf``) is parsed back and written by
-    ``_float_text``: json writes ``123.0``, ``1000000000.0``, ``NaN`` and
-    ``Infinity``, and ``0.0`` where the value snaps.
-    """
+    """json's text of ``round9(x)`` for each float x of ``row``: one ``%.9g``
+    pass over the row does round9's rounding, and ``_json_tokens`` mends the
+    tokens json writes differently."""
     text = ("%.9g\n" * len(row)) % tuple(row)
     tokens = text.split("\n")
     tokens.pop()  # the empty string after the last newline
+    return _json_tokens(tokens)
+
+
+def _json_tokens(tokens: list[str]) -> list[str]:
+    """``%.9g`` tokens rewritten, in place, as json writes their values.
+
+    A token with a point and no exponent is a fraction of at least 1e-4 in
+    magnitude, and json writes the rounded value just so. Every other token
+    (``123``, ``1e+09``, ``1e-05``, ``nan``, ``inf``) is parsed back and
+    written by ``_float_text``: json writes ``123.0``, ``1000000000.0``,
+    ``NaN`` and ``Infinity``, and ``0.0`` where the value snaps.
+    """
     for i, t in enumerate(tokens):
         if "." not in t or "e" in t:
             tokens[i] = _float_text(float(t))

@@ -209,6 +209,16 @@ def test_invalid_line_among_many_valid_ones_is_named(lines, match):
         circuit_from_parts(400, lines, [(0, 1, 3.0)], ground=0, offset=0.0)
 
 
+def test_resistor_on_a_node_past_the_last_raises():
+    # EquivalentCircuit can be built without _assemble's checks; its
+    # conductance matrix drops no branch, it refuses one it cannot place
+    c = EquivalentCircuit(3, (Resistor(0, 1, 1.0), Resistor(1, 3, 2.0)), (), ground=0, offset=0.0)
+    with pytest.raises(IndexError):
+        c.conductance_matrix()
+    with pytest.raises(IndexError):
+        solve_circuit(c)
+
+
 # ---------------------------------------------------------------------------
 # one ground-reduced system per circuit
 # ---------------------------------------------------------------------------

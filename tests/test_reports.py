@@ -129,10 +129,12 @@ def test_row_fast_path_matches_oracle():
 
 
 def test_row_of_fractions_and_zeros_is_written_in_one_pass(monkeypatch):
-    # only a row json writes differently token by token takes the per-token path
+    # only a row json writes differently token by token has its tokens mended,
+    # and those come from the row's one %.9g pass, not from a second one
     calls = []
-    tokens = reports._float_tokens
-    monkeypatch.setattr(reports, "_float_tokens", lambda row: calls.append(len(row)) or tokens(row))
+    mend = reports._json_tokens
+    monkeypatch.setattr(reports, "_json_tokens", lambda tokens: calls.append(len(tokens)) or mend(tokens))
+    monkeypatch.setattr(reports, "_float_tokens", lambda row: pytest.fail("row formatted twice"))
     rng = np.random.default_rng(13)
     f = _fractions(rng, 400)
     for row in ([0.0] * 400, [0.0] + f + [0.0, 0.0], f):
