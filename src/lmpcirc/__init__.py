@@ -60,7 +60,7 @@ from .dcopf import (
     solve_opf,
     verify_optimality,
 )
-from .lp import INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve_lp
+from .lp import INFEASIBLE, NUMERICAL, OPTIMAL, LpProblem, LpSolution, solve_lp
 from .network import (
     Bus,
     Injector,

@@ -70,7 +70,7 @@ def _pivot(tableau, pr, pc):
     tableau[pr, pc] = 1.0
 
 
-def flip(tableau, cols, upper):
+def _flip(tableau, cols, upper):
     """Move the nonbasic columns ``cols`` to their other bound: ``x_j ->
     |u_j| - x_j`` in every row, cost row included."""
     if len(cols):
@@ -115,7 +115,7 @@ def run_simplex(tableau, basis, upper):
     movable = bound > 0.0    # a fixed column never enters
     movable[basis] = False
     pushed_up = movable & (tableau[-1, :n] < -TOL_DUAL) & (upper > 0.0) & (upper < np.inf)
-    flip(tableau, np.flatnonzero(pushed_up), upper)
+    _flip(tableau, np.flatnonzero(pushed_up), upper)
     if not m:
         return STATUS_OPTIMAL, 0
     max_iter = 200 + 40 * (m + n)
@@ -152,14 +152,14 @@ def run_simplex(tableau, basis, upper):
             return STATUS_INFEASIBLE, iters
         pc = int(order[stop[0]])
 
-        flip(tableau, order[:stop[0]], upper)
+        _flip(tableau, order[:stop[0]], upper)
         _pivot(tableau, pr, pc)
         leaving = int(basis[pr])
         basis[pr] = pc
         movable[pc] = False
         movable[leaving] = bound[leaving] > 0.0
         if above and movable[leaving]:
-            flip(tableau, [leaving], upper)
+            _flip(tableau, [leaving], upper)
         iters += 1
         if iters >= max_iter:
             return STATUS_ITER_LIMIT, iters

@@ -16,8 +16,8 @@ circuit source, when its congestion price exceeds 1e-7.
 Exit codes: 0 ok, 1 usage, parse or schema error (also an unreadable or
 unwritable path), 2 infeasible, 4 no congestion / no marginal injector
 (circuit undefined), 5 check failed, 6 numerical failure (the simplex
-iteration cap, an unbounded simplex ray, a singular reduced Laplacian or final
-basis, or a solution that fails its optimality certificate), 7 out of memory
+iteration cap, a singular reduced Laplacian or final basis, or a solution that
+fails its optimality certificate), 7 out of memory
 (numpy's message names the array shape and dtype it could not allocate). Code 3
 is unused: a schema-valid OPF bounds every injection, so it is never unbounded.
 """

@@ -41,9 +41,9 @@ class OpfInfeasible(OpfError):
 
 
 class OpfNumerical(OpfError, ArithmeticError):
-    """The solve failed numerically: the iteration cap, an unbounded ray, a
-    singular reduced Laplacian or final basis, or a solution that fails its
-    optimality certificate."""
+    """The solve failed numerically: the iteration cap, a singular reduced
+    Laplacian or final basis, or a solution that fails its optimality
+    certificate."""
 
 
 class NoMarginalInjector(OpfError):
@@ -122,8 +122,9 @@ class CheckReport:
 
 def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
     """The reference form of the OPF: the generic LP over ``[p, theta]`` with
-    a row pinning ``theta[ref_bus]`` to zero appended. ``solve_opf`` does not
-    use it; it is what an independent LP solver checks the OPF against."""
+    a row pinning ``theta[ref_bus]`` to zero appended. Its angles are free,
+    so ``solve_lp`` refuses it and ``solve_opf`` does not use it; it is what
+    an independent LP solver checks the OPF against."""
     n = opf.n
     nv = 2 * n + n
     a_eq = np.zeros((n + 1, nv))
@@ -160,8 +161,7 @@ def _injection_problem(net: Network, opf: OpfLp, x0: np.ndarray) -> lp.LpProblem
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
     """Solve the network's OPF; raises OpfInfeasible with diagnostics, or
-    OpfNumerical when the solve fails. Every injection lies between finite
-    bounds, so a valid network's OPF has no unbounded ray.
+    OpfNumerical when the solve fails.
 
     ``ref_bus`` only re-references the returned angles, so the dispatch and
     every dual do not depend on it."""
@@ -181,9 +181,6 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
 
     if sol.status == lp.INFEASIBLE:
         raise OpfInfeasible(*_infeasibility_details(net, opf, sol))
-    if sol.status == lp.UNBOUNDED:
-        raise OpfNumerical("numerical failure: the simplex found an unbounded ray, "
-                           "which a DC-OPF with finite injection bounds cannot have")
     if sol.status == lp.NUMERICAL:
         raise OpfNumerical(f"numerical failure: the LP solution fails its optimality certificate "
                            f"(residuals: {_listing(sol.residuals.items())})")

@@ -1,38 +1,22 @@
-"""Self-contained dense linear-program solver with exact basis duals.
+"""Self-contained dense solver for boxed linear programs, with exact basis duals.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq,  b_ge <= A_ge x <= b_ge + range_ge,
-lower <= x <= upper``. A bound may be infinite, and a ``>=`` row whose range
-is ``inf`` is one-sided. The standard form is built straight from what the
-problem states:
+lower <= x <= upper`` where every bound is finite; ``solve_lp`` refuses a
+problem with an infinite bound. A ``>=`` row whose range is ``inf`` is
+one-sided. The standard form is built straight from what the problem states:
+a variable is ``l + x'`` with one column ``x'`` in ``[0, u - l]``, and a
+variable with equal bounds is fixed and has no column. Every row gets a
+logical column, ``a x - s = b``: ``s`` lies in ``[0, 0]`` on an equality row
+and in ``[0, range]`` on a ``>=`` row. A row or a bound is written once as
+what it is, so nothing is read back out of the rows.
 
-- a variable with a finite lower bound ``l`` is ``l + x'`` with one column
-  ``x' >= 0``, boxed by ``x' <= u - l`` when its upper bound ``u`` is finite;
-- a variable with only an upper bound is ``u - x'``;
-- a variable with equal bounds is fixed and has no column;
-- a free variable is split into ``x' - v``, so an LP made mostly of free
-  variables takes many pivots. The OPF hands the solver none: ``dcopf``
-  states the injector limits as bounds and solves it in the injections alone.
-
-Every row gets a logical column, ``a x - s = b``: ``s`` lies in ``[0, 0]`` on
-an equality row and in ``[0, range]`` on a ``>=`` row. A row or a bound is
-written once as what it is, so nothing is read back out of the rows.
-
-The rest is the bounded dual simplex of ``_kernels``, which makes its own
-start: it puts each nonbasic column whose reduced cost is below
-``-_kernels.TOL_DUAL`` at its finite upper bound, so every call here hands it
-the tableau as built. From
-the basis of all logicals on the OPF, where every column is boxed, that start
-is the merit-order dispatch and it is dual feasible. A column with a negative
-cost and no upper bound makes the start dual infeasible. Then a dual phase 1
-solves Fourer's auxiliary problem through the same kernel (Koberstein & Suhl,
-*Comput. Optim. Appl.* 37, 2007, §3): the original costs, a zero rhs, every
-column with no upper bound boxed in ``[0, 1]`` and every other column fixed
-at 0. An optimum of 0 leaves a basis for phase 2 that is dual feasible once
-the kernel has made its start; a negative one proves the dual infeasible, and
-one more kernel call with zero costs tells an unbounded LP from an infeasible
-one. An infeasible LP names, in ``infeasible_rows``, the rows in the support
-of the row of ``B^-1`` that proves it (a Farkas ray), with the shortfall that
-row cannot close.
+The rest is one call of the bounded dual simplex of ``_kernels``, which makes
+its own start: it puts each nonbasic column whose reduced cost is below
+``-_kernels.TOL_DUAL`` at its upper bound, so every call here hands it the
+tableau as built. Every column is boxed, so that start is dual feasible; on
+the OPF it is the merit-order dispatch. An infeasible LP names, in
+``infeasible_rows``, the rows in the support of the row of ``B^-1`` that
+proves it (a Farkas ray), with the shortfall that row cannot close.
 
 Vertex solutions give exact basis duals: after the pivot loop terminates, the
 primal point and the row duals are recomputed from a fresh partial-pivot
@@ -46,9 +30,8 @@ dual is positive when its lower side binds and negative when its upper side
 does. ``reduced_costs``, ``c - A_eq' y_eq - A_ge' y_ge``, are the duals of
 the bounds: positive ones price a lower bound, negative ones an upper bound.
 A singular final basis raises ``ArithmeticError``, as does the iteration cap;
-a vertex whose residuals (rows, ranges and bounds, the reduced costs' signs,
-complementarity, the rows' dual signs and the gap) exceed their limits gets
-status ``numerical``.
+a vertex whose residuals (rows, ranges and bounds, complementarity, the rows'
+dual signs and the gap) exceed their limits gets status ``numerical``.
 """
 
 from __future__ import annotations
@@ -61,7 +44,6 @@ from . import _kernels
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 NUMERICAL = "numerical"
 
 _DEGENERACY_EPS = 1e-9
@@ -76,7 +58,8 @@ def _stated(value, size: int, default: float) -> np.ndarray:
 class LpProblem:
     """min c'x subject to a_eq x = b_eq, b_ge <= a_ge x <= b_ge + range_ge and
     lower <= x <= upper. Bounds left out are infinite (the variables are
-    free) and ranges left out are ``inf`` (the rows are one-sided)."""
+    free), which ``solve_lp`` refuses, and ranges left out are ``inf`` (the
+    rows are one-sided)."""
 
     c: np.ndarray
     a_eq: np.ndarray
@@ -212,46 +195,6 @@ def _basic_solution(a_std: np.ndarray, rhs: np.ndarray, c_std: np.ndarray, basis
     return x_std, y_rows
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray, phase: int) -> tuple[int, int]:
-    status, iters = _kernels.run_simplex(tableau, basis, upper)
-    if status == _kernels.STATUS_ITER_LIMIT:
-        raise ArithmeticError(f"simplex iteration limit in phase {phase}")
-    return status, iters
-
-
-def _dual_phase1(tableau: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> tuple[bool, int]:
-    """Fourer's auxiliary problem on ``tableau``: the same costs, a zero rhs,
-    columns with no upper bound in ``[0, 1]`` and the others fixed. Returns
-    whether its optimum is 0 and the pivots taken. When it is, the tableau
-    is left at the auxiliary's final basis with the rhs of the original
-    problem and every column back at its lower bound, dual feasible but for
-    the columns the kernel's start puts at their upper bound."""
-    mk = basis.size
-    logicals = slice(tableau.shape[1] - 1 - mk, tableau.shape[1] - 1)
-    rhs = tableau[:, -1].copy()
-    scale = 1.0 + float(np.max(np.abs(tableau[-1, :-1])))
-    tableau[:, -1] = 0.0
-    aux = np.where(upper == np.inf, 1.0, 0.0)
-    status, iters = _run(tableau, basis, aux, 1)
-    if status != _kernels.STATUS_OPTIMAL:
-        # the auxiliary problem has the point 0, so a row the kernel cannot fix
-        # is a dual ray along which the phase-1 objective grows without bound
-        raise ArithmeticError("phase-1 objective unbounded (numerical failure)")
-    if tableau[-1, -1] > _kernels.TOL_DUAL * scale:
-        return False, iters
-    # back to the original orientation; the logicals then hold B^-1
-    flipped = np.flatnonzero(aux < 0.0)
-    row_of = np.full(aux.size, -1, dtype=np.intp)
-    row_of[basis] = np.arange(mk)
-    _kernels.flip(tableau, flipped[row_of[flipped] < 0], aux)
-    for j in flipped[row_of[flipped] >= 0]:
-        tableau[row_of[j]] *= -1.0
-        tableau[row_of[j], j] = 1.0
-    tableau[:, -1] = (tableau[:, logicals] * rhs[:mk]).sum(axis=1)
-    tableau[-1, -1] += rhs[-1]
-    return True, iters
-
-
 def _infeasible(tableau, basis, upper, me, iters) -> LpSolution:
     """The rows in the support of the proving row of ``B^-1`` (held in the
     logical columns), each with the shortfall that row cannot close."""
@@ -263,52 +206,34 @@ def _infeasible(tableau, basis, upper, me, iters) -> LpSolution:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP; never silent on infeasible/unbounded (reported in status)."""
+    """Solve the boxed LP; an infeasible one is reported in status. Raises
+    ValueError when a variable has an infinite bound."""
     c, lower, range_ge = problem.c, problem.lower, problem.range_ge
-    has_lower, has_upper = lower > -np.inf, problem.upper < np.inf
+    unboxed = np.flatnonzero(np.isinf(lower) | np.isinf(problem.upper))
+    if unboxed.size:
+        j = int(unboxed[0])
+        raise ValueError(f"solve_lp needs finite bounds: variable {j} lies in [{lower[j]:g}, {problem.upper[j]:g}]")
     me = problem.a_eq.shape[0]
     m = me + problem.a_ge.shape[0]
 
-    # standard form: columns [x', v, logicals]. A variable is origin + x' with
-    # its origin at its lower bound, or origin - x' at its upper bound when it
-    # has no lower one; a free one is x' - v, and a fixed one has no column.
-    # Row i is a_i x - s_i = b_i
-    origin = np.where(has_lower, lower, np.where(has_upper, problem.upper, 0.0))
+    # standard form: variable j is lower_j + x'_j with x'_j in [0, upper_j -
+    # lower_j], and a fixed one has no column. Row i is a_i x - s_i = b_i
     cols = np.flatnonzero(lower < problem.upper)
-    split = np.flatnonzero(~has_lower & ~has_upper)
-    var_cols = np.concatenate([cols, split])
-    sign = np.concatenate([np.where(has_lower | ~has_upper, 1.0, -1.0)[cols], np.full(split.size, -1.0)])
-    n_var = var_cols.size
-    a_std = np.vstack([problem.a_eq, problem.a_ge]).take(var_cols, axis=1)
-    a_std[:, sign < 0.0] *= -1.0
-    rhs = np.concatenate([problem.b_eq - problem.a_eq @ origin, problem.b_ge - problem.a_ge @ origin])
-    c_std = c[var_cols] * sign
-    box = np.where(has_lower & has_upper, problem.upper - lower, np.inf)
-    upper_std = np.concatenate([box[cols], np.full(split.size, np.inf), np.zeros(me), range_ge])
-    free_std = np.concatenate([np.searchsorted(cols, split), cols.size + np.arange(split.size)])
+    n_var = cols.size
+    a_std = np.vstack([problem.a_eq, problem.a_ge]).take(cols, axis=1)
+    rhs = np.concatenate([problem.b_eq - problem.a_eq @ lower, problem.b_ge - problem.a_ge @ lower])
+    c_std = c[cols]
+    upper_std = np.concatenate([(problem.upper - lower)[cols], np.zeros(me), range_ge])
 
     tableau = _kernel_tableau(a_std, rhs, c_std)
     n_std = n_var + m
     upper = upper_std.copy()
     basis = np.arange(n_var, n_std)
-
-    total_iters = 0
-    if np.any((tableau[-1, :n_std] < -_kernels.TOL_DUAL) & (upper == np.inf)):
-        start = tableau.copy()
-        dual_feasible, total_iters = _dual_phase1(tableau, basis, upper)
-        if not dual_feasible:
-            # the dual is infeasible: the LP is unbounded if it has a point at all
-            start[-1] = 0.0
-            basis = np.arange(n_var, n_std)
-            status, iters = _run(start, basis, upper, 1)
-            if status == _kernels.STATUS_INFEASIBLE:
-                return _infeasible(start, basis, upper, me, total_iters + iters)
-            return LpSolution(status=UNBOUNDED, iterations=total_iters + iters)
-
-    status, iters = _run(tableau, basis, upper, 2)
-    total_iters += iters
+    status, iters = _kernels.run_simplex(tableau, basis, upper)
+    if status == _kernels.STATUS_ITER_LIMIT:
+        raise ArithmeticError("simplex iteration limit")
     if status == _kernels.STATUS_INFEASIBLE:
-        return _infeasible(tableau, basis, upper, me, total_iters)
+        return _infeasible(tableau, basis, upper, me, iters)
 
     # recompute the vertex and its duals from a fresh factorization of the
     # final basis's tight rows, with each column stored flipped and nonbasic
@@ -319,21 +244,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x_nonbasic[at_upper] = -upper[at_upper]
     x_std, y_rows = _basic_solution(a_std, rhs, c_std, basis, x_nonbasic)
 
-    x = origin.copy()
-    x[cols] += x_std[:cols.size] * sign[:cols.size]
-    x[split] -= x_std[cols.size:n_var]
+    x = lower.copy()
+    x[cols] += x_std[:n_var]
     eq_duals, ge_duals = y_rows[:me], y_rows[me:]
     d = c - problem.a_eq.T @ eq_duals - problem.a_ge.T @ ge_duals
 
     objective = float(c @ x)
-    # a basic variable at either bound; a split free variable has none, and an
-    # equality row's logical has no other value
-    basic = basis[~np.isin(basis, free_std) & (upper_std[basis] > 0.0)]
+    # a basic variable at either bound; an equality row's logical has no other value
+    basic = basis[upper_std[basis] > 0.0]
     near = np.minimum(np.abs(x_std[basic]), np.abs(upper_std[basic] - x_std[basic]))
     degenerate = bool(np.any(near <= _DEGENERACY_EPS))
 
     residuals = _residuals(problem, x, eq_duals, ge_duals, d, objective)
-    data = (c, problem.b_eq, problem.b_ge, lower[has_lower], problem.upper[has_upper], range_ge[range_ge < np.inf])
+    data = (c, problem.b_eq, problem.b_ge, lower, problem.upper, range_ge[range_ge < np.inf])
     data_scale = max(float(np.max(np.abs(v), initial=0.0)) for v in data)
     certified = all(
         value <= _CERT_RTOL * (1.0 + (abs(objective) if name == "gap" else data_scale))
@@ -343,7 +266,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(
         status=OPTIMAL if certified else NUMERICAL, x=x, objective=objective,
         eq_duals=eq_duals, ge_duals=ge_duals, reduced_costs=d,
-        degenerate=degenerate, iterations=total_iters, residuals=residuals,
+        degenerate=degenerate, iterations=iters, residuals=residuals,
     )
 
 
@@ -356,23 +279,22 @@ def _residuals(problem: LpProblem, x, eq_duals, ge_duals, d, objective) -> dict:
     """The optimality certificate of ``x`` with row duals ``eq_duals`` and
     ``ge_duals`` and bound duals ``d`` over every stated row, range and bound.
     A positive dual prices a lower side (of a row or a bound) and a negative
-    one an upper side, which must then be finite: on a one-sided row that is
-    the dual sign, on a variable stationarity."""
+    one an upper side, which on a one-sided row must not be priced: that is
+    the dual sign. Every bound is finite, so a reduced cost on the wrong side
+    of one shows in the complementarity."""
     lower, upper, range_ge = problem.lower, problem.upper, problem.range_ge
-    has_lower, has_upper, ranged = lower > -np.inf, upper < np.inf, range_ge < np.inf
+    ranged = range_ge < np.inf
     slack = problem.a_ge @ x - problem.b_ge
     room = np.where(ranged, range_ge - slack, 0.0)      # a ranged row's slack below its upper side
-    over, under = np.where(has_lower, x - lower, 0.0), np.where(has_upper, upper - x, 0.0)
+    over, under = x - lower, upper - x
     y_low, y_up = np.maximum(ge_duals, 0.0), np.minimum(ge_duals, 0.0)
     d_low, d_up = np.maximum(d, 0.0), np.minimum(d, 0.0)
     dual_objective = (problem.b_eq @ eq_duals + problem.b_ge @ ge_duals
-                      + np.where(ranged, range_ge, 0.0) @ y_up
-                      + np.where(has_lower, lower, 0.0) @ d_low + np.where(has_upper, upper, 0.0) @ d_up)
+                      + np.where(ranged, range_ge, 0.0) @ y_up + lower @ d_low + upper @ d_up)
     return {
         "primal_eq": _worst(np.abs(problem.a_eq @ x - problem.b_eq)),
         "primal_ge": _worst(-slack, -room),
         "primal_bounds": _worst(-over, -under),
-        "stationarity": _worst(d_low[~has_lower], -d_up[~has_upper]),
         "complementarity": _worst(np.abs(y_low * slack), np.abs(y_up * room),
                                   np.abs(d_low * over), np.abs(d_up * under)),
         "dual_sign": _worst(-ge_duals[~ranged]),

@@ -13,26 +13,26 @@ import re
 
 import numpy as np
 
-BOX = 1e6
-
 
 def _candidate_vertices(a_eq, b_eq, a_ge, b_ge, box):
-    """Basic feasible points of the boxed polyhedron {eq, ge, |x| <= box}.
+    """Basic feasible points of the polyhedron {eq, ge, lower <= x <= upper}.
 
-    ``box=None`` enumerates the raw polyhedron (valid when it contains no
-    line, e.g. assembled OPF problems with the reference row).
+    ``box`` is the pair of arrays ``(lower, upper)``. ``box=None`` enumerates
+    the raw polyhedron (valid when it contains no line, e.g. assembled OPF
+    problems with the reference row).
     """
     nv = a_eq.shape[1] if a_eq.size else a_ge.shape[1]
     me = a_eq.shape[0]
     k = nv - me
     if k < 0:
         return np.zeros((0, nv))
-    eye = np.eye(nv)
     if box is None:
         pool_a, pool_b = a_ge, b_ge
     else:
+        lower, upper = box
+        eye = np.eye(nv)
         pool_a = np.vstack([a_ge, eye, -eye])
-        pool_b = np.concatenate([b_ge, np.full(nv, -box), np.full(nv, -box)])
+        pool_b = np.concatenate([b_ge, lower, -upper])
 
     combos = list(itertools.combinations(range(pool_a.shape[0]), k))
     mats = np.empty((len(combos), nv, nv))
@@ -56,7 +56,7 @@ def _candidate_vertices(a_eq, b_eq, a_ge, b_ge, box):
     if a_ge.shape[0]:
         feas &= np.all(a_ge @ x.T - b_ge[:, None] >= -1e-7 * (1.0 + np.abs(b_ge))[:, None], axis=0)
     if box is not None:
-        feas &= np.all(np.abs(x) <= box * (1 + 1e-9) + 1e-6, axis=1)
+        feas &= np.all((x >= lower - 1e-9 * np.abs(lower) - 1e-6) & (x <= upper + 1e-9 * np.abs(upper) + 1e-6), axis=1)
     return x[feas]
 
 
@@ -76,39 +76,27 @@ def expand_rows(nv, a_ge, b_ge, lower=None, upper=None, range_ge=None):
     return rows, rhs
 
 
-def brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, box=BOX, lower=None, upper=None, range_ge=None):
-    """Classify and solve a small LP by exhaustive vertex enumeration.
+def brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, lower, upper, range_ge=None):
+    """Classify and solve a small boxed LP by exhaustive vertex enumeration.
 
-    Stated bounds and ranges are written as rows first (``expand_rows``).
-    Returns (status, value, x) with value/x None unless optimal. Raises if the
-    boxed optimum touches the artificial box (instance out of oracle range).
-    """
+    Every bound in ``lower`` and ``upper`` must be finite; stated ranges are
+    written as rows first (``expand_rows``). A boxed LP is infeasible or has
+    an optimal vertex. Returns (status, value, x) with value/x None unless
+    optimal."""
     c = np.asarray(c, float)
     a_eq = np.asarray(a_eq, float).reshape(-1, c.size)
     b_eq = np.asarray(b_eq, float).reshape(-1)
-    a_ge, b_ge = expand_rows(c.size, a_ge, b_ge, lower, upper, range_ge)
+    a_ge, b_ge = expand_rows(c.size, a_ge, b_ge, range_ge=range_ge)
+    lower, upper = np.asarray(lower, float), np.asarray(upper, float)
+    if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+        raise ValueError("oracle: every variable needs finite bounds")
 
-    verts = _candidate_vertices(a_eq, b_eq, a_ge, b_ge, box)
+    verts = _candidate_vertices(a_eq, b_eq, a_ge, b_ge, (lower, upper))
     if verts.shape[0] == 0:
         return "infeasible", None, None
-
-    # improving recession direction? (exact: vertex enumeration over the
-    # recession cone cut with a unit box)
-    rays = _candidate_vertices(a_eq, np.zeros_like(b_eq), a_ge, np.zeros_like(b_ge), 1.0)
-    if rays.shape[0] and (rays @ c).min() < -1e-7 * (1.0 + np.abs(c).max()):
-        return "unbounded", None, None
-
     values = verts @ c
     best = int(np.argmin(values))
-    value = float(values[best])
-    if np.abs(verts[best]).max() > 0.5 * box:
-        # the optimum face may legitimately extend to the box (fewer tight rows
-        # than dimensions); the value is trustworthy iff box growth keeps it
-        wider = _candidate_vertices(a_eq, b_eq, a_ge, b_ge, 2 * box)
-        wider_value = float((wider @ c).min())
-        if wider_value < value - 1e-9 * (1.0 + abs(value)):
-            raise RuntimeError("oracle: optimum not stable under box growth; instance out of range")
-    return "optimal", value, verts[best]
+    return "optimal", float(values[best]), verts[best]
 
 
 def kkt_duals(c, a_eq, b_eq, a_ge, b_ge, x, active_tol=1e-6):
@@ -330,15 +318,14 @@ def random_bounded_lp(seed):
 
 def random_ranged_lp(seed):
     """Deterministic small LP (2-5 vars, <= 14 rows) for the dual simplex's
-    bounds and phase 1, built around a point x0:
+    bounds and ranges, built around a point x0:
 
     - each drawn ``>=`` row gets, one time in two, its exact negation: a
       range that holds x0 or, one time in six, a pair that no point meets;
     - one time in five, the scaled negation of a drawn row excludes it (an
       infeasibility no exact pair shows);
     - each variable is boxed (lower and upper rows), bounded below only or
-      free, so a column with a negative cost and no upper bound, the start
-      of a dual phase 1, is common."""
+      left without a bound row."""
     rng = np.random.default_rng(seed)
     nv = int(rng.integers(2, 6))
     me = int(rng.integers(0, 2))

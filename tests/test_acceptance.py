@@ -198,18 +198,24 @@ def test_criterion_6_limited_information_recovery(corpus200):
 
 
 # ---------------------------------------------------------------------------
-# 7. LP solver vs brute-force vertex enumeration on 1000 random LPs
+# 7. LP solver vs brute-force vertex enumeration on 1000 boxed random LPs
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_lp_oracle_equivalence():
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    # every variable in [-box, box]: a boxed LP is infeasible or has an optimum,
+    # inside the box or on it (the draws whose rows alone leave it unbounded)
+    box = 1e3
+    statuses = {"inside": 0, "on the box": 0, "infeasible": 0}
     for seed in range(1000):
         c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(seed)
-        want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge)
-        sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
+        lower, upper = np.full(c.size, -box), np.full(c.size, box)
+        want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, lower, upper)
+        sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge, lower=lower, upper=upper))
         assert sol.status == want_status, f"seed {seed}"
-        statuses[want_status] += 1
         if want_status == "optimal":
             assert abs(sol.objective - want_value) <= 1e-6 * (1 + abs(want_value)), f"seed {seed}"
+            statuses["on the box" if np.max(np.abs(sol.x)) >= box - 1e-6 else "inside"] += 1
+        else:
+            statuses[want_status] += 1
     assert min(statuses.values()) >= 50, statuses
-    _report(7, f"LP oracle equivalence on 1000 LPs {statuses}")
+    _report(7, f"LP oracle equivalence on 1000 boxed LPs {statuses}")

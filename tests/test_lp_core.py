@@ -1,15 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 import lmpcirc._kernels as kernels
-from lmpcirc import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, LpProblem, assemble_lp, generate_random_network,
-                     lp, solve_lp, solve_opf)
+from lmpcirc import (INFEASIBLE, NUMERICAL, OPTIMAL, LpProblem, assemble_lp, generate_random_network, lp, solve_lp,
+                     solve_opf)
 from lmpcirc.dcopf import opf_lp_problem
 
 import oracles
 
 
-def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None, **stated):
+INF = np.inf
+BOX = 1e3    # the bounds of a variable that states none; no optimum inside it reaches them
+
+
+def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None, lower=None, upper=None, **stated):
+    """An LpProblem whose bounds left out are ``-BOX`` and ``BOX``."""
     nv = len(c)
     return LpProblem(
         c=np.asarray(c, float),
@@ -17,11 +24,10 @@ def _lp(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None, **stated):
         b_eq=np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
         a_ge=np.zeros((0, nv)) if a_ge is None else np.asarray(a_ge, float),
         b_ge=np.zeros(0) if b_ge is None else np.asarray(b_ge, float),
+        lower=np.full(nv, -BOX) if lower is None else lower,
+        upper=np.full(nv, BOX) if upper is None else upper,
         **stated,
     )
-
-
-INF = np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +39,10 @@ def test_single_bound():
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
     assert sol.ge_duals[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unbounded_ray():
-    sol = solve_lp(_lp([-1.0], a_ge=[[1.0]], b_ge=[0.0]))
-    assert sol.status == UNBOUNDED
+    # min -x with x <= 1 as a row: the kernel's start puts x at BOX, and the
+    # row pulls it back
+    sol = solve_lp(_lp([-1.0], a_ge=[[-1.0]], b_ge=[-1.0]))
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0])
 
 
 def test_infeasible_band():
@@ -80,12 +85,29 @@ def test_stated_bounds_and_ranges_are_validated(stated, message):
 
 
 def test_stated_bounds_and_ranges_default_to_free_and_one_sided():
-    prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0])
+    prob = LpProblem(c=[1.0, 1.0], a_eq=[], b_eq=[], a_ge=[[1.0, 1.0]], b_ge=[0.0])
     assert list(prob.lower) == [-INF, -INF] and list(prob.upper) == [INF, INF] and list(prob.range_ge) == [INF]
-    # infinite bounds may be stated, and equal bounds and an empty range are allowed
+    # infinite bounds may be stated (solve_lp refuses them), and equal bounds
+    # and an empty range are allowed
     prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[-INF, 2.0], upper=[INF, 2.0], range_ge=[0.0])
+    assert list(prob.lower) == [-INF, 2.0] and list(prob.upper) == [INF, 2.0]
+    prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[-BOX, 2.0], upper=[BOX, 2.0], range_ge=[0.0])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL and sol.x == pytest.approx([-2.0, 2.0]) and sol.ge_duals == pytest.approx([1.0])
+
+
+def test_solve_lp_refuses_infinite_bounds(fig1_net):
+    # solve_lp solves boxed LPs only and names the first variable with an
+    # infinite bound; LpProblem still states such bounds, so the free-angle
+    # reference form of the OPF builds
+    for stated, message in ((dict(lower=[0.0, -INF]), "variable 1 lies in [-inf, 1000]"),
+                            (dict(upper=[INF, 1.0]), "variable 0 lies in [-1000, inf]")):
+        with pytest.raises(ValueError, match=re.escape(f"solve_lp needs finite bounds: {message}")):
+            solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], **stated))
+    prob = opf_lp_problem(assemble_lp(fig1_net), ref_bus=0)
+    assert prob.n_vars == 9 and np.all(prob.lower[6:] == -INF) and np.all(prob.upper[6:] == INF)
+    with pytest.raises(ValueError, match=re.escape("variable 0 lies in [-inf, inf]")):
+        solve_lp(prob)
 
 
 def test_singular_final_basis_raises(monkeypatch):
@@ -104,15 +126,15 @@ def test_uncertified_vertex_is_numerical(monkeypatch):
     monkeypatch.setattr("lmpcirc.lp._refined_solve", lambda *args: refined(*args) + 1e-3)
     sol = solve_lp(_lp([1.0, 2.0], a_ge=[[1.0, 1.0], [0.0, 1.0]], b_ge=[3.0, 0.0]))
     assert sol.status == NUMERICAL
-    assert sol.residuals["stationarity"] > 1e-7
+    assert sol.residuals["complementarity"] > 1e-7
 
 
 def test_certificate_checks_rows_ranges_and_bounds():
     # min x + 2y with x + y = 2, 0 <= x - y <= 2 (a ranged row), x >= -10 (a
-    # one-sided row), x in [0, 4] and y >= 0: the optimum x = 2, y = 0 has
-    # every residual 0, and each violation below shows in its own residual
+    # one-sided row), x in [0, 4] and y in [0, BOX]: the optimum x = 2, y = 0
+    # has every residual 0, and each violation below shows in its own residual
     prob = _lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], a_ge=[[1.0, -1.0], [1.0, 0.0]], b_ge=[0.0, -10.0],
-               range_ge=[2.0, INF], lower=[0.0, 0.0], upper=[4.0, INF])
+               range_ge=[2.0, INF], lower=[0.0, 0.0], upper=[4.0, BOX])
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL and sol.x == pytest.approx([2.0, 0.0])
     assert sol.ge_duals == pytest.approx([0.0, 0.0]) and sol.reduced_costs == pytest.approx([0.0, 1.0])
@@ -121,7 +143,7 @@ def test_certificate_checks_rows_ranges_and_bounds():
     for name, args, value in (
         ("primal_bounds", ([2.0, -0.5], eq, ge, d, obj), 0.5),                   # below y's lower bound
         ("primal_ge", ([2.5, 0.0], eq, ge, d, obj), 0.5),                        # above the row's range
-        ("stationarity", (x, eq, ge, np.array([0.0, -1.0]), obj), 1.0),        # y has no upper bound to price
+        ("complementarity", (x, eq, ge, np.array([0.0, -1.0]), obj), BOX),    # y's loose upper bound priced
         ("complementarity", (x, eq, np.array([0.0, 1.0]), d, obj), 12.0),      # a loose row priced
         ("complementarity", (x, eq, np.array([1.0, 0.0]), d, obj), 2.0),       # the range's loose lower side
         ("complementarity", (x, eq, ge, np.array([1.0, 1.0]), obj), 2.0),      # x off its lower bound priced
@@ -133,24 +155,24 @@ def test_certificate_checks_rows_ranges_and_bounds():
 
 
 def test_tableau_has_one_logical_per_row(monkeypatch, fig1_net):
-    # every kernel call sees an x' column per variable with unequal bounds, a
-    # v column per free one, one logical per row and the rhs; the logicals
-    # start as the identity, so they are the starting basis and carry B^-1
+    # the one kernel call sees an x' column per variable with unequal bounds,
+    # one logical per row and the rhs; the logicals start as the identity, so
+    # they are the starting basis and carry B^-1
     problems = _lp_problems(monkeypatch)
     solve_opf(fig1_net)
     seen = _kernel_tableaus(monkeypatch)
     c, a_eq, b_eq, a_ge, b_ge = oracles.random_small_lp(0)
-    # bounded below only, free, boxed, above only, fixed, above only, free
-    bounds = dict(lower=[0.0, -INF, 10.0, -INF, 6.5, -INF, -INF], upper=[INF, INF, 20.0, 6.0, 6.5, 0.0, INF])
+    # boxed from 0, wide, narrow, narrow from below, fixed, up to 0, wide
+    bounds = dict(lower=[0.0, -BOX, 10.0, -BOX, 6.5, -BOX, -BOX], upper=[BOX, BOX, 20.0, 6.0, 6.5, 0.0, BOX])
     for prob in (problems[0], _lp(c, a_eq, b_eq, a_ge, b_ge), _lp(c, a_eq, b_eq, a_ge, b_ge, **bounds)):
         assert prob.a_eq.shape[0] > 0
-        free = (prob.lower == -INF) & (prob.upper == INF)
-        n_var = np.count_nonzero(prob.lower < prob.upper) + np.count_nonzero(free)
+        n_var = np.count_nonzero(prob.lower < prob.upper)
         seen.clear()
         assert solve_lp(prob).status == OPTIMAL
         rows = prob.a_eq.shape[0] + prob.a_ge.shape[0]
-        assert all(t.shape == (rows + 1, n_var + rows + 1) for t, _ in seen)
-        assert np.array_equal(seen[0][0][:rows, -rows - 1:-1], np.eye(rows))
+        (tableau, _), = seen
+        assert tableau.shape == (rows + 1, n_var + rows + 1)
+        assert np.array_equal(tableau[:rows, -rows - 1:-1], np.eye(rows))
 
 
 def test_opf_states_injector_limits_as_bounds(monkeypatch, fig1_net):
@@ -220,16 +242,15 @@ def _assert_matches_oracle(prob, sol):
 
 
 def test_free_variables_on_equality_rows_are_split(monkeypatch):
-    # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z free:
-    # each stays split into x' - v, so the kernel sees both rows over x', z', y',
-    # v_x, v_z and two logicals. v_x and v_z cost -2 and -1 with no upper bound,
-    # so a dual phase 1 runs first. At the optimum y = 5 and both free
-    # variables are negative: x = -1, z = -3
+    # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z
+    # in the wide box: one kernel call sees both rows over x', z', y' and two
+    # logicals. At the optimum y = 5 and x and z are negative and off their
+    # bounds: x = -1, z = -3
     seen = _kernel_tableaus(monkeypatch)
     prob = _lp([2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 2.0],
-               lower=[-INF, -INF, 0.0], upper=[INF, INF, 5.0])
+               lower=[-BOX, -BOX, 0.0], upper=[BOX, BOX, 5.0])
     sol = solve_lp(prob)
-    assert [t.shape for t, _ in seen] == [(3, 8)] * 2
+    assert [t.shape for t, _ in seen] == [(3, 6)]
     assert sol.x == pytest.approx([-1.0, -3.0, 5.0])
     assert sol.eq_duals == pytest.approx([1.5, 0.5]) and sol.reduced_costs == pytest.approx([0.0, 0.0, -1.5])
     _assert_matches_oracle(prob, sol)
@@ -237,22 +258,23 @@ def test_free_variables_on_equality_rows_are_split(monkeypatch):
 
 def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
     # min x + 2y  s.t.  x + y >= -1,  x - y >= -3,  y + w = 4,  y >= 0,  w >= 0
-    # with x free: the equality row holds no x, so x keeps its x' and v columns
-    # next to y', w' and the three rows' logicals. v's cost is negative with no
-    # upper bound, so a dual phase 1 runs first. At the optimum x = -1 < 0
+    # with x in the wide box: the equality row holds no x, and one kernel
+    # call sees x', y', w' and the three rows' logicals. The rows bound x
+    # below, so at the optimum x = -1 is off its bounds
     seen = _kernel_tableaus(monkeypatch)
     prob = _lp([1.0, 2.0, 0.0], a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
-               a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], b_ge=[-1.0, -3.0], lower=[-INF, 0.0, 0.0])
+               a_ge=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], b_ge=[-1.0, -3.0], lower=[-BOX, 0.0, 0.0])
     sol = solve_lp(prob)
-    assert len(seen) == 2 and all(t.shape == (4, 8) for t, _ in seen)
+    assert [t.shape for t, _ in seen] == [(4, 7)]
     assert sol.x == pytest.approx([-1.0, 0.0, 4.0])
     assert sol.ge_duals == pytest.approx([1.0, 0.0]) and sol.reduced_costs == pytest.approx([0.0, 1.0, 0.0])
     _assert_matches_oracle(prob, sol)
 
 
 def test_free_variables_on_surplus_equality_rows():
-    # x and y free on three equality rows: when the third row contradicts the
-    # other two, the Farkas ray that proves it combines all three
+    # x and y in the wide box on three equality rows: when the third row
+    # contradicts the other two, the Farkas ray that proves it combines all
+    # three, since any two of them meet inside the box
     rows = [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]]
     sol = solve_lp(_lp([1.0, 1.0], a_eq=rows, b_eq=[1.0, 0.0, 3.0]))
     assert sol.status == INFEASIBLE
@@ -260,7 +282,7 @@ def test_free_variables_on_surplus_equality_rows():
     # and redundant otherwise
     sol = solve_lp(_lp([1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0], [2.0, 2.0]], b_eq=[1.0, 0.0, 2.0]))
     assert sol.status == OPTIMAL and sol.x == pytest.approx([0.5, 0.5])
-    assert sol.objective == pytest.approx(1.0) and sol.residuals["stationarity"] <= 1e-12
+    assert sol.objective == pytest.approx(1.0) and sol.reduced_costs == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_opf_tableau_holds_no_angle_column(monkeypatch):
@@ -300,7 +322,7 @@ def test_conflicting_bounds_name_both_rows():
     assert sol.status == INFEASIBLE
     assert sol.infeasible_rows == (("ge", 1, 1.0), ("ge", 2, 1.0))
     # stated as a bound, x <= 2 leaves row 1 alone to name
-    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0]], b_ge=[0.0, 3.0], upper=[2.0, INF]))
+    sol = solve_lp(_lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, 0.0]], b_ge=[0.0, 3.0], upper=[2.0, BOX]))
     assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 1, 1.0),)
     # 2x = 4 against x >= 3 names both rows; x fixed at 2 by equal bounds has no
     # column, so its row is empty and names itself
@@ -320,7 +342,7 @@ def test_singleton_rows_price_their_variable():
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([3.0, 7.0])
     assert sol.ge_duals == pytest.approx([0.0, 2.0, 0.0])
-    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0], lower=[3.0, -INF], upper=[5.0, INF]))
+    sol = solve_lp(_lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[10.0], lower=[3.0, -BOX], upper=[5.0, BOX]))
     assert sol.status == OPTIMAL and sol.x == pytest.approx([3.0, 7.0])
     assert sol.reduced_costs == pytest.approx([1.0, 0.0])
     # x >= 1, x >= 3 twice and x <= 3 meet at x = 3, where the first tight
@@ -375,44 +397,29 @@ def test_ranged_row_dual_lands_on_the_binding_side(monkeypatch):
 
 
 def test_variable_at_its_upper_bound_prices_its_upper_row(monkeypatch):
-    # x in [1, 4] and y >= 0 are column bounds; the kernel sees only the row
-    # x + y >= 0. min -x + y puts x at its upper bound, so its reduced cost -1
-    # prices the upper bound: as the row -2x >= -8 that is -1 / -2 = 0.5
+    # x in [1, 4] and y in [0, BOX] are column bounds; the kernel sees only
+    # the row x + y >= 0. min -x + y puts x at its upper bound, so its reduced
+    # cost -1 prices the upper bound: as the row -2x >= -8 that is -1 / -2 = 0.5
     seen = _kernel_tableaus(monkeypatch)
-    prob = _lp([-1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[1.0, 0.0], upper=[4.0, INF])
+    prob = _lp([-1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[0.0], lower=[1.0, 0.0], upper=[4.0, BOX])
     sol = solve_lp(prob)
     assert sol.x == pytest.approx([4.0, 0.0])
     assert sol.ge_duals == pytest.approx([0.0]) and sol.reduced_costs == pytest.approx([-1.0, 1.0])
     _assert_matches_oracle(prob, sol)
     # x' is handed to the kernel at its lower bound, boxed by 3, and the
-    # kernel's start puts it at that upper bound; y' has none
+    # kernel's start puts it at that upper bound; y' is boxed by BOX, and the
+    # one-sided row's logical has no upper bound
     (tableau, upper), = seen
-    assert tableau.shape == (2, 4) and list(upper) == [3.0, np.inf, np.inf]
-
-
-def test_dual_phase1_failures_raise(monkeypatch):
-    # x free with only x <= 1 (row 0): its x' column costs -1 and has no upper
-    # bound, so a dual phase 1 runs first
-    prob = _lp([-1.0], a_ge=[[-1.0]], b_ge=[-1.0])
-    sol = solve_lp(prob)
-    assert sol.status == OPTIMAL and sol.x == pytest.approx([1.0]) and sol.ge_duals == pytest.approx([1.0])
-    with monkeypatch.context() as mp:
-        mp.setattr(kernels, "run_simplex", lambda tableau, basis, upper: (kernels.STATUS_ITER_LIMIT, 0))
-        with pytest.raises(ArithmeticError, match="^simplex iteration limit in phase 1$"):
-            solve_lp(prob)
-    # the auxiliary problem always has the point 0, so an infeasible one is a numerical failure
-    with monkeypatch.context() as mp:
-        mp.setattr(kernels, "run_simplex", lambda tableau, basis, upper: (kernels.STATUS_INFEASIBLE, 0))
-        with pytest.raises(ArithmeticError, match=r"^phase-1 objective unbounded \(numerical failure\)$"):
-            solve_lp(prob)
+    assert tableau.shape == (2, 4) and list(upper) == [3.0, BOX, np.inf]
 
 
 def test_dual_infeasible_lp_is_unbounded_or_infeasible():
-    # min -x - y over x, y >= 0: the costs fall without bound, so phase 1 finds
-    # no dual-feasible basis and a zero-cost solve asks whether any point exists
+    # min -x - y over x, y in [0, BOX] with x - y >= -1: the rows alone let the
+    # costs fall without bound, and the box stops them at its corner
     sol = solve_lp(_lp([-1.0, -1.0], a_ge=[[1.0, -1.0]], b_ge=[-1.0], lower=[0.0, 0.0]))
-    assert sol.status == UNBOUNDED
-    # with x + y <= -1 (row 0) there is none: row 0 falls short by 1 and proves it
+    assert sol.status == OPTIMAL and sol.x == pytest.approx([BOX, BOX]) and sol.objective == pytest.approx(-2 * BOX)
+    assert sol.ge_duals == pytest.approx([0.0]) and sol.reduced_costs == pytest.approx([-1.0, -1.0])
+    # with x + y <= -1 (row 0) there is no point: row 0 falls short by 1 and proves it
     sol = solve_lp(_lp([-1.0, -1.0], a_ge=[[-1.0, -1.0]], b_ge=[1.0], lower=[0.0, 0.0]))
     assert sol.status == INFEASIBLE and sol.infeasible_rows == (("ge", 0, 1.0),)
 
@@ -462,8 +469,8 @@ def _full_basis_solution(a_std, rhs, c_std, basis_col, x_nonbasic):
     return x_std, y_rows
 
 
-def _assert_close(got, want):
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+def _assert_close(got, want, scale=1.0):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(scale, np.max(np.abs(want), initial=0.0))
 
 
 def _assert_matches_full_basis(monkeypatch, prob):
@@ -473,7 +480,9 @@ def _assert_matches_full_basis(monkeypatch, prob):
         want = solve_lp(prob)
     assert sol.status == want.status and sol.iterations == want.iterations
     if want.x is not None:
-        for got, ref in ((sol.x, want.x), (sol.eq_duals, want.eq_duals), (sol.ge_duals, want.ge_duals)):
+        # x is lower + x', so it carries the rounding of numbers as large as its bounds
+        _assert_close(sol.x, want.x, max(1.0, np.max(np.abs(prob.lower)), np.max(np.abs(prob.upper))))
+        for got, ref in ((sol.eq_duals, want.eq_duals), (sol.ge_duals, want.ge_duals)):
             _assert_close(got, ref)
         assert sol.degenerate == want.degenerate
 
@@ -486,16 +495,15 @@ def test_partitioned_solve_matches_full_basis_on_random_lps(monkeypatch):
 
 
 def test_partitioned_solve_matches_full_basis_on_perfbench_networks(monkeypatch):
-    # the opf_dense and opf_grid corpora, generator seeds 0-16, in two forms:
-    # the B-theta reference LP, and the injection LP that solve_opf solves
+    # the opf_dense and opf_grid corpora, generator seeds 0-16, in the
+    # injection form that solve_opf solves
     specs = [(seed, 35, 0.35) for seed in range(17)] + [(seed, 50, 0.022) for seed in range(17)]
-    nets = [generate_random_network(*spec) for spec in specs]
     with monkeypatch.context() as mp:
         injection = _lp_problems(mp)
-        for net in nets:
-            solve_opf(net)
+        for spec in specs:
+            solve_opf(generate_random_network(*spec))
     assert len(injection) == len(specs)
-    for prob in [opf_lp_problem(assemble_lp(net), ref_bus=0) for net in nets] + injection:
+    for prob in injection:
         _assert_matches_full_basis(monkeypatch, prob)
 
 
@@ -524,16 +532,19 @@ def _tight_rows(basis_col, n):
 
 
 def test_only_equality_and_tight_rows_are_factored(monkeypatch):
-    # a 35-bus dense OPF binds few of its lines: the ranged flow rows of the
-    # others are loose, while its 35 balance rows and the binding lines' rows
-    # are factored
+    # a 35-bus dense OPF binds 5 of its 85 limited lines: the ranged flow rows
+    # of the others are loose, while its balance row and the binding lines'
+    # rows are factored
+    with monkeypatch.context() as mp:
+        problems = _lp_problems(mp)
+        sol = solve_opf(generate_random_network(0, 35, 0.35))
     bases, shapes = _spy_final_solve(monkeypatch)
-    sol = solve_lp(opf_lp_problem(assemble_lp(generate_random_network(0, 35, 0.35)), ref_bus=0))
-    assert sol.status == OPTIMAL
+    assert solve_lp(problems[0]).status == OPTIMAL
     (basis_col, n), = bases
     tight = _tight_rows(basis_col, n)
+    assert (basis_col.size, sum(abs(mu.value) > 1e-9 for mu in sol.mu)) == (86, 5)
     assert shapes == [(tight.size, tight.size)] * 2
-    assert 35 < tight.size < basis_col.size
+    assert 1 + 5 <= tight.size < basis_col.size
 
 
 def test_every_kept_row_loose_factors_nothing(monkeypatch):
@@ -545,13 +556,14 @@ def test_every_kept_row_loose_factors_nothing(monkeypatch):
     assert shapes == [(0, 0), (0, 0)]
     assert sol.x == pytest.approx([1.0, 2.0]) and sol.ge_duals == pytest.approx([0.0])
     assert sol.reduced_costs == pytest.approx([1.0, 1.0])
-    assert sol.residuals["stationarity"] == 0.0 and not sol.degenerate
+    assert sol.residuals["complementarity"] == 0.0 and not sol.degenerate
 
 
 def test_slack_basic_at_zero_is_degenerate(monkeypatch):
-    # min x + y over free x, y with x + y >= 2, x - y >= 0 and 3x + y >= 4: all
-    # three rows meet at (1, 1), so two structural columns and one logical at
-    # 0 are basic; that logical is evaluated as a x - b, not factored
+    # min x + y over x, y in the wide box with x + y >= 2, x - y >= 0 and
+    # 3x + y >= 4: all three rows meet at (1, 1), so two structural columns
+    # and one logical at 0 are basic; that logical is evaluated as a x - b,
+    # not factored
     bases, shapes = _spy_final_solve(monkeypatch)
     prob = _lp([1.0, 1.0], a_ge=[[1.0, 1.0], [1.0, -1.0], [3.0, 1.0]], b_ge=[2.0, 0.0, 4.0])
     sol = solve_lp(prob)
@@ -584,7 +596,7 @@ def test_beale_cycling_example():
     sol = solve_lp(_lp(c, a_ge=a_ge, b_ge=b_ge))
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
-    assert sol.residuals["stationarity"] < 1e-8
+    assert sol.residuals["complementarity"] < 1e-8
     assert sol.residuals["gap"] < 1e-7
 
 
@@ -612,8 +624,8 @@ def test_degenerate_flag_set_and_clear():
     deg = solve_lp(_lp([1.0, 1.0],
                        a_ge=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ge=[1.0, 1.0, 2.0]))
     assert deg.status == OPTIMAL and deg.degenerate
-    # a free basic variable at zero sits at no bound: min y, x + y = 1, y >= 1
-    # has two active rows in two variables, with the split x at 0
+    # a basic variable at zero inside its box sits at no bound: min y,
+    # x + y = 1, y >= 1 has two active rows in two variables, with x at 0
     free_zero = solve_lp(_lp([0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[0.0, 1.0]], b_ge=[1.0]))
     assert free_zero.status == OPTIMAL and free_zero.x == pytest.approx([0.0, 1.0])
     assert not free_zero.degenerate
@@ -623,27 +635,32 @@ def test_degenerate_flag_set_and_clear():
 # oracle equivalence (module-level slice; the acceptance suite runs 1000)
 # ---------------------------------------------------------------------------
 
-def test_matches_vertex_enumeration_oracle(monkeypatch):
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+def _outcome(status, x):
+    """An LP's outcome in the wide box: infeasible, or an optimum inside it or on it."""
+    if status != OPTIMAL:
+        return status
+    return "on the box" if np.max(np.abs(x)) >= BOX - 1e-6 else "inside"
+
+
+def test_matches_vertex_enumeration_oracle():
+    # every variable in [-BOX, BOX]: a boxed LP is infeasible or has an optimum,
+    # inside the box or on it (the draws whose rows alone leave it unbounded)
+    statuses = {"inside": 0, "on the box": 0, "infeasible": 0}
     ranged = dict(statuses)
-    # the outcome of every dual phase 1: a dual-feasible basis, or a proof of none
-    phase1 = []
-    dual_phase1 = lp._dual_phase1
-    monkeypatch.setattr(lp, "_dual_phase1", lambda *args: phase1.append(dual_phase1(*args)) or phase1[-1])
     lps = [(seed, oracles.random_small_lp(seed)) for seed in range(300)]
     lps += [(f"bounded {seed}", oracles.random_bounded_lp(seed)) for seed in range(100)]
     lps += [(f"ranged {seed}", oracles.random_ranged_lp(seed)) for seed in range(100)]
     stated = np.zeros(3, dtype=int)
     for seed, (c, a_eq, b_eq, a_ge, b_ge) in lps:
-        want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge)
-        sol = solve_lp(_lp(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
+        prob = _lp(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
+        want_status, want_value, _ = oracles.brute_force_lp(c, a_eq, b_eq, a_ge, b_ge, prob.lower, prob.upper)
+        sol = solve_lp(prob)
         assert sol.status == want_status, f"seed {seed}: {sol.status} != {want_status}"
-        statuses[want_status] += 1
+        statuses[_outcome(sol.status, sol.x)] += 1
         if str(seed).startswith("ranged"):
-            ranged[want_status] += 1
+            ranged[_outcome(sol.status, sol.x)] += 1
         if want_status == "optimal":
             assert sol.objective == pytest.approx(want_value, abs=1e-6 * (1 + abs(want_value))), f"seed {seed}"
-            assert sol.residuals["stationarity"] <= 1e-8
             assert sol.residuals["primal_eq"] <= 1e-8
             assert sol.residuals["primal_ge"] <= 1e-8
             assert sol.residuals["complementarity"] <= 1e-8
@@ -651,10 +668,9 @@ def test_matches_vertex_enumeration_oracle(monkeypatch):
             assert sol.ge_duals.min(initial=0.0) >= -1e-9
         if isinstance(seed, str):
             stated += _assert_stated_encoding_agrees(seed, c, a_eq, b_eq, a_ge, b_ge, sol)
-    # each generator must exercise every status
+    # each generator must exercise every outcome
     assert min(statuses.values()) >= 15, statuses
     assert min(ranged.values()) >= 15, ranged
-    assert sum(ok for ok, _ in phase1) >= 15 and sum(not ok for ok, _ in phase1) >= 15
     # the stated encodings hold bounds and ranges, and many optima have unique
     # duals to compare
     assert np.all(stated >= [600, 80, 40]), stated
@@ -662,32 +678,41 @@ def test_matches_vertex_enumeration_oracle(monkeypatch):
 
 def _assert_stated_encoding_agrees(seed, c, a_eq, b_eq, a_ge, b_ge, sol):
     """Solve the LP once more with its singleton rows stated as bounds and its
-    opposite rows as ranges (``oracles.stated_form``): the status and the
-    objective agree with the rows' run and with the oracle, which expands the
-    bounds and ranges to rows itself. At an optimum the reduced costs and the
-    signed ranged duals, read back onto the rows, satisfy the rows' KKT
-    conditions, and equal ``kkt_duals`` wherever its multipliers are unique.
-    Returns the counts of stated bounds, ranges and unique comparisons."""
+    opposite rows as ranges (``oracles.stated_form``), and each bound that no
+    row states at the box: the status and the objective agree with the rows'
+    run and with the oracle, which expands the ranges to rows itself. At an
+    optimum the reduced costs and the signed ranged duals, read back onto the
+    rows and the box, satisfy their KKT conditions, and equal ``kkt_duals``
+    wherever its multipliers are unique. Returns the counts of bounds read
+    from rows, ranges and unique comparisons."""
     fields, where = oracles.stated_form(c, a_eq, b_eq, a_ge, b_ge)
+    box_low, box_up = ~np.isfinite(fields["lower"]), ~np.isfinite(fields["upper"])
+    fields["lower"] = np.where(box_low, -BOX, fields["lower"])
+    fields["upper"] = np.where(box_up, BOX, fields["upper"])
     prob = LpProblem(**fields)
     got = solve_lp(prob)
     want_status, want_value, _ = oracles.brute_force_lp(**fields)
     assert got.status == want_status == sol.status, f"seed {seed}"
-    counts = np.array([np.isfinite(prob.lower).sum() + np.isfinite(prob.upper).sum(),
-                       np.isfinite(prob.range_ge).sum(), 0])
+    counts = np.array([np.count_nonzero(~box_low) + np.count_nonzero(~box_up), np.isfinite(prob.range_ge).sum(), 0])
     if got.status != OPTIMAL:
         return counts
     tol = 1e-6 * (1 + abs(want_value))
     assert got.objective == pytest.approx(want_value, abs=tol) and got.objective == pytest.approx(sol.objective, abs=tol)
     for name, value in got.residuals.items():
         assert value <= (1e-7 * (1 + abs(got.objective)) if name == "gap" else 1e-8), (seed, name)
-    y = oracles.row_duals(where, prob.range_ge, got.ge_duals, got.reduced_costs)
-    slack = a_ge @ got.x - b_ge
-    assert np.max(np.abs(a_eq.T @ got.eq_duals + a_ge.T @ y - c)) <= 1e-8, f"seed {seed}"
+    # the rows, then the box's sides as rows x_j >= -BOX and -x_j >= -BOX
+    eye = np.eye(c.size)
+    rows = np.vstack([a_ge, eye[box_low], -eye[box_up]])
+    rhs = np.concatenate([b_ge, np.full(np.count_nonzero(box_low) + np.count_nonzero(box_up), -BOX)])
+    d = got.reduced_costs
+    y = np.concatenate([oracles.row_duals(where, prob.range_ge, got.ge_duals, d),
+                        np.maximum(d, 0.0)[box_low], -np.minimum(d, 0.0)[box_up]])
+    slack = rows @ got.x - rhs
+    assert np.max(np.abs(a_eq.T @ got.eq_duals + rows.T @ y - c)) <= 1e-8, f"seed {seed}"
     assert y.min() >= -1e-9 and np.max(np.abs(y * slack)) <= 1e-8, f"seed {seed}"
-    eq_duals, ge_duals, resid = oracles.kkt_duals(c, a_eq, b_eq, a_ge, b_ge, got.x)
-    active = np.flatnonzero(slack <= 1e-6 * (1.0 + np.abs(b_ge)))
-    stacked = np.vstack([a_eq, a_ge[active]]).T
+    eq_duals, ge_duals, resid = oracles.kkt_duals(c, a_eq, b_eq, rows, rhs, got.x)
+    active = np.flatnonzero(slack <= 1e-6 * (1.0 + np.abs(rhs)))
+    stacked = np.vstack([a_eq, rows[active]]).T
     if resid < 1e-9 and np.linalg.matrix_rank(stacked) == stacked.shape[1]:
         assert got.eq_duals == pytest.approx(eq_duals, abs=1e-8) and y == pytest.approx(ge_duals, abs=1e-8), seed
         counts[2] = 1
@@ -710,15 +735,14 @@ def test_fig1_opf_duals_match_oracle(fig1_net):
         prob.c, prob.a_eq, prob.b_eq, prob.a_ge, prob.b_ge, best)
     assert resid < 1e-6
 
-    sol = solve_lp(prob)
-    assert sol.status == OPTIMAL
+    sol = solve_opf(fig1_net)
     assert sol.objective == pytest.approx(600.0, abs=1e-8)
-    # balance prices: lmp = (0, 40, 20); reference-row dual is zero
-    assert sol.eq_duals == pytest.approx([0.0, 40.0, 20.0, 0.0], abs=1e-7)
+    # balance prices: lmp = (0, 40, 20)
+    assert sol.lmp == pytest.approx([0.0, 40.0, 20.0], abs=1e-7)
     assert lam_oracle[:3] == pytest.approx([0.0, 40.0, 20.0], abs=1e-6)
-    # the binding angle row (flow 0->1 at +20 MW) prices at 60
-    assert sol.ge_duals[12] == pytest.approx(60.0, abs=1e-7)
-    assert sol.ge_duals[13] == pytest.approx(0.0, abs=1e-9)
+    # the binding angle row (flow 0->1 at +20 MW), the reference form's ge row
+    # 12 after its 12 bound rows, prices at 60
+    assert sol.mu_rows == pytest.approx([60.0, 0.0], abs=1e-7)
     assert ge_oracle[12] == pytest.approx(60.0, abs=1e-6)
 
     # cross-check with the independent nodal oracle (ground at the $0 bus)
