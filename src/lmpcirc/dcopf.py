@@ -1,7 +1,9 @@
 """DC optimal power flow: solve, classify marginal injectors, verify optimality.
 
 ``solve_opf`` solves the OPF in the injections ``p`` alone, from ``X``, the
-inverse of the susceptance Laplacian grounded at bus 0. KCL fixes the angles
+inverse of the susceptance Laplacian grounded at bus 0. ``X`` depends on the
+network alone, so it is computed once per network, on its first solve, and
+kept read-only with the OPF blocks (``OpfLp.X``). KCL fixes the angles
 once the injections are known, ``theta = X (a - A p)`` with ``theta_0 = 0``,
 so each limited line's flow limits become one ranged row over ``p`` (the
 PTDF form). The LP states the system-balance row, the injector limits as
@@ -143,15 +145,15 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
 
 
-def _injection_problem(net: Network, opf: OpfLp, x0: np.ndarray) -> lp.LpProblem:
-    """The OPF LP over ``p``, given ``x0``, ``X`` padded with a zero row and
-    column for bus 0. With ``ptdf_r = x0[from_r] - x0[to_r]``, limited line
-    ``r`` is the ranged row ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a``, up to
-    ``-(d_2r+1 + ptdf_r a)``, and the injector limits are the bounds. Every
-    entry comes from elementwise operations, so none passes through BLAS."""
+def _injection_problem(net: Network, opf: OpfLp) -> lp.LpProblem:
+    """The OPF LP over ``p``. With ``ptdf_r = X[from_r] - X[to_r]``, read off
+    ``opf.X``, which is padded for bus 0, limited line ``r`` is the ranged row
+    ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a``, up to ``-(d_2r+1 + ptdf_r
+    a)``, and the injector limits are the bounds. Every entry comes from
+    elementwise operations, so none passes through BLAS."""
     n = opf.n
     lines = [net.lines[k] for k in opf.limited_lines]
-    ptdf = x0[[ln.from_bus for ln in lines]] - x0[[ln.to_bus for ln in lines]]
+    ptdf = opf.X[[ln.from_bus for ln in lines]] - opf.X[[ln.to_bus for ln in lines]]
     shift = (ptdf * opf.a).sum(axis=1)
     b_from, b_to = opf.d[0::2] - shift, opf.d[1::2] + shift     # binding from -> to, and back
     return lp.LpProblem(c=opf.c, a_eq=opf.A.sum(axis=0)[None, :], b_eq=[opf.a.sum()],
@@ -169,13 +171,13 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
         raise ValueError(f"reference bus {ref_bus} out of range")
     opf = assemble_lp(net)
     n = net.n
-    lap = opf.B[1:, 1:]
     try:
-        x_red = lp._inverse(lap)
+        x_red = opf.X[1:, 1:]
     except np.linalg.LinAlgError:
         raise OpfNumerical("singular reduced susceptance Laplacian") from None
+    lap = opf.B[1:, 1:]
     try:
-        sol = lp.solve_lp(_injection_problem(net, opf, np.pad(x_red, ((1, 0), (1, 0)))))
+        sol = lp.solve_lp(_injection_problem(net, opf))
     except ArithmeticError as exc:
         raise OpfNumerical(str(exc)) from exc
 

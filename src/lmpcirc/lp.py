@@ -124,19 +124,25 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     count. Each elimination step touches only the rows with a nonzero in the
     pivot column, which keeps sparse bases cheap."""
     n = a.shape[0]
-    t = np.hstack([a, np.eye(n)])
+    t = np.zeros((n, 2 * n))
+    t[:, :n] = a
+    t[np.arange(n), n + np.arange(n)] = 1.0
     for k in range(n):
         p = k + int(np.abs(t[k:, k]).argmax())
-        if t[p, k] == 0.0:
+        pivot = t[p, k]
+        if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
-        row = t[p, k:] / t[p, k]
-        t[p, k:] = t[k, k:]
+        row = t[p, k:] / pivot
+        if p != k:
+            t[p, k:] = t[k, k:]
         t[k, k:] = row
-        rows = k + 1 + np.flatnonzero(t[k + 1:, k])
-        t[rows, k:] -= np.multiply.outer(t[rows, k], row)
+        rows = k + 1 + (t[k + 1:, k] != 0.0).nonzero()[0]
+        if rows.size:
+            t[rows, k:] -= np.multiply.outer(t[rows, k], row)
     for k in range(n - 1, 0, -1):
-        rows = np.flatnonzero(t[:k, k])
-        t[rows, n:] -= np.multiply.outer(t[rows, k], t[k, n:])
+        rows = (t[:k, k] != 0.0).nonzero()[0]
+        if rows.size:
+            t[rows, n:] -= np.multiply.outer(t[rows, k], t[k, n:])
     return t[:, n:]
 
 

@@ -21,9 +21,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+
+from . import lp
 
 KIND_GENERATOR = "generator"
 KIND_LOAD = "load"
@@ -217,12 +220,26 @@ class OpfLp:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def X(self) -> np.ndarray:
+        """The inverse of ``B[1:, 1:]``, the susceptance Laplacian grounded at
+        bus 0, padded with a zero row and column for bus 0 so that bus ids
+        index it. It is built on first use by the elementwise ``lp._inverse``
+        and kept read-only, so every solve of the network reads one copy. A
+        singular reduced Laplacian raises LinAlgError on every access: a
+        raising property caches nothing."""
+        x = np.zeros((self.n, self.n))
+        x[1:, 1:] = lp._inverse(self.B[1:, 1:])
+        x.flags.writeable = False
+        return x
+
 
 def assemble_lp(net: Network) -> OpfLp:
     """The OPF LP blocks of a validated network.
 
     They are assembled on the first call and kept on the network, which is
-    immutable: every array is read-only, so all callers share one copy.
+    immutable: every array is read-only, so all callers share one copy. The
+    grounded inverse ``X`` is kept with them once a solve first reads it.
     """
     if net._opf_lp is None:
         net._opf_lp = _assemble_lp(net)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmpcirc import OpfError, OpfNumerical, _kernels, cli, dcopf, lp, solve_opf
+from lmpcirc import OpfError, OpfNumerical, _kernels, cli, dcopf, load_network, lp, network, solve_opf
 from lmpcirc.cli import EXIT_MEMORY, EXIT_NUMERICAL, main
 
 import oracles
@@ -420,35 +420,41 @@ def test_exit_codes():
     assert codes == {0, 1, 2, 4, 5, 6, 7}
 
 
-def _dcopf_sees(monkeypatch, **overrides):
-    """Give ``dcopf`` its own view of the ``lp`` module, in which ``overrides``
-    replace the functions that ``solve_opf`` calls itself; the LP solver keeps
+def _sees(monkeypatch, module, **overrides):
+    """Give ``module`` (``dcopf``, or ``network``, which computes the inverse
+    that ``OpfLp.X`` keeps) its own view of the ``lp`` module, in which
+    ``overrides`` replace the functions it calls itself; the LP solver keeps
     the real ones."""
-    monkeypatch.setattr(dcopf, "lp", types.SimpleNamespace(**{**vars(lp), **overrides}))
+    monkeypatch.setattr(module, "lp", types.SimpleNamespace(**{**vars(lp), **overrides}))
 
 
 def _singular(a):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def test_singular_final_basis_exit6(capsys, monkeypatch, fig1_net):
+# Each test below loads fig1 afresh: a network keeps its inverse once a solve
+# has computed it, so the shared fig1_net would never reach the inversion
+
+
+def test_singular_final_basis_exit6(capsys, monkeypatch):
     # only the final basis fails; the reduced Laplacian is inverted as usual
-    _dcopf_sees(monkeypatch, _inverse=lp._inverse)
+    _sees(monkeypatch, network, _inverse=lp._inverse)
     monkeypatch.setattr(lp, "_inverse", _singular)
-    _assert_numerical(capsys, fig1_net, "singular final basis")
+    _assert_numerical(capsys, load_network(case_path("fig1_3bus.json")), "singular final basis")
 
 
-def test_singular_reduced_laplacian_exit6(capsys, monkeypatch, fig1_net):
-    # numpy's LinAlgError is a ValueError, which the CLI would report as exit 1
-    _dcopf_sees(monkeypatch, _inverse=_singular)
-    _assert_numerical(capsys, fig1_net, "singular reduced susceptance Laplacian")
+def test_singular_reduced_laplacian_exit6(capsys, monkeypatch):
+    # only the reduced Laplacian fails. numpy's LinAlgError is a ValueError,
+    # which the CLI would report as exit 1
+    _sees(monkeypatch, network, _inverse=_singular)
+    _assert_numerical(capsys, load_network(case_path("fig1_3bus.json")), "singular reduced susceptance Laplacian")
 
 
 def test_uncertified_prices_exit6(capsys, monkeypatch, fig1_net):
     # the LP's own certificate passes, but the angles and prices recovered from
     # it are perturbed, so the check on the full OPF blocks fails
     refined = lp._refined_solve
-    _dcopf_sees(monkeypatch, _refined_solve=lambda *args: refined(*args) + 1e-3)
+    _sees(monkeypatch, dcopf, _refined_solve=lambda *args: refined(*args) + 1e-3)
     with pytest.raises(OpfNumerical, match="fails its optimality certificate on the full OPF blocks"):
         solve_opf(fig1_net)
     code, out, err = run_cli(capsys, "solve", "-i", str(case_path("fig1_3bus.json")))

@@ -241,7 +241,7 @@ def _assert_matches_oracle(prob, sol):
     assert _expanded_duals(prob, sol) == pytest.approx(ge_duals, abs=1e-9)
 
 
-def test_free_variables_on_equality_rows_are_split(monkeypatch):
+def test_wide_box_variables_on_equality_rows(monkeypatch):
     # min 2x + z  s.t.  x + z + y = 1,  x - z = 2,  0 <= y <= 5 with x and z
     # in the wide box: one kernel call sees both rows over x', z', y' and two
     # logicals. At the optimum y = 5 and x and z are negative and off their
@@ -256,7 +256,7 @@ def test_free_variables_on_equality_rows_are_split(monkeypatch):
     _assert_matches_oracle(prob, sol)
 
 
-def test_free_variable_only_in_ge_rows_stays_split(monkeypatch):
+def test_wide_box_variable_only_in_ge_rows(monkeypatch):
     # min x + 2y  s.t.  x + y >= -1,  x - y >= -3,  y + w = 4,  y >= 0,  w >= 0
     # with x in the wide box: the equality row holds no x, and one kernel
     # call sees x', y', w' and the three rows' logicals. The rows bound x
@@ -413,7 +413,7 @@ def test_variable_at_its_upper_bound_prices_its_upper_row(monkeypatch):
     assert tableau.shape == (2, 4) and list(upper) == [3.0, BOX, np.inf]
 
 
-def test_dual_infeasible_lp_is_unbounded_or_infeasible():
+def test_lp_unbounded_by_its_rows_is_optimal_on_the_box_or_infeasible():
     # min -x - y over x, y in [0, BOX] with x - y >= -1: the rows alone let the
     # costs fall without bound, and the box stops them at its corner
     sol = solve_lp(_lp([-1.0, -1.0], a_ge=[[1.0, -1.0]], b_ge=[-1.0], lower=[0.0, 0.0]))

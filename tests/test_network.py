@@ -9,13 +9,16 @@ from lmpcirc import (
     Line,
     Network,
     NetworkError,
+    OpfNumerical,
     SchemaError,
     assemble_lp,
     build_b_matrix,
     generate_random_network,
+    lp,
     network_to_doc,
     parse_network,
     solve_opf,
+    verify_optimality,
 )
 from lmpcirc.network import _columns, _laplacian, balance_residual
 
@@ -156,12 +159,65 @@ def test_assemble_once_per_network_and_read_only():
     assert assemble_lp(net) is opf
     assert solve_opf(net) is not None and assemble_lp(net) is opf
     assert assemble_lp(generate_random_network(2, 8, 0.4)) is not opf
+    # the eight blocks, and the inverse the solve kept with them
     arrays = [v for v in vars(opf).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 9
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 1.0
+
+
+def _inverse_spy(monkeypatch) -> list[tuple[int, int]]:
+    """The shape of every matrix ``lp._inverse`` inverts."""
+    shapes, inverse = [], lp._inverse
+    monkeypatch.setattr(lp, "_inverse", lambda a: shapes.append(a.shape) or inverse(a))
+    return shapes
+
+
+def _bits(sol) -> dict:
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(sol).items()}
+
+
+def test_reduced_laplacian_inverted_once_per_network(monkeypatch):
+    net = generate_random_network(2, 8, 0.4)
+    shapes = _inverse_spy(monkeypatch)
+    first = solve_opf(net)
+    again = solve_opf(net)
+    moved = solve_opf(net, ref_bus=net.n - 1)
+    assert verify_optimality(net, moved).all_passed
+    # one Laplacian-sized inverse; the others are the three final bases
+    assert shapes.count((net.n - 1, net.n - 1)) == 1 and len(shapes) == 4
+    x = assemble_lp(net).X
+    assert assemble_lp(net).X is x and not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[1, 1] = 0.0
+    assert not x[0].any() and not x[:, 0].any()
+    assert np.allclose((x[1:, 1:, None] * assemble_lp(net).B[None, 1:, 1:]).sum(axis=1), np.eye(net.n - 1))
+    # a repeated and a re-referenced solve have the first solve's bits, and so
+    # does a solve of the same network built afresh
+    assert _bits(again) == _bits(first) == _bits(solve_opf(generate_random_network(2, 8, 0.4)))
+    assert _bits(moved) == {**_bits(first), "theta": (first.theta - first.theta[-1]).tobytes()}
+
+
+def test_raising_inversion_keeps_nothing(monkeypatch):
+    net = generate_random_network(2, 8, 0.4)
+    opf = assemble_lp(net)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_inverse", singular)
+        for _ in range(2):
+            with pytest.raises(OpfNumerical, match="^singular reduced susceptance Laplacian$"):
+                solve_opf(net)
+            assert "X" not in vars(opf)
+    # the next good inversion is kept
+    shapes = _inverse_spy(monkeypatch)
+    solve_opf(net)
+    solve_opf(net)
+    assert "X" in vars(opf) and shapes.count((net.n - 1, net.n - 1)) == 1
 
 
 def test_balance_residual_matches_edge_by_edge_computation():
