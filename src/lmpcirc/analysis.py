@@ -157,11 +157,15 @@ def congestion_impact(c: EquivalentCircuit) -> CongestionImpact:
     """Per-source node-voltage contributions (others open-circuited) with summary stats."""
     s = superpose(c)
     vectors = s.per_source_voltages
+    stacked = np.array(vectors)
+    rows, buses = np.nonzero(stacked < -_NEG_EPS)
+    ends = np.searchsorted(rows, np.arange(len(vectors) + 1)).tolist()
+    buses = buses.tolist()
     return CongestionImpact(
         sources=tuple((src.from_node, src.to_node, src.amps) for src in c.current_sources),
         vectors=vectors,
-        min_contribution=tuple(float(v.min()) for v in vectors),
-        max_contribution=tuple(float(v.max()) for v in vectors),
-        negative_buses=tuple(tuple(np.flatnonzero(v < -_NEG_EPS).tolist()) for v in vectors),
+        min_contribution=tuple(stacked.min(axis=1).tolist()),
+        max_contribution=tuple(stacked.max(axis=1).tolist()),
+        negative_buses=tuple(tuple(buses[a:b]) for a, b in zip(ends, ends[1:])),
         totals=s.voltages,
     )

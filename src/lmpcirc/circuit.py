@@ -21,7 +21,7 @@ from operator import sub
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network, _columns, _laplacian, _spanning_tree
+from .network import Network, _laplacian, _spanning_tree
 
 BINDING_EPS = 1e-7
 
@@ -60,17 +60,19 @@ class SeriesVoltageSource:
     series_ohms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # arrays have no truth value: circuits compare by identity
 class EquivalentCircuit:
-    """Resistors and current sources over nodes 0..n_nodes-1.
+    """Branches and current sources over nodes 0..n_nodes-1.
 
-    The branch arrays and the ground-reduced conductance matrix are built
-    once, the first time a solve needs them, and kept on the object (read
-    only), so its solve, superposition and branch currents share them.
+    ``branches`` holds the (from, to, ohms) arrays of the resistors, one entry
+    per line in line order, read only. The ``Resistor`` tuple is built from
+    them on its first read, and the ground-reduced conductance matrix the
+    first time a solve needs it; both are kept on the object, so its solve,
+    superposition and branch currents share one matrix.
     """
 
     n_nodes: int
-    resistors: tuple[Resistor, ...]
+    branches: tuple[np.ndarray, np.ndarray, np.ndarray]
     current_sources: tuple[CurrentSource, ...]
     ground: int
     offset: float
@@ -78,33 +80,34 @@ class EquivalentCircuit:
     @property
     def meshed(self) -> bool:
         """At least as many lines as nodes, so the graph has a cycle."""
-        return len(self.resistors) >= self.n_nodes
+        return len(self.branches[0]) >= self.n_nodes
+
+    @cached_property
+    def resistors(self) -> tuple[Resistor, ...]:
+        """One resistor per branch, in line order."""
+        return tuple(map(Resistor, *(a.tolist() for a in self.branches)))
 
     def conductance_matrix(self) -> np.ndarray:
         """A fresh full conductance matrix: 1/ohms stamped resistor by resistor."""
-        f, t, ohms = self._branch_arrays
+        f, t, ohms = self.branches
         return _laplacian(self.n_nodes, f, t, 1.0 / ohms)
 
     @cached_property
-    def _branch_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(from, to, ohms) of every resistor, in circuit order."""
-        arrays = _columns((r.from_node, r.to_node, r.ohms) for r in self.resistors)
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
-
-    @cached_property
-    def _reduced(self) -> tuple[np.ndarray, list[int]]:
+    def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """The conductance matrix without ground's row and column, and the
         node ids it keeps. A disconnected graph raises on every access: a
         raising property caches nothing."""
-        f, t, _ = self._branch_arrays
+        f, t, _ = self.branches
         if len(_spanning_tree(self.n_nodes, zip(f.tolist(), t.tolist()))) < self.n_nodes:
             raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
-        keep = [i for i in range(self.n_nodes) if i != self.ground]
-        g = self.conductance_matrix()[np.ix_(keep, keep)]
+        full, k, m = self.conductance_matrix(), self.ground, self.n_nodes - 1
+        g = np.empty((m, m))
+        g[:k, :k] = full[:k, :k]
+        g[:k, k:] = full[:k, k + 1:]
+        g[k:, :k] = full[k + 1:, :k]
+        g[k:, k:] = full[k + 1:, k + 1:]
         g.flags.writeable = False
-        return g, keep
+        return g, np.delete(np.arange(self.n_nodes), k)
 
     def injections(self) -> np.ndarray:
         """Net source current into each node."""
@@ -165,7 +168,10 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
 
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Validate (from, to, susceptance) lines and (from, to, amps) sources and
-    build the circuit: one resistor of 1/susceptance ohms per line."""
+    build the circuit: one branch of 1/susceptance ohms per line.
+
+    Array ops check each list at once. If they find a bad item, the checks
+    run item by item and raise for the first bad line or source."""
     def check_ends(what, i, j):
         for k in (i, j):
             if not 0 <= k < n_nodes:
@@ -173,25 +179,57 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
         if i == j:
             raise CircuitError(f"{what} ({i}, {j}): both ends on node {i}")
 
-    pairs = set()
-    for i, j, sus in lines:
-        check_ends("line", i, j)
-        if sus <= 0:
-            raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
-        pairs.add((min(i, j), max(i, j)))
-    for i, j, amps in sources:
-        check_ends("source", i, j)
-        if amps <= 0:
-            raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
-        if (min(i, j), max(i, j)) not in pairs:
-            raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
+    def check_lines():
+        for i, j, sus in lines:
+            check_ends("line", i, j)
+            if sus <= 0:
+                raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
+
+    def check_sources():
+        pairs = {(min(i, j), max(i, j)) for i, j, _ in lines}
+        for i, j, amps in sources:
+            check_ends("source", i, j)
+            if amps <= 0:
+                raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
+            if (min(i, j), max(i, j)) not in pairs:
+                raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
+
+    f, t, sus = _checked_columns(lines, n_nodes, check_lines)
+    sf, st, _ = _checked_columns(sources, n_nodes, check_sources)
+    if not np.isin(_pair_keys(sf, st, n_nodes), _pair_keys(f, t, n_nodes)).all():
+        check_sources()
     if not 0 <= ground < n_nodes:
         raise CircuitError(f"ground node {ground} out of range")
+    branches = (f, t, 1.0 / sus)
+    for a in branches:
+        a.flags.writeable = False
     return EquivalentCircuit(
-        n_nodes=n_nodes, resistors=tuple(Resistor(i, j, 1.0 / sus) for i, j, sus in lines),
+        n_nodes=n_nodes, branches=branches,
         current_sources=tuple(CurrentSource(i, j, a) for i, j, a in sources),
         ground=ground, offset=offset,
     )
+
+
+def _checked_columns(items, n_nodes, check) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (from, to, value) ``items`` as three arrays, the ends as node ids.
+
+    Every end must lie in [0, n_nodes), the two ends must differ, and no value
+    may be <= 0. If an item breaks one of these, or the items do not make a
+    float array, ``check`` runs the checks item by item and raises."""
+    try:
+        ijw = np.array(items, dtype=float).reshape(len(items), 3)
+    except (TypeError, ValueError, OverflowError):
+        check()
+        raise
+    i, j, w = ijw.T
+    if not ((0 <= i) & (i < n_nodes) & (0 <= j) & (j < n_nodes) & (i != j) & ~(w <= 0)).all():
+        check()
+    return i.astype(np.intp), j.astype(np.intp), w
+
+
+def _pair_keys(i: np.ndarray, j: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One integer per unordered node pair."""
+    return np.minimum(i, j) * n_nodes + np.maximum(i, j)
 
 
 def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
@@ -206,7 +244,7 @@ def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
 
 
 def _branch_currents(c: EquivalentCircuit, v: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    f, t, ohms = c._branch_arrays
+    f, t, ohms = c.branches
     return tuple(zip(f.tolist(), t.tolist(), ((v[f] - v[t]) / ohms).tolist()))
 
 

@@ -7,11 +7,15 @@ identical inputs produce byte-identical documents across platforms.
 ``dumps`` writes ``json.dumps(indent=2)``'s layout in one walk over the
 document and formats floats in batches with ``%.9g``: the document's scalar
 floats in one batch at the end, each row of floats in its own batch as the
-walk reaches it, so no batch grows with the size of a large matrix. A row is
-one ``%.9g`` pass with the separators baked into the format, so its text is
-written whole; in a row holding a token json writes differently (an
-integral value, an exponent, ``nan`` or ``inf``) that row text is split and
-only those tokens are rewritten.
+walk reaches it, so no batch grows with the size of a large matrix. A numpy
+array is written as its ``tolist()``: a matrix row by row, and a float64 row
+from one ``tolist()`` with no scan of its element types, so the report
+builders pass their arrays through. A row is one ``%.9g`` pass with the
+separators baked into the format, so its text is written whole; its exact
+zeros, counted once, are mended by a split that stops at the last of them,
+and in a row holding another token json writes differently (an integral
+value, an exponent, ``nan`` or ``inf``) the row text is split and only those
+tokens are rewritten.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def fnum(x: float) -> str:
 
 def dumps(doc) -> str:
     """``doc`` as ``json.dumps(doc, indent=2)`` writes it, every float through
-    ``round9`` first, plus a final newline. numpy integers are written as ints.
+    ``round9`` first, plus a final newline. numpy integers are written as ints,
+    and a numpy array as its ``tolist()``.
 
     One walk writes the layout and leaves a NUL for each scalar float; one
     ``%.9g`` pass over all of them then fills the NULs. json escapes NUL in
@@ -110,7 +115,7 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
         inner = nl + "  "
         types = set(map(type, x))
         if types == {float}:
-            out.append("[" + inner + _float_row(x, "," + inner) + nl + "]")
+            out.append("[" + inner + _float_row(x, "," + inner, x.count(0.0)) + nl + "]")
         elif types == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
         else:
@@ -120,6 +125,8 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
                 _walk(v, inner, out, floats)
                 sep = "," + inner
             out.append(nl + "]")
+    elif t is np.ndarray:
+        _array(x, nl, out, floats)
     elif t is str:
         out.append(_quote(x))
     elif t is int:
@@ -132,8 +139,23 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
         _walk(dict(x.items()), nl, out, floats)
     elif isinstance(x, (list, tuple)):
         _walk(list(x), nl, out, floats)
+    elif isinstance(x, np.ndarray):
+        _walk(x.tolist(), nl, out, floats)
     else:
         out.append(_scalar(x))
+
+
+def _array(x: np.ndarray, nl: str, out: list[str], floats: list[float]) -> None:
+    """Append json's text of ``x.tolist()`` to ``out``. A matrix is written row
+    by row, so no list holds all of its floats; a nonempty float64 row is one
+    ``tolist()`` and one ``_float_row``, with no scan of its element types."""
+    if x.ndim > 1:
+        _walk(list(x), nl, out, floats)
+    elif x.ndim == 1 and x.dtype == np.float64 and x.size:
+        inner = nl + "  "
+        out.append("[" + inner + _float_row(x.tolist(), "," + inner, np.count_nonzero(x == 0.0)) + nl + "]")
+    else:
+        _walk(x.tolist(), nl, out, floats)
 
 
 def _scalar(x) -> str:
@@ -149,23 +171,24 @@ def _key(k) -> str:
     return json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
 
 
-def _float_row(row, sep: str) -> str:
+def _float_row(row, sep: str, zeros: int) -> str:
     """json's text of ``round9(x)`` for each float x of ``row``, joined by
-    ``sep`` (a comma, a newline and the indentation, so it ends in a space).
+    ``sep`` (a comma, a newline and the indentation, so it ends in a space);
+    ``zeros`` counts the row's exact zeros, -0.0 among them.
 
     One ``%.9g`` pass writes the whole row with the separators in place, and
-    each exact zero's ``0`` becomes json's ``0.0``. If then no token has an
-    exponent and every token a point, each is a fraction of at least 1e-4 in
-    magnitude that json writes just so. In any other row (one holding an
-    integral value, ``-0.0``, ``1e-05``, ``nan`` or ``inf``) the tokens json
-    writes differently are rewritten one by one by ``_json_tokens``.
+    each exact zero's ``0`` becomes json's ``0.0`` by a split that stops after
+    ``zeros`` of them. If then no token has an exponent and every token a
+    point, each is a fraction of at least 1e-4 in magnitude that json writes
+    just so. In any other row (one holding an integral value, ``-0.0``,
+    ``1e-05``, ``nan`` or ``inf``) the tokens json writes differently are
+    rewritten one by one by ``_json_tokens``.
     """
     # a space before the first token and a comma after the last, so that
     # every token, like those inside, follows a space and precedes a comma
     text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
-    zeros = row.count(0.0)  # -0.0 counts too, and its "-0" is left for _json_tokens
-    if zeros:
-        text = text.replace(" 0,", " 0.0,", zeros)
+    if zeros:  # -0.0 writes "-0", left for _json_tokens
+        text = " 0.0,".join(text.split(" 0,", zeros))
     if "e" in text or text.count(".") != len(row):
         return sep.join(_json_tokens(text[1:-1].split(sep)))
     return text[1:-1]
@@ -227,7 +250,7 @@ def solution_doc(net: Network, sol: DcopfSolution) -> dict:
         ],
         "gamma": gamma_entries,
         "p": p_entries,
-        "theta": sol.theta.tolist(),
+        "theta": sol.theta,
         "objective": float(sol.objective),
         "marginal": list(sol.marginal_buses(net)),
         "degenerate": sol.degenerate,
@@ -410,9 +433,9 @@ def superpose_doc(c: EquivalentCircuit, impact: CongestionImpact) -> dict:
                 impact.sources, impact.min_contribution, impact.max_contribution,
                 impact.negative_buses)
         ],
-        "contributions": [v.tolist() for v in impact.vectors],
-        "totals": impact.totals.tolist(),
-        "lmp": (impact.totals + c.offset).tolist(),
+        "contributions": impact.vectors,
+        "totals": impact.totals,
+        "lmp": impact.totals + c.offset,
     }
 
 
@@ -446,7 +469,7 @@ def negative_doc(rep: NegativePriceReport, lmp: np.ndarray) -> dict:
         "offset": rep.offset,
         "min_price": rep.min_price,
         "min_price_bus": rep.min_price_bus,
-        "lmp": lmp.tolist(),
+        "lmp": lmp,
     }
 
 
@@ -463,8 +486,8 @@ def negative_text(doc: dict) -> str:
 
 def recover_doc(res: RecoveredPrices) -> dict:
     if res.lmp is not None:
-        return {"lmp": {str(i): float(v) for i, v in enumerate(res.lmp)}}
-    return {"delta": res.delta.tolist()}
+        return {"lmp": {str(i): v for i, v in enumerate(res.lmp.tolist())}}
+    return {"delta": res.delta}
 
 
 def recover_text(res: RecoveredPrices) -> str:

@@ -8,7 +8,6 @@ from lmpcirc import (
     Bus,
     CircuitError,
     CurrentSource,
-    EquivalentCircuit,
     Injector,
     Line,
     Network,
@@ -95,10 +94,10 @@ def test_radial_network_allowed_but_flagged():
 
 
 def test_meshed_follows_topology():
-    radial = EquivalentCircuit(3, (Resistor(0, 1, 1.0), Resistor(1, 2, 1.0)),
-                               (CurrentSource(0, 1, 5.0),), ground=0, offset=0.0)
+    lines = [(0, 1, 1.0), (1, 2, 1.0)]
+    radial = circuit_from_parts(3, lines, [(0, 1, 5.0)], ground=0, offset=0.0)
     assert not radial.meshed
-    assert replace(radial, resistors=radial.resistors + (Resistor(0, 2, 1.0),)).meshed
+    assert circuit_from_parts(3, lines + [(0, 2, 1.0)], [(0, 1, 5.0)], ground=0, offset=0.0).meshed
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +202,18 @@ def _bad_line_cases():
         yield chain[:500] + [bad, (5, 5, 1.0)] + chain[500:], message  # the first bad one is named
 
 
+@pytest.mark.parametrize("sources, ground, error, match", [
+    ([(0, 1, 3.0), (0, 2, 3.0), (1, 1, 3.0)], 0, CircuitError, r"source 0->2 has no parallel line"),
+    ([(0, 1, 3.0), (2, 1, -1.0), (0, 2, 3.0)], 0, CircuitError, r"source 2->1: magnitude must be > 0"),
+    ([(0, 1, 3.0), (1, 2, 0.0)], 0, CircuitError, r"source 1->2: magnitude must be > 0"),
+    ([(0, 1, 3.0)], 3, CircuitError, r"ground node 3 out of range"),
+    ([(0, 1, 3.0), (1, 2)], 0, ValueError, r"not enough values to unpack"),
+])
+def test_first_bad_source_is_named(sources, ground, error, match):
+    with pytest.raises(error, match=match):
+        circuit_from_parts(3, [(0, 1, 1.0), (1, 2, 1.0)], sources, ground=ground, offset=0.0)
+
+
 @pytest.mark.parametrize("lines, match", list(_bad_line_cases()))
 def test_invalid_line_among_many_valid_ones_is_named(lines, match):
     with pytest.raises(CircuitError, match="^" + match + "$"):
@@ -210,9 +221,11 @@ def test_invalid_line_among_many_valid_ones_is_named(lines, match):
 
 
 def test_resistor_on_a_node_past_the_last_raises():
-    # EquivalentCircuit can be built without _assemble's checks; its
-    # conductance matrix drops no branch, it refuses one it cannot place
-    c = EquivalentCircuit(3, (Resistor(0, 1, 1.0), Resistor(1, 3, 2.0)), (), ground=0, offset=0.0)
+    # a circuit can hold a branch _assemble would refuse (here a checked
+    # circuit with its last node cut off); its conductance matrix drops no
+    # branch, it refuses one it cannot place
+    four = circuit_from_parts(4, [(0, 1, 1.0), (1, 3, 0.5)], [(0, 1, 5.0)], ground=0, offset=0.0)
+    c = replace(four, n_nodes=3, current_sources=())
     with pytest.raises(IndexError):
         c.conductance_matrix()
     with pytest.raises(IndexError):
@@ -223,7 +236,8 @@ def test_resistor_on_a_node_past_the_last_raises():
 # one ground-reduced system per circuit
 # ---------------------------------------------------------------------------
 
-def _random_circuit(seed, n=60, extra=90, n_sources=8):
+def _random_parts(seed, n=60, extra=90, n_sources=8):
+    """(n, lines, sources, ground) of a random connected circuit."""
     rng = np.random.default_rng(seed)
     lines = [(int(rng.integers(0, k)), k, float(rng.uniform(0.5, 2.0))) for k in range(1, n)]
     while len(lines) < n - 1 + extra:
@@ -231,7 +245,41 @@ def _random_circuit(seed, n=60, extra=90, n_sources=8):
         lines.append((i, j, float(rng.uniform(0.5, 2.0))))
     sources = [(i, j, float(rng.uniform(1.0, 100.0)))
                for i, j, _ in (lines[k] for k in rng.choice(len(lines), n_sources, replace=False))]
-    return circuit_from_parts(n, lines, sources, ground=int(rng.integers(0, n)), offset=3.5)
+    return n, lines, sources, int(rng.integers(0, n))
+
+
+def _random_circuit(seed, **sizes):
+    n, lines, sources, ground = _random_parts(seed, **sizes)
+    return circuit_from_parts(n, lines, sources, ground=ground, offset=3.5)
+
+
+def _parts_of_many_circuits(corpus200):
+    """The corpus's circuits, and two the size of the benchmark's (400 nodes, 1,000 lines)."""
+    for net, sol in corpus200:
+        c = build_circuit(net, sol)
+        lines = [(ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines]
+        yield net.n, lines, [(s.from_node, s.to_node, s.amps) for s in c.current_sources], c.ground
+    for seed in range(2):
+        yield _random_parts(seed, n=400, extra=601, n_sources=60)
+
+
+def test_resistors_are_built_from_the_line_tuples(corpus200):
+    for n, lines, sources, ground in _parts_of_many_circuits(corpus200):
+        c = circuit_from_parts(n, lines, sources, ground, 0.0)
+        assert c.resistors == tuple(Resistor(i, j, 1.0 / s) for i, j, s in lines)
+        assert c.resistors is c.resistors
+        assert c.current_sources == tuple(CurrentSource(*src) for src in sources)
+
+
+def test_reduced_matrix_is_the_full_one_without_ground(corpus200):
+    for n, lines, sources, _ in _parts_of_many_circuits(corpus200):
+        for ground in (0, n // 2, n - 1):
+            c = circuit_from_parts(n, lines, sources, ground, 0.0)
+            g, keep = c._reduced
+            assert keep.tolist() == [i for i in range(n) if i != ground]
+            want = c.conductance_matrix()[np.ix_(keep, keep)]
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
+            assert not g.flags.writeable
 
 
 def _reference_voltages(c, injections):

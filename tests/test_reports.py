@@ -21,6 +21,8 @@ from lmpcirc.reports import dumps, round9
 
 
 def _rounded(doc):
+    if isinstance(doc, np.ndarray):
+        return _rounded(doc.tolist())
     if isinstance(doc, dict):
         return {k: _rounded(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -202,14 +204,53 @@ def test_escaped_strings_and_keys_match_oracle():
     assert_same(doc)
 
 
-@pytest.mark.parametrize("bad", [np.bool_(True), {1, 2}, np.array([1.0]), object()],
-                         ids=["np.bool_", "set", "ndarray", "object"])
+@pytest.mark.parametrize("bad", [np.bool_(True), {1, 2}, object()], ids=["np.bool_", "set", "object"])
 def test_refused_types_still_raise(bad):
     for doc in (bad, [bad], [1.0, bad], {"k": bad}, (0, {"k": [bad]})):
         with pytest.raises(TypeError):
             oracle(doc)
         with pytest.raises(TypeError):
             dumps(doc)
+
+
+def _array_cases():
+    rng = np.random.default_rng(14)
+    delta = _large_recover_delta_doc()["delta"][:40, :60]
+    frozen = rng.uniform(-5.0, 5.0, (4, 6))
+    frozen.flags.writeable = False
+    yield delta
+    yield delta[3]
+    yield delta[:, ::3]                       # non-contiguous rows
+    yield delta[::7, 5]                       # a non-contiguous column
+    yield delta.T                             # a transposed view
+    yield frozen
+    yield frozen[1]
+    yield np.empty(0)
+    yield np.empty((0, 3))
+    yield np.empty((3, 0))
+    yield np.zeros((2, 3, 4))
+    yield np.array(2.5)                       # 0-d: a scalar, as tolist() gives it
+    yield np.array(EDGES)
+    yield -np.array(EDGES)
+    yield np.array(EDGES).reshape(5, 10)
+    yield np.array(random_floats(rng, 500))
+    yield np.array(random_floats(rng, 600)).reshape(20, 30)
+    yield np.array([0.0, -0.0, 0.0, 3.5, -0.0])
+    yield rng.integers(-10 ** 12, 10 ** 12, 50)
+    yield rng.integers(-5, 5, (3, 4)).astype(np.int32)
+    yield rng.random(20) < 0.5
+    with np.errstate(over="ignore"):         # EDGES past float32's range become inf
+        edges32 = np.array(EDGES).astype(np.float32)
+    yield edges32
+    yield rng.uniform(-1e3, 1e3, (3, 5)).astype(np.float32)
+
+
+def test_arrays_are_written_as_their_tolist():
+    for a in _array_cases():
+        assert dumps(a) == dumps(a.tolist())
+        assert_same(a)
+        assert_same({"a": a, "b": [a, {"c": (a, 1.5)}]})
+        assert_same([a, a.tolist()])
 
 
 @pytest.mark.parametrize("key", [(1, 2), np.int64(3), frozenset()], ids=["tuple", "np.int64", "frozenset"])
