@@ -21,7 +21,7 @@ from operator import sub
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network, _laplacian, _spanning_tree
+from .network import Network, _columns, _laplacian, _spanning_tree
 
 BINDING_EPS = 1e-7
 
@@ -168,10 +168,7 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
 
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     """Validate (from, to, susceptance) lines and (from, to, amps) sources and
-    build the circuit: one branch of 1/susceptance ohms per line.
-
-    Array ops check each list at once. If they find a bad item, the checks
-    run item by item and raise for the first bad line or source."""
+    build the circuit: one branch of 1/susceptance ohms per line."""
     def check_ends(what, i, j):
         for k in (i, j):
             if not 0 <= k < n_nodes:
@@ -179,27 +176,21 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
         if i == j:
             raise CircuitError(f"{what} ({i}, {j}): both ends on node {i}")
 
-    def check_lines():
-        for i, j, sus in lines:
-            check_ends("line", i, j)
-            if sus <= 0:
-                raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
-
-    def check_sources():
-        pairs = {(min(i, j), max(i, j)) for i, j, _ in lines}
-        for i, j, amps in sources:
-            check_ends("source", i, j)
-            if amps <= 0:
-                raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
-            if (min(i, j), max(i, j)) not in pairs:
-                raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
-
-    f, t, sus = _checked_columns(lines, n_nodes, check_lines)
-    sf, st, _ = _checked_columns(sources, n_nodes, check_sources)
-    if not np.isin(_pair_keys(sf, st, n_nodes), _pair_keys(f, t, n_nodes)).all():
-        check_sources()
+    pairs = set()
+    for i, j, sus in lines:
+        check_ends("line", i, j)
+        if sus <= 0:
+            raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
+        pairs.add((min(i, j), max(i, j)))
+    for i, j, amps in sources:
+        check_ends("source", i, j)
+        if amps <= 0:
+            raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
+        if (min(i, j), max(i, j)) not in pairs:
+            raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
     if not 0 <= ground < n_nodes:
         raise CircuitError(f"ground node {ground} out of range")
+    f, t, sus = _columns(lines)
     branches = (f, t, 1.0 / sus)
     for a in branches:
         a.flags.writeable = False
@@ -208,28 +199,6 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
         current_sources=tuple(CurrentSource(i, j, a) for i, j, a in sources),
         ground=ground, offset=offset,
     )
-
-
-def _checked_columns(items, n_nodes, check) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (from, to, value) ``items`` as three arrays, the ends as node ids.
-
-    Every end must lie in [0, n_nodes), the two ends must differ, and no value
-    may be <= 0. If an item breaks one of these, or the items do not make a
-    float array, ``check`` runs the checks item by item and raises."""
-    try:
-        ijw = np.array(items, dtype=float).reshape(len(items), 3)
-    except (TypeError, ValueError, OverflowError):
-        check()
-        raise
-    i, j, w = ijw.T
-    if not ((0 <= i) & (i < n_nodes) & (0 <= j) & (j < n_nodes) & (i != j) & ~(w <= 0)).all():
-        check()
-    return i.astype(np.intp), j.astype(np.intp), w
-
-
-def _pair_keys(i: np.ndarray, j: np.ndarray, n_nodes: int) -> np.ndarray:
-    """One integer per unordered node pair."""
-    return np.minimum(i, j) * n_nodes + np.maximum(i, j)
 
 
 def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:

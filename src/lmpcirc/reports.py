@@ -12,7 +12,7 @@ array is written as its ``tolist()``: a matrix row by row, and a float64 row
 from one ``tolist()`` with no scan of its element types, so the report
 builders pass their arrays through. A row is one ``%.9g`` pass with the
 separators baked into the format, so its text is written whole; its exact
-zeros, counted once, are mended by a split that stops at the last of them,
+zeros, counted once, are mended by a replace that stops at the last of them,
 and in a row holding another token json writes differently (an integral
 value, an exponent, ``nan`` or ``inf``) the row text is split and only those
 tokens are rewritten.
@@ -177,7 +177,7 @@ def _float_row(row, sep: str, zeros: int) -> str:
     ``zeros`` counts the row's exact zeros, -0.0 among them.
 
     One ``%.9g`` pass writes the whole row with the separators in place, and
-    each exact zero's ``0`` becomes json's ``0.0`` by a split that stops after
+    each exact zero's ``0`` becomes json's ``0.0`` by a replace that stops after
     ``zeros`` of them. If then no token has an exponent and every token a
     point, each is a fraction of at least 1e-4 in magnitude that json writes
     just so. In any other row (one holding an integral value, ``-0.0``,
@@ -188,7 +188,7 @@ def _float_row(row, sep: str, zeros: int) -> str:
     # every token, like those inside, follows a space and precedes a comma
     text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
     if zeros:  # -0.0 writes "-0", left for _json_tokens
-        text = " 0.0,".join(text.split(" 0,", zeros))
+        text = text.replace(" 0,", " 0.0,", zeros)
     if "e" in text or text.count(".") != len(row):
         return sep.join(_json_tokens(text[1:-1].split(sep)))
     return text[1:-1]

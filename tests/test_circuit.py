@@ -220,6 +220,11 @@ def test_invalid_line_among_many_valid_ones_is_named(lines, match):
         circuit_from_parts(400, lines, [(0, 1, 3.0)], ground=0, offset=0.0)
 
 
+def test_non_numeric_node_id_raises():
+    with pytest.raises(TypeError):
+        circuit_from_parts(3, [("1", 2, 1.0), (0, 1, 1.0)], [(0, 1, 3.0)], ground=0, offset=0.0)
+
+
 def test_resistor_on_a_node_past_the_last_raises():
     # a circuit can hold a branch _assemble would refuse (here a checked
     # circuit with its last node cut off); its conductance matrix drops no
