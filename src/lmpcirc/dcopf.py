@@ -1,13 +1,13 @@
 """DC optimal power flow: solve, classify marginal injectors, verify optimality.
 
 ``solve_opf`` solves the OPF in the injections ``p`` alone, from ``X``, the
-inverse of the susceptance Laplacian grounded at bus 0. ``X`` depends on the
-network alone, so it is computed once per network, on its first solve, and
-kept read-only with the OPF blocks (``OpfLp.X``). KCL fixes the angles
-once the injections are known, ``theta = X (a - A p)`` with ``theta_0 = 0``,
-so each limited line's flow limits become one ranged row over ``p`` (the
-PTDF form). The LP states the system-balance row, the injector limits as
-bounds on ``p`` and one ranged row per limited line, and its dual simplex
+inverse of the susceptance Laplacian grounded at bus 0, kept read-only with
+the OPF data (``OpfLp.X``) from a network's first solve. The balance is
+``p_gen - p_load + B theta = a``, so KCL fixes the angles once the
+injections are known, ``theta = X (a - p_gen + p_load)`` with ``theta_0 =
+0``, and each limited line's flow limits become one ranged row over ``p``
+(the PTDF form). The LP states the system-balance row, the injector limits
+as bounds on ``p`` and one ranged row per limited line, and its dual simplex
 starts from the merit-order dispatch, which is dual feasible. The bound
 duals are the reduced costs, which give ``gamma``; a ranged row's dual is
 positive when the line binds from -> to and negative when it binds the
@@ -15,9 +15,11 @@ other way, which gives ``mu_rows[2r]`` and ``mu_rows[2r + 1]``.
 
 The prices obey DC circuit laws: angle stationarity, ``B lmp = -D' mu_rows``,
 makes the LMPs ``lambda``, the balance row's dual, plus the node voltages of
-the price circuit grounded at bus 0, whose current sources are ``D' mu_rows``.
-The angles and the voltages are both solved from ``X``, and the solution is
-certified on the full blocks of the angle form before it is returned.
+the price circuit grounded at bus 0, whose current sources ``D' mu_rows``
+sit across the ends of the limited lines. The angles and the voltages are
+both solved from ``X``, and the solution is certified on the angle form's
+every row, bound and limit before it is returned. ``D``, the +-1 rows of
+the angle limits, is written out only by ``opf_lp_problem``.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class DcopfSolution:
     objective: float
     lmp: np.ndarray               # $/MWh per bus
     mu: tuple[LineDual, ...]      # one entry per limited line
-    mu_rows: np.ndarray           # per angle-constraint row, aligned with OpfLp.D
-    gamma: np.ndarray             # per bound row, aligned with OpfLp.C
+    mu_rows: np.ndarray           # per limited line r: rows 2r (from -> to) and 2r + 1, as OpfLp.d
+    gamma: np.ndarray             # per bound: the 2n lower bounds, then the 2n upper bounds
     marginal_slots: tuple[int, ...]
     degenerate: bool
 
@@ -123,42 +125,54 @@ class CheckReport:
 
 
 def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
-    """The reference form of the OPF: the generic LP over ``[p, theta]`` with
-    a row pinning ``theta[ref_bus]`` to zero appended. Its angles are free,
-    so ``solve_lp`` refuses it and ``solve_opf`` does not use it; it is what
-    an independent LP solver checks the OPF against."""
-    n = opf.n
-    nv = 2 * n + n
-    a_eq = np.zeros((n + 1, nv))
-    a_eq[:n, :2 * n] = opf.A
+    """The reference form of the OPF: the generic LP over ``[p, theta]`` in
+    dense rows, the location matrix ``[I, -I]``, the bound rows ``[I; -I]``
+    and the +-1 angle rows ``D``, with a row pinning ``theta[ref_bus]`` to
+    zero appended. Its angles are free, so ``solve_lp`` refuses it and
+    ``solve_opf`` does not use it; it is what an independent LP solver checks
+    the OPF against."""
+    n, eye = opf.n, np.eye(opf.n)
+    a_eq = np.zeros((n + 1, 3 * n))
+    a_eq[:n, :2 * n] = np.hstack([eye, -eye])
     a_eq[:n, 2 * n:] = opf.B
     a_eq[n, 2 * n + ref_bus] = 1.0
     b_eq = np.concatenate([opf.a, [0.0]])
 
-    mg = opf.C.shape[0] + opf.D.shape[0]
-    a_ge = np.zeros((mg, nv))
-    a_ge[:opf.C.shape[0], :2 * n] = opf.C
-    a_ge[opf.C.shape[0]:, 2 * n:] = opf.D
-    b_ge = np.concatenate([opf.b, opf.d])
+    a_ge = np.zeros((4 * n + opf.d.size, 3 * n))
+    a_ge[:4 * n, :2 * n] = np.vstack([np.eye(2 * n), -np.eye(2 * n)])
+    angles, rows = a_ge[4 * n:, 2 * n:], np.arange(0, opf.d.size, 2)
+    for row, sign in ((rows, 1.0), (rows + 1, -1.0)):
+        angles[row, opf.ends[0]], angles[row, opf.ends[1]] = sign, -sign
+    b_ge = np.concatenate([opf.lower, -opf.upper, opf.d])
 
     c = np.concatenate([opf.c, np.zeros(n)])
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
 
 
-def _injection_problem(net: Network, opf: OpfLp) -> lp.LpProblem:
+def _injection_problem(opf: OpfLp) -> lp.LpProblem:
     """The OPF LP over ``p``. With ``ptdf_r = X[from_r] - X[to_r]``, read off
     ``opf.X``, which is padded for bus 0, limited line ``r`` is the ranged row
     ``-[ptdf_r, -ptdf_r] p >= d_2r - ptdf_r a``, up to ``-(d_2r+1 + ptdf_r
-    a)``, and the injector limits are the bounds. Every entry comes from
-    elementwise operations, so none passes through BLAS."""
-    n = opf.n
-    lines = [net.lines[k] for k in opf.limited_lines]
-    ptdf = opf.X[[ln.from_bus for ln in lines]] - opf.X[[ln.to_bus for ln in lines]]
+    a)``, the balance row is ``p_gen - p_load = sum(a)`` and the injector
+    limits are the bounds. Every entry comes from elementwise operations, so
+    none passes through BLAS."""
+    ptdf = opf.X[opf.ends[0]] - opf.X[opf.ends[1]]
     shift = (ptdf * opf.a).sum(axis=1)
     b_from, b_to = opf.d[0::2] - shift, opf.d[1::2] + shift     # binding from -> to, and back
-    return lp.LpProblem(c=opf.c, a_eq=opf.A.sum(axis=0)[None, :], b_eq=[opf.a.sum()],
+    balance = np.repeat([1.0, -1.0], opf.n)
+    return lp.LpProblem(c=opf.c, a_eq=balance[None, :], b_eq=[opf.a.sum()],
                         a_ge=-np.hstack([ptdf, -ptdf]), b_ge=b_from, range_ge=-(b_from + b_to),
-                        lower=opf.b[:2 * n], upper=-opf.b[2 * n:])
+                        lower=opf.lower, upper=opf.upper)
+
+
+def _source_currents(opf: OpfLp, mu_rows: np.ndarray) -> np.ndarray:
+    """``D' mu_rows``, the price circuit's source currents: ``mu_rows[2r] -
+    mu_rows[2r + 1]`` into line r's from end, the negative into its to end,
+    added by one unbuffered ``np.add.at`` in the row order of ``D``."""
+    out = np.zeros(opf.n)
+    up, down = mu_rows[0::2], mu_rows[1::2]
+    np.add.at(out, np.stack([*opf.ends, *opf.ends], 1).ravel(), np.stack([up, -up, -down, down], 1).ravel())
+    return out
 
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
@@ -177,7 +191,7 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
         raise OpfNumerical("singular reduced susceptance Laplacian") from None
     lap = opf.B[1:, 1:]
     try:
-        sol = lp.solve_lp(_injection_problem(net, opf))
+        sol = lp.solve_lp(_injection_problem(opf))
     except ArithmeticError as exc:
         raise OpfNumerical(str(exc)) from exc
 
@@ -195,10 +209,10 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
     # KCL fixes the angles once the injections are known, and the prices are
     # lambda plus the voltages of the price circuit: B v = -D' mu_rows, v_0 = 0
     theta = np.zeros(n)
-    theta[1:] = lp._refined_solve(lap, x_red, (opf.a - (opf.A * p).sum(axis=1))[1:])
+    theta[1:] = lp._refined_solve(lap, x_red, (opf.a - (p[:n] - p[n:]))[1:])
     theta -= theta[ref_bus]
     v = np.zeros(n)
-    v[1:] = lp._refined_solve(lap, x_red, -(opf.D * mu_rows[:, None]).sum(axis=0)[1:])
+    v[1:] = lp._refined_solve(lap, x_red, -_source_currents(opf, mu_rows)[1:])
     lmp = sol.eq_duals[0] + v
 
     mu = []
@@ -210,7 +224,7 @@ def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
         sign = 1 if mu_rows[2 * r] >= mu_rows[2 * r + 1] else -1
         mu.append(LineDual(k, ln.from_bus, ln.to_bus, value, value / ln.susceptance, sign))
 
-    margin = np.minimum(p - opf.b[:2 * n], -opf.b[2 * n:] - p)    # above p_min, below p_max
+    margin = np.minimum(p - opf.lower, opf.upper - p)    # above p_min, below p_max
     marginal = tuple(int(j) for j in np.nonzero(margin > MARGINAL_EPS)[0])
 
     for arr in (p, theta, lmp, gamma, mu_rows):
@@ -299,24 +313,25 @@ def verify_optimality(net: Network, sol: DcopfSolution, tol: float = 1e-7) -> Ch
     """Residuals of the six optimality blocks plus the duality gap."""
     opf = assemble_lp(net)
     n = net.n
-    if sol.p.size != 2 * n or sol.lmp.size != n or sol.gamma.size != opf.C.shape[0] \
-            or sol.mu_rows.size != opf.D.shape[0]:
+    if sol.p.size != 2 * n or sol.lmp.size != n or sol.gamma.size != 4 * n or sol.mu_rows.size != opf.d.size:
         raise ValueError("solution dimensions do not match the network")
 
     balance = balance_residual(opf, sol.p, sol.theta)
-    bound_slack = opf.C @ sol.p - opf.b
-    angle_slack = opf.D @ sol.theta - opf.d
+    bound_slack = np.concatenate([sol.p - opf.lower, opf.upper - sol.p])
+    spread = sol.theta[opf.ends[0]] - sol.theta[opf.ends[1]]        # across each limited line
+    angle_slack = np.stack([spread - opf.d[0::2], -spread - opf.d[1::2]], 1).ravel()
     primal = max(
         float(np.max(np.abs(balance))),
         float(np.max(-bound_slack, initial=0.0)),
         float(np.max(-angle_slack, initial=0.0)),
     )
-    stat_p = float(np.max(np.abs(opf.A.T @ sol.lmp + opf.C.T @ sol.gamma - opf.c)))
-    stat_theta = float(np.max(np.abs(opf.B.T @ sol.lmp + opf.D.T @ sol.mu_rows)))
+    injection_prices = np.concatenate([sol.lmp, -sol.lmp]) + (sol.gamma[:2 * n] - sol.gamma[2 * n:])
+    stat_p = float(np.max(np.abs(injection_prices - opf.c)))
+    stat_theta = float(np.max(np.abs(opf.B.T @ sol.lmp + _source_currents(opf, sol.mu_rows))))
     comp_bounds = float(np.max(np.abs(sol.gamma * bound_slack), initial=0.0))
     comp_angles = float(np.max(np.abs(sol.mu_rows * angle_slack), initial=0.0))
     sign = float(max(0.0, -np.min(sol.gamma, initial=0.0), -np.min(sol.mu_rows, initial=0.0)))
-    dual_obj = float(opf.a @ sol.lmp + opf.b @ sol.gamma + opf.d @ sol.mu_rows)
+    dual_obj = float(opf.a @ sol.lmp + np.concatenate([opf.lower, -opf.upper]) @ sol.gamma + opf.d @ sol.mu_rows)
     gap = abs(sol.objective - dual_obj)
 
     return CheckReport(checks=(

@@ -4,15 +4,15 @@ Conventions
 -----------
 - Bus ids are 0-based and contiguous; susceptances are per-unit on an implicit
   1 MVA base so MW and pu power coincide.
-- Power balance is written ``A p + B theta = a`` with ``B`` the susceptance
+- Injector variables use the dense slot layout: slot ``j`` (j < n) is the
+  generator at bus j, slot ``n + j`` the controllable load at bus j. Buses
+  without an injector of a given kind get a slot pinned to zero by its bounds,
+  and each slot's limits are stated as the bounds ``lower <= p <= upper``.
+- Power balance is ``p_gen - p_load + B theta = a`` with ``B`` the susceptance
   Laplacian, which makes the flow on a line from i to j equal to
   ``b_ij * (theta_j - theta_i)`` in MW.
-- Injector variables use the dense slot layout: slot ``j`` (j < n) is the
-  generator at bus j, slot ``n + j`` the controllable load at bus j, so
-  ``A = [I, -I]``. Buses without an injector of a given kind get a slot pinned
-  to zero by its bounds.
-- Flow limits are stored in MW but canonicalized to angle-difference rows
-  (divide by b_ij), so ``D`` has entries 0/+1/-1 and the flow-limit duals are
+- Flow limits are stored in MW but canonicalized to angle differences across
+  the limited line's ends (divide by b_ij), so the flow-limit duals are
   directly the circuit source magnitudes; the MW-basis shadow price is mu/b.
 """
 
@@ -200,25 +200,25 @@ def build_b_matrix(net: Network) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpfLp:
-    """Assembled DC-OPF blocks: min c'p s.t. A p + B theta = a, C p >= b, D theta >= d.
-
-    ``limited_lines[r]`` is the line index behind D rows 2r (from-minus-to) and
-    2r+1 (to-minus-from); both right-hand sides are -flow_limit/susceptance.
-    """
+    """The DC-OPF as the network states it: min c'p s.t. p_gen - p_load +
+    B theta = a, lower <= p <= upper, and for limited line r (network line
+    ``limited_lines[r]``, ends ``ends[0][r]`` and ``ends[1][r]``) the angle
+    limits ``theta_from - theta_to >= d[2r]`` and ``theta_to - theta_from >=
+    d[2r + 1]``, both ``-flow_limit/susceptance``. Only
+    ``dcopf.opf_lp_problem`` writes these as dense rows."""
 
     c: np.ndarray
-    A: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     d: np.ndarray
+    ends: tuple[np.ndarray, np.ndarray]
     limited_lines: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.B.shape[0]
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -235,11 +235,11 @@ class OpfLp:
 
 
 def assemble_lp(net: Network) -> OpfLp:
-    """The OPF LP blocks of a validated network.
+    """The OPF data of a validated network.
 
-    They are assembled on the first call and kept on the network, which is
+    It is assembled on the first call and kept on the network, which is
     immutable: every array is read-only, so all callers share one copy. The
-    grounded inverse ``X`` is kept with them once a solve first reads it.
+    grounded inverse ``X`` joins them once a solve first reads it.
     """
     if net._opf_lp is None:
         net._opf_lp = _assemble_lp(net)
@@ -248,41 +248,18 @@ def assemble_lp(net: Network) -> OpfLp:
 
 def _assemble_lp(net: Network) -> OpfLp:
     n = net.n
-    nb = build_b_matrix(net)
-
-    c = np.zeros(2 * n)
-    p_min = np.zeros(2 * n)
-    p_max = np.zeros(2 * n)
+    c, lower, upper = np.zeros(2 * n), np.zeros(2 * n), np.zeros(2 * n)
     for inj in net.injectors:
         j = _slot(n, inj)
         c[j] = inj.cost if inj.kind == KIND_GENERATOR else -inj.cost
-        p_min[j] = inj.p_min
-        p_max[j] = inj.p_max
-
-    eye = np.eye(n)
-    a_loc = np.hstack([eye, -eye])
-    c_mat = np.vstack([np.eye(2 * n), -np.eye(2 * n)])
-    b_vec = np.concatenate([p_min, -p_max])
-
-    limited = net.limited_lines()
-    d_mat = np.zeros((2 * len(limited), n))
-    d_vec = np.zeros(2 * len(limited))
-    for r, k in enumerate(limited):
-        ln = net.lines[k]
-        bound = -ln.flow_limit / ln.susceptance
-        d_mat[2 * r, ln.from_bus] = 1.0
-        d_mat[2 * r, ln.to_bus] = -1.0
-        d_vec[2 * r] = bound
-        d_mat[2 * r + 1, ln.from_bus] = -1.0
-        d_mat[2 * r + 1, ln.to_bus] = 1.0
-        d_vec[2 * r + 1] = bound
-
-    for arr in (c, a_loc, c_mat, b_vec, d_mat, d_vec):
+        lower[j], upper[j] = inj.p_min, inj.p_max
+    frm, to, bound = _columns((ln.from_bus, ln.to_bus, -ln.flow_limit / ln.susceptance)
+                              for ln in net.lines if ln.flow_limit is not None)
+    d = np.repeat(bound, 2)
+    for arr in (c, lower, upper, d, frm, to):
         arr.flags.writeable = False
-    return OpfLp(
-        c=c, A=a_loc, B=nb, C=c_mat, D=d_mat,
-        a=net.fixed_demand, b=b_vec, d=d_vec, limited_lines=tuple(limited),
-    )
+    return OpfLp(c=c, lower=lower, upper=upper, B=build_b_matrix(net), a=net.fixed_demand, d=d,
+                 ends=(frm, to), limited_lines=tuple(net.limited_lines()))
 
 
 def line_flows(net: Network, theta: np.ndarray) -> np.ndarray:
@@ -292,8 +269,9 @@ def line_flows(net: Network, theta: np.ndarray) -> np.ndarray:
 
 
 def balance_residual(opf: OpfLp, p: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-bus residual of A p + B theta - a."""
-    return opf.A @ np.asarray(p, float) + opf.B @ np.asarray(theta, float) - opf.a
+    """Per-bus residual of p_gen - p_load + B theta - a."""
+    p = np.asarray(p, float)
+    return p[:opf.n] - p[opf.n:] + opf.B @ np.asarray(theta, float) - opf.a
 
 
 def generate_random_network(seed: int, n: int, edge_prob: float) -> Network:
@@ -441,6 +419,8 @@ def _read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def load_network(path) -> Network:

@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the package: exhaustive
 active-set (vertex) enumeration for LPs, KKT least-squares for duals at a
-known optimum, a pseudoinverse nodal solve for circuits, and a reader that
-solves netlist text under SPICE's element conventions.
+known optimum, a pseudoinverse nodal solve for circuits, a reader that
+solves netlist text under SPICE's element conventions, and the OPF
+optimality residuals from dense blocks written out row by row.
 """
 
 from __future__ import annotations
@@ -181,6 +182,64 @@ def row_duals(where, range_ge, ge_duals, reduced_costs):
             d = reduced_costs[k]
             out.append((max(d, 0.0) if kind == "lower" else min(d, 0.0)) / coef[0])
     return np.array(out)
+
+
+def dense_certificate(net, sol):
+    """The seven residuals of ``verify_optimality`` from the dense blocks of
+    the angle form, written out entry by entry with Python loops: the
+    location matrix ``A = [I, -I]``, the bound rows ``C = [I; -I]`` with rhs
+    ``b = [p_min, -p_max]`` (absent slots pinned at zero), the susceptance
+    Laplacian ``B`` and the two +-1 rows ``D`` of each limited line in line
+    order. Every residual is then a matrix product.
+
+    Returns ``(residuals, scale)``: the residuals by name, and the largest
+    absolute sum of the terms any residual adds up, which bounds how far two
+    summation orders can move it."""
+    n = net.n
+    c, p_min, p_max = np.zeros(2 * n), np.zeros(2 * n), np.zeros(2 * n)
+    for inj in net.injectors:
+        j = inj.bus if inj.kind == "generator" else n + inj.bus
+        c[j] = inj.cost if inj.kind == "generator" else -inj.cost
+        p_min[j], p_max[j] = inj.p_min, inj.p_max
+    A, C = np.zeros((n, 2 * n)), np.zeros((4 * n, 2 * n))
+    for i in range(n):
+        A[i, i], A[i, n + i] = 1.0, -1.0
+    for j in range(2 * n):
+        C[j, j], C[2 * n + j, j] = 1.0, -1.0
+    b = np.concatenate([p_min, -p_max])
+    B = np.zeros((n, n))
+    for ln in net.lines:
+        for u, w in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus)):
+            B[u, u] += ln.susceptance
+            B[u, w] -= ln.susceptance
+    limited = [ln for ln in net.lines if ln.flow_limit is not None]
+    D, d = np.zeros((2 * len(limited), n)), np.zeros(2 * len(limited))
+    for r, ln in enumerate(limited):
+        D[2 * r, ln.from_bus], D[2 * r, ln.to_bus] = 1.0, -1.0
+        D[2 * r + 1, ln.from_bus], D[2 * r + 1, ln.to_bus] = -1.0, 1.0
+        d[2 * r] = d[2 * r + 1] = -ln.flow_limit / ln.susceptance
+    a = np.array([bus.fixed_demand for bus in net.buses])
+    p, theta, lmp, gamma, mu = sol.p, sol.theta, sol.lmp, sol.gamma, sol.mu_rows
+
+    balance = A @ p + B @ theta - a
+    bound_slack = C @ p - b
+    angle_slack = D @ theta - d
+    residuals = {
+        "primal_feasibility": max(np.abs(balance).max(), np.max(-bound_slack, initial=0.0),
+                                  np.max(-angle_slack, initial=0.0)),
+        "stationarity_injections": np.abs(A.T @ lmp + C.T @ gamma - c).max(),
+        "stationarity_angles": np.abs(B.T @ lmp + D.T @ mu).max(),
+        "complementarity_bounds": np.max(np.abs(gamma * bound_slack), initial=0.0),
+        "complementarity_flow_limits": np.max(np.abs(mu * angle_slack), initial=0.0),
+        "dual_sign": max(0.0, -np.min(gamma, initial=0.0), -np.min(mu, initial=0.0)),
+        "duality_gap": abs(sol.objective - (a @ lmp + b @ gamma + d @ mu)),
+    }
+    sums = [np.abs(A) @ np.abs(p) + np.abs(B) @ np.abs(theta) + np.abs(a),
+            np.abs(C) @ np.abs(p) + np.abs(b), np.abs(D) @ np.abs(theta) + np.abs(d),
+            np.abs(A.T) @ np.abs(lmp) + np.abs(C.T) @ np.abs(gamma) + np.abs(c),
+            np.abs(B.T) @ np.abs(lmp) + np.abs(D.T) @ np.abs(mu),
+            [abs(sol.objective) + np.abs(a) @ np.abs(lmp) + np.abs(b) @ np.abs(gamma) + np.abs(d) @ np.abs(mu)]]
+    return {name: float(value) for name, value in residuals.items()}, max(float(np.max(s, initial=0.0)) for s in sums)
 
 
 def nodal_voltages_pinv(n_nodes, lines, sources, ground):

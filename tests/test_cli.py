@@ -277,6 +277,18 @@ def test_invalid_network_exit1(capsys, tmp_path, edit, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "recover"])
+def test_deeply_nested_json_exit1(capsys, tmp_path, command):
+    # json.load recurses once per nesting level and raises RecursionError
+    depth = 200_000
+    path = tmp_path / "nested.json"
+    path.write_text('{"buses": ' + "[" * depth + "]" * depth + ', "lines": [], "injectors": []}')
+    code, out, err = run_cli(capsys, command, "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_missing_file_exit1(capsys):
     code, _, err = run_cli(capsys, "solve", "-i", "nope.json")
     assert code == 1

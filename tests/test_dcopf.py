@@ -126,6 +126,36 @@ def test_verify_detects_perturbed_price(fig1_net, fig1_sol):
     assert not report.all_passed
 
 
+def _moved(sol, rng):
+    """The solution with p, theta, lmp, gamma and mu_rows each moved, so that
+    every residual of the certificate is nonzero."""
+    def move(x, size):
+        return x + rng.normal(0.0, size, x.size)
+    return dataclasses.replace(sol, p=move(sol.p, 1.0), theta=move(sol.theta, 0.01), lmp=move(sol.lmp, 1.0),
+                               gamma=move(sol.gamma, 1.0), mu_rows=move(sol.mu_rows, 1.0))
+
+
+def test_verify_matches_dense_block_oracle(corpus200):
+    # verify_optimality reads the bounds and the limited lines' ends; the
+    # oracle multiplies dense blocks written out row by row. They agree at
+    # the solution and at a moved copy, where no residual is zero and both
+    # sides of some line's mu_rows pair are nonzero
+    perfbench = [generate_random_network(s, 35, 0.35) for s in range(17)]
+    perfbench += [generate_random_network(s, 50, 0.022) for s in range(17)]
+    rng = np.random.default_rng(25)
+    for net, sol in corpus200 + [(net, solve_opf(net)) for net in perfbench]:
+        moved = _moved(sol, rng)
+        pairs = moved.mu_rows.reshape(-1, 2)
+        assert (pairs != 0.0).all(axis=1).any()
+        for point in (sol, moved):
+            want, scale = oracles.dense_certificate(net, point)
+            got = {c.name: c.value for c in verify_optimality(net, point).checks}
+            assert got.keys() == want.keys()
+            for name, value in got.items():
+                assert abs(value - want[name]) <= 1e-12 * (1.0 + scale), (name, value, want[name])
+        assert all(value > 0.0 for value in want.values())
+
+
 def test_verify_dimension_mismatch(fig1_net, case7_sol):
     with pytest.raises(ValueError):
         verify_optimality(fig1_net, case7_sol)

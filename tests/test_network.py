@@ -20,6 +20,7 @@ from lmpcirc import (
     solve_opf,
     verify_optimality,
 )
+from lmpcirc.dcopf import opf_lp_problem
 from lmpcirc.network import _columns, _laplacian, balance_residual
 
 
@@ -106,6 +107,15 @@ def test_laplacian_keeps_the_loop_summation_order():
 # LP assembly
 # ---------------------------------------------------------------------------
 
+def _reference_blocks(opf):
+    """The dense blocks of the angle form, as ``opf_lp_problem`` writes them:
+    the location matrix, the bound rows, their rhs and the angle rows."""
+    n, m = opf.n, opf.d.size
+    prob = opf_lp_problem(opf, 0)
+    return (prob.a_eq[:n, :2 * n], prob.a_ge[:4 * n, :2 * n], prob.b_ge[:4 * n],
+            prob.a_ge[4 * n:, 2 * n:], prob.b_ge[4 * n:4 * n + m])
+
+
 def test_assemble_dense_location_matrix_and_costs():
     # generators at every bus, price-responsive load at the third bus
     net = Network(
@@ -119,20 +129,35 @@ def test_assemble_dense_location_matrix_and_costs():
         ],
     )
     opf = assemble_lp(net)
-    eye = np.eye(3)
-    assert np.array_equal(opf.A, np.hstack([eye, -eye]))
     assert np.array_equal(opf.c, [1.0, 2.0, 3.0, 0.0, 0.0, -6.0])
-    assert opf.C.shape == (12, 6)
-    assert np.array_equal(opf.C, np.vstack([np.eye(6), -np.eye(6)]))
     assert np.array_equal(opf.a, [0.0, 0.0, 12.0])
     # bounds: load at bus 2 capped at 5, absent slots pinned to zero
-    assert np.array_equal(opf.b, [0.0] * 6 + [-10.0, -10.0, -10.0, 0.0, 0.0, -5.0])
+    assert np.array_equal(opf.lower, [0.0] * 6)
+    assert np.array_equal(opf.upper, [10.0, 10.0, 10.0, 0.0, 0.0, 5.0])
+    assert opf.d.size == 0 and opf.ends[0].size == opf.ends[1].size == 0
+    # the reference form still writes them as the dense location matrix and bound rows
+    location, bound_rows, bound_rhs, angles, _ = _reference_blocks(opf)
+    eye = np.eye(3)
+    assert np.array_equal(location, np.hstack([eye, -eye]))
+    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
+    assert np.array_equal(bound_rhs, [0.0] * 6 + [-10.0, -10.0, -10.0, 0.0, 0.0, -5.0])
+    assert angles.shape == (0, 3)
 
 
 def test_assemble_no_limits_empty_angle_block():
     opf = assemble_lp(triangle())
-    assert opf.D.shape == (0, 3)
-    assert opf.d.size == 0
+    assert opf.d.size == 0 and opf.limited_lines == ()
+    assert opf.ends[0].dtype == opf.ends[1].dtype == np.intp
+    assert opf.ends[0].size == opf.ends[1].size == 0
+    assert np.array_equal(opf.lower, np.zeros(6))
+    assert np.array_equal(opf.upper, [100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(opf.c, [5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    location, bound_rows, bound_rhs, angles, _ = _reference_blocks(opf)
+    eye = np.eye(3)
+    assert np.array_equal(location, np.hstack([eye, -eye]))
+    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
+    assert np.array_equal(bound_rhs, np.concatenate([opf.lower, -opf.upper]))
+    assert angles.shape == (0, 3)
 
 
 def test_assemble_limited_line_rows_are_unit_entries():
@@ -142,14 +167,27 @@ def test_assemble_limited_line_rows_are_unit_entries():
         injectors=[Injector(0, "generator", 5.0, 0.0, 100.0)],
     )
     opf = assemble_lp(net)
-    assert np.array_equal(opf.D, [[1, -1, 0], [-1, 1, 0]])
+    assert opf.limited_lines == (0,)
+    assert np.array_equal(opf.ends[0], [0]) and np.array_equal(opf.ends[1], [1])
     assert np.array_equal(opf.d, [-5.0, -5.0])
+    assert np.array_equal(opf.c, [5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(opf.lower, np.zeros(6))
+    assert np.array_equal(opf.upper, [100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    location, bound_rows, bound_rhs, angles, angle_rhs = _reference_blocks(opf)
+    eye = np.eye(3)
+    assert np.array_equal(location, np.hstack([eye, -eye]))
+    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
+    assert np.array_equal(bound_rhs, np.concatenate([opf.lower, -opf.upper]))
+    assert np.array_equal(angles, [[1, -1, 0], [-1, 1, 0]])
+    assert np.array_equal(angle_rhs, opf.d)
     # at either bound the MW flow b*(theta_j - theta_i) sits exactly at +/-10
+    frm, to = opf.ends[0][0], opf.ends[1][0]
     for row, sign in ((0, +1), (1, -1)):
         theta = np.zeros(3)
         theta[0] = opf.d[row] if sign > 0 else 0.0
         theta[1] = 0.0 if sign > 0 else opf.d[row]
-        assert opf.D[row] @ theta == pytest.approx(opf.d[row])
+        assert angles[row] @ theta == pytest.approx(opf.d[row])
+        assert sign * (theta[frm] - theta[to]) == pytest.approx(opf.d[row])
         assert 2.0 * (theta[1] - theta[0]) == pytest.approx(sign * 10.0)
 
 
@@ -159,13 +197,18 @@ def test_assemble_once_per_network_and_read_only():
     assert assemble_lp(net) is opf
     assert solve_opf(net) is not None and assemble_lp(net) is opf
     assert assemble_lp(generate_random_network(2, 8, 0.4)) is not opf
-    # the eight blocks, and the inverse the solve kept with them
-    arrays = [v for v in vars(opf).values() if isinstance(v, np.ndarray)]
+    # c, lower, upper, B, a, d, the two limited-line ends, and the inverse the
+    # solve kept with them
+    arrays = [v for v in vars(opf).values() if isinstance(v, np.ndarray)] + list(opf.ends)
     assert len(arrays) == 9
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[...] = 1.0
+            arr[...] = 1
+    # nothing but the Laplacian and its inverse is quadratic in the buses
+    n, lines = net.n, len(opf.limited_lines)
+    assert lines > 0
+    assert {id(arr) for arr in arrays if arr.size > 4 * n + 2 * lines} == {id(opf.B), id(opf.X)}
 
 
 def _inverse_spy(monkeypatch) -> list[tuple[int, int]]:
