@@ -107,13 +107,18 @@ def test_laplacian_keeps_the_loop_summation_order():
 # LP assembly
 # ---------------------------------------------------------------------------
 
-def _reference_blocks(opf):
-    """The dense blocks of the angle form, as ``opf_lp_problem`` writes them:
-    the location matrix, the bound rows, their rhs and the angle rows."""
-    n, m = opf.n, opf.d.size
+def _assert_reference_blocks(opf, angle_rows):
+    """``opf_lp_problem`` still writes the angle form's dense blocks: the
+    location matrix ``[I, -I]``, the bound rows ``[I; -I]`` with rhs
+    ``[lower, -upper]``, and the limited lines' angle rows with rhs ``d``."""
+    n, eye = opf.n, np.eye(opf.n)
     prob = opf_lp_problem(opf, 0)
-    return (prob.a_eq[:n, :2 * n], prob.a_ge[:4 * n, :2 * n], prob.b_ge[:4 * n],
-            prob.a_ge[4 * n:, 2 * n:], prob.b_ge[4 * n:4 * n + m])
+    assert np.array_equal(prob.a_eq[:n, :2 * n], np.hstack([eye, -eye]))
+    assert np.array_equal(prob.a_ge[:4 * n, :2 * n], np.vstack([np.eye(2 * n), -np.eye(2 * n)]))
+    assert np.array_equal(prob.b_ge[:4 * n], np.concatenate([opf.lower, -opf.upper]))
+    assert np.array_equal(prob.a_ge[4 * n:, 2 * n:], np.reshape(angle_rows, (-1, n)))
+    assert np.array_equal(prob.b_ge[4 * n:], opf.d)
+    return prob.a_ge[4 * n:, 2 * n:]
 
 
 def test_assemble_dense_location_matrix_and_costs():
@@ -135,13 +140,7 @@ def test_assemble_dense_location_matrix_and_costs():
     assert np.array_equal(opf.lower, [0.0] * 6)
     assert np.array_equal(opf.upper, [10.0, 10.0, 10.0, 0.0, 0.0, 5.0])
     assert opf.d.size == 0 and opf.ends[0].size == opf.ends[1].size == 0
-    # the reference form still writes them as the dense location matrix and bound rows
-    location, bound_rows, bound_rhs, angles, _ = _reference_blocks(opf)
-    eye = np.eye(3)
-    assert np.array_equal(location, np.hstack([eye, -eye]))
-    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
-    assert np.array_equal(bound_rhs, [0.0] * 6 + [-10.0, -10.0, -10.0, 0.0, 0.0, -5.0])
-    assert angles.shape == (0, 3)
+    _assert_reference_blocks(opf, [])
 
 
 def test_assemble_no_limits_empty_angle_block():
@@ -152,12 +151,7 @@ def test_assemble_no_limits_empty_angle_block():
     assert np.array_equal(opf.lower, np.zeros(6))
     assert np.array_equal(opf.upper, [100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(opf.c, [5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    location, bound_rows, bound_rhs, angles, _ = _reference_blocks(opf)
-    eye = np.eye(3)
-    assert np.array_equal(location, np.hstack([eye, -eye]))
-    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
-    assert np.array_equal(bound_rhs, np.concatenate([opf.lower, -opf.upper]))
-    assert angles.shape == (0, 3)
+    _assert_reference_blocks(opf, [])
 
 
 def test_assemble_limited_line_rows_are_unit_entries():
@@ -173,13 +167,7 @@ def test_assemble_limited_line_rows_are_unit_entries():
     assert np.array_equal(opf.c, [5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(opf.lower, np.zeros(6))
     assert np.array_equal(opf.upper, [100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    location, bound_rows, bound_rhs, angles, angle_rhs = _reference_blocks(opf)
-    eye = np.eye(3)
-    assert np.array_equal(location, np.hstack([eye, -eye]))
-    assert np.array_equal(bound_rows, np.vstack([np.eye(6), -np.eye(6)]))
-    assert np.array_equal(bound_rhs, np.concatenate([opf.lower, -opf.upper]))
-    assert np.array_equal(angles, [[1, -1, 0], [-1, 1, 0]])
-    assert np.array_equal(angle_rhs, opf.d)
+    angles = _assert_reference_blocks(opf, [[1, -1, 0], [-1, 1, 0]])
     # at either bound the MW flow b*(theta_j - theta_i) sits exactly at +/-10
     frm, to = opf.ends[0][0], opf.ends[1][0]
     for row, sign in ((0, +1), (1, -1)):
