@@ -25,6 +25,7 @@ the angle limits, is written out only by ``opf_lp_problem``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,11 +125,21 @@ class CheckReport:
         raise KeyError(name)
 
 
-def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
+class DenseLp(NamedTuple):
+    """min c'x s.t. a_eq x = b_eq and a_ge x >= b_ge, every variable free."""
+
+    c: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ge: np.ndarray
+    b_ge: np.ndarray
+
+
+def opf_lp_problem(opf: OpfLp, ref_bus: int) -> DenseLp:
     """The reference form of the OPF: the generic LP over ``[p, theta]`` in
     dense rows, the location matrix ``[I, -I]``, the bound rows ``[I; -I]``
     and the +-1 angle rows ``D``, with a row pinning ``theta[ref_bus]`` to
-    zero appended. Its angles are free, so ``solve_lp`` refuses it and
+    zero appended. Its angles are free, so it is no ``LpProblem`` and
     ``solve_opf`` does not use it; it is what an independent LP solver checks
     the OPF against."""
     n, eye = opf.n, np.eye(opf.n)
@@ -146,7 +157,7 @@ def opf_lp_problem(opf: OpfLp, ref_bus: int) -> lp.LpProblem:
     b_ge = np.concatenate([opf.lower, -opf.upper, opf.d])
 
     c = np.concatenate([opf.c, np.zeros(n)])
-    return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge)
+    return DenseLp(c, a_eq, b_eq, a_ge, b_ge)
 
 
 def _injection_problem(opf: OpfLp) -> lp.LpProblem:

@@ -1,14 +1,14 @@
 """Self-contained dense solver for boxed linear programs, with exact basis duals.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq,  b_ge <= A_ge x <= b_ge + range_ge,
-lower <= x <= upper`` where every bound is finite; ``solve_lp`` refuses a
-problem with an infinite bound. A ``>=`` row whose range is ``inf`` is
-one-sided. The standard form is built straight from what the problem states:
-a variable is ``l + x'`` with one column ``x'`` in ``[0, u - l]``, and a
-variable with equal bounds is fixed and has no column. Every row gets a
-logical column, ``a x - s = b``: ``s`` lies in ``[0, 0]`` on an equality row
-and in ``[0, range]`` on a ``>=`` row. A row or a bound is written once as
-what it is, so nothing is read back out of the rows.
+lower <= x <= upper`` where every bound is finite; ``LpProblem`` refuses an
+infinite one. A ``>=`` row whose range is ``inf`` is one-sided. The standard
+form is built straight from what the problem states: a variable is ``l +
+x'`` with one column ``x'`` in ``[0, u - l]``, and a variable with equal
+bounds is fixed and has no column. Every row gets a logical column, ``a x -
+s = b``: ``s`` lies in ``[0, 0]`` on an equality row and in ``[0, range]``
+on a ``>=`` row. A row or a bound is written once as what it is, so nothing
+is read back out of the rows.
 
 The rest is one call of the bounded dual simplex of ``_kernels``, which makes
 its own start: it puts each nonbasic column whose reduced cost is below
@@ -50,15 +50,10 @@ _DEGENERACY_EPS = 1e-9
 _CERT_RTOL = 1e-7       # residual limit relative to 1 + the data (gap: + |objective|)
 
 
-def _stated(value, size: int, default: float) -> np.ndarray:
-    return np.full(size, default) if value is None else np.atleast_1d(np.asarray(value, dtype=float))
-
-
 @dataclass(frozen=True)
 class LpProblem:
     """min c'x subject to a_eq x = b_eq, b_ge <= a_ge x <= b_ge + range_ge and
-    lower <= x <= upper. Bounds left out are infinite (the variables are
-    free), which ``solve_lp`` refuses, and ranges left out are ``inf`` (the
+    lower <= x <= upper, every bound finite. Ranges left out are ``inf`` (the
     rows are one-sided)."""
 
     c: np.ndarray
@@ -66,8 +61,8 @@ class LpProblem:
     b_eq: np.ndarray
     a_ge: np.ndarray
     b_ge: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    lower: np.ndarray
+    upper: np.ndarray
     range_ge: np.ndarray | None = None
 
     def __post_init__(self):
@@ -79,16 +74,19 @@ class LpProblem:
         b_ge = np.atleast_1d(np.asarray(self.b_ge, dtype=float)) if np.size(self.b_ge) else np.zeros(0)
         if b_eq.size != a_eq.shape[0] or b_ge.size != a_ge.shape[0]:
             raise ValueError("constraint matrix/rhs dimensions disagree")
-        for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        lower, upper = _stated(self.lower, nv, -np.inf), _stated(self.upper, nv, np.inf)
-        range_ge = _stated(self.range_ge, b_ge.size, np.inf)
+        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
+        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        range_ge = (np.full(b_ge.size, np.inf) if self.range_ge is None
+                    else np.atleast_1d(np.asarray(self.range_ge, dtype=float)))
         if lower.shape != (nv,) or upper.shape != (nv,) or range_ge.shape != b_ge.shape:
             raise ValueError("bound/range dimensions disagree")
-        # every comparison with NaN is false, so these refuse NaN too
-        if not (np.all(lower <= upper) and np.all(lower < np.inf) and np.all(upper > -np.inf)):
-            raise ValueError("bounds need lower <= upper, lower < inf and upper > -inf")
+        for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge),
+                          ("lower", lower), ("upper", upper)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
+        if not np.all(lower <= upper):
+            raise ValueError("bounds need lower <= upper")
+        # every comparison with NaN is false, so this refuses NaN too
         if not np.all(range_ge >= 0.0):
             raise ValueError("range_ge entries must be nonnegative")
         for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ge", a_ge), ("b_ge", b_ge),
@@ -212,13 +210,8 @@ def _infeasible(tableau, basis, upper, me, iters) -> LpSolution:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the boxed LP; an infeasible one is reported in status. Raises
-    ValueError when a variable has an infinite bound."""
+    """Solve the boxed LP; an infeasible one is reported in status."""
     c, lower, range_ge = problem.c, problem.lower, problem.range_ge
-    unboxed = np.flatnonzero(np.isinf(lower) | np.isinf(problem.upper))
-    if unboxed.size:
-        j = int(unboxed[0])
-        raise ValueError(f"solve_lp needs finite bounds: variable {j} lies in [{lower[j]:g}, {problem.upper[j]:g}]")
     me = problem.a_eq.shape[0]
     m = me + problem.a_ge.shape[0]
 

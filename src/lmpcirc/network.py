@@ -295,14 +295,17 @@ def generate_random_network(seed: int, n: int, edge_prob: float) -> Network:
         u = int(order[idx])
         v = int(order[rng.integers(0, idx)])
         edges.add((min(u, v), max(u, v)))
-    spare = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
-    picks = rng.random(len(spare)) < edge_prob
-    for pair, take in zip(spare, picks):
-        if take:
-            edges.add(pair)
+    # the pairs i < j the tree left out, in row-major order, as two index arrays
+    tree = np.zeros((n, n), dtype=bool)
+    tree[tuple(zip(*edges))] = True
+    spare_i, spare_j = np.triu_indices(n, 1)
+    spare = ~tree[spare_i, spare_j]
+    spare_i, spare_j = spare_i[spare], spare_j[spare]
+    picks = rng.random(spare_i.size) < edge_prob
+    edges.update(zip(spare_i[picks].tolist(), spare_j[picks].tolist()))
     if len(edges) < n:  # tree only: force one chord
-        k = int(rng.integers(0, len(spare)))
-        edges.add(spare[k])
+        k = int(rng.integers(0, spare_i.size))
+        edges.add((int(spare_i[k]), int(spare_j[k])))
 
     demand = np.where(rng.random(n) < 0.7, rng.uniform(10.0, 100.0, n), 0.0)
     if not demand.any():

@@ -5,17 +5,17 @@ significant digits before serialization (and negative zero normalized), so
 identical inputs produce byte-identical documents across platforms.
 
 ``dumps`` writes ``json.dumps(indent=2)``'s layout in one walk over the
-document and formats floats in batches with ``%.9g``: the document's scalar
-floats in one batch at the end, each row of floats in its own batch as the
-walk reaches it, so no batch grows with the size of a large matrix. A numpy
-array is written as its ``tolist()``: a matrix row by row, and a float64 row
-from one ``tolist()`` with no scan of its element types, so the report
-builders pass their arrays through. A row is one ``%.9g`` pass with the
-separators baked into the format, so its text is written whole; its exact
-zeros, counted once, are mended by a replace that stops at the last of them,
-and in a row holding another token json writes differently (an integral
-value, an exponent, ``nan`` or ``inf``) the row text is split and only those
-tokens are rewritten.
+document, and every float by one rule, ``_json_token``: its ``%.9g`` token,
+which does round9's rounding, is json's text where it has a point and no
+exponent, and is parsed back and rewritten otherwise. A scalar float is
+written where the walk meets it. A row of floats is the one batch: one
+``%.9g`` pass with the separators baked into the format writes it whole, its
+exact zeros, counted once, are mended by a replace that stops at the last of
+them, and only a row holding another token json writes differently (an
+integral value, an exponent, ``nan`` or ``inf``) is split and its tokens put
+through the rule. A numpy array is written as its ``tolist()``: a matrix row
+by row, and a float64 row from one ``tolist()`` with no scan of its element
+types, so the report builders pass their arrays through.
 """
 
 from __future__ import annotations
@@ -54,37 +54,17 @@ def fnum(x: float) -> str:
 def dumps(doc) -> str:
     """``doc`` as ``json.dumps(doc, indent=2)`` writes it, every float through
     ``round9`` first, plus a final newline. numpy integers are written as ints,
-    and a numpy array as its ``tolist()``.
-
-    One walk writes the layout and leaves a NUL for each scalar float; one
-    ``%.9g`` pass over all of them then fills the NULs. json escapes NUL in
-    every string and key, so a NUL in the walk's text is always a placeholder.
-    A row of floats is written by its own pass during the walk instead: one
-    batch for a whole document would hold a token per float of the largest
-    documents (400 x 400 price differences) at once.
-    """
-    floats: list[float] = []
-    text = _layout(doc, floats)
-    if not floats:
-        return text
-    parts = text.split("\0")
-    del text  # parts holds the only copy from here on
-    filled = [""] * (2 * len(parts) - 1)
-    filled[::2] = parts
-    filled[1::2] = _float_tokens(floats)
-    return "".join(filled)
-
-
-def _layout(doc, floats: list[float]) -> str:
-    """The JSON text of ``doc`` and a final newline, with a NUL for each float
-    appended to ``floats``. The list of pieces is freed on return."""
+    and a numpy array as its ``tolist()``. A float's ``%.9g`` token goes
+    through ``_json_token``: a scalar's where the walk meets it, a row's only
+    when ``_float_row``'s one pass over the row holds a token json writes
+    differently."""
     out: list[str] = []
-    _walk(doc, "\n", out, floats)
+    _walk(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
+def _walk(x, nl: str, out: list[str]) -> None:
     """Append the JSON text of ``x`` to ``out``; ``nl`` is a newline plus the
     indentation of x's line.
 
@@ -95,8 +75,7 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
     """
     t = type(x)
     if t is float:
-        out.append("\0")
-        floats.append(x)
+        out.append(_json_token("%.9g" % x))
     elif t is dict:
         if not x:
             out.append("{}")
@@ -105,7 +84,7 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
         sep = "{" + inner
         for k, v in x.items():
             out.append(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
-            _walk(v, inner, out, floats)
+            _walk(v, inner, out)
             sep = "," + inner
         out.append(nl + "}")
     elif t is list or t is tuple:
@@ -122,11 +101,11 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
             sep = "[" + inner
             for v in x:
                 out.append(sep)
-                _walk(v, inner, out, floats)
+                _walk(v, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
     elif t is np.ndarray:
-        _array(x, nl, out, floats)
+        _array(x, nl, out)
     elif t is str:
         out.append(_quote(x))
     elif t is int:
@@ -136,34 +115,34 @@ def _walk(x, nl: str, out: list[str], floats: list[float]) -> None:
     elif x is None:
         out.append("null")
     elif isinstance(x, dict):
-        _walk(dict(x.items()), nl, out, floats)
+        _walk(dict(x.items()), nl, out)
     elif isinstance(x, (list, tuple)):
-        _walk(list(x), nl, out, floats)
+        _walk(list(x), nl, out)
     elif isinstance(x, np.ndarray):
-        _walk(x.tolist(), nl, out, floats)
+        _walk(x.tolist(), nl, out)
     else:
         out.append(_scalar(x))
 
 
-def _array(x: np.ndarray, nl: str, out: list[str], floats: list[float]) -> None:
+def _array(x: np.ndarray, nl: str, out: list[str]) -> None:
     """Append json's text of ``x.tolist()`` to ``out``. A matrix is written row
     by row, so no list holds all of its floats; a nonempty float64 row is one
     ``tolist()`` and one ``_float_row``, with no scan of its element types."""
     if x.ndim > 1:
-        _walk(list(x), nl, out, floats)
+        _walk(list(x), nl, out)
     elif x.ndim == 1 and x.dtype == np.float64 and x.size:
         inner = nl + "  "
         out.append("[" + inner + _float_row(x.tolist(), "," + inner, np.count_nonzero(x == 0.0)) + nl + "]")
     else:
-        _walk(x.tolist(), nl, out, floats)
+        _walk(x.tolist(), nl, out)
 
 
 def _scalar(x) -> str:
     if isinstance(x, (float, np.floating)):
-        x = round9(x)
-    elif isinstance(x, np.integer):
+        return _json_token("%.9g" % x)
+    if isinstance(x, np.integer):
         x = int(x)
-    return json.dumps(x)  # rounded floats, str and int subclasses; raises TypeError on the rest
+    return json.dumps(x)  # str and int subclasses; raises TypeError on the rest
 
 
 def _key(k) -> str:
@@ -181,42 +160,27 @@ def _float_row(row, sep: str, zeros: int) -> str:
     ``zeros`` of them. If then no token has an exponent and every token a
     point, each is a fraction of at least 1e-4 in magnitude that json writes
     just so. In any other row (one holding an integral value, ``-0.0``,
-    ``1e-05``, ``nan`` or ``inf``) the tokens json writes differently are
-    rewritten one by one by ``_json_tokens``.
+    ``1e-05``, ``nan`` or ``inf``) the row is split and each token goes through
+    ``_json_token``.
     """
     # a space before the first token and a comma after the last, so that
     # every token, like those inside, follows a space and precedes a comma
     text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
-    if zeros:  # -0.0 writes "-0", left for _json_tokens
+    if zeros:  # -0.0 writes "-0", left for _json_token
         text = text.replace(" 0,", " 0.0,", zeros)
     if "e" in text or text.count(".") != len(row):
-        return sep.join(_json_tokens(text[1:-1].split(sep)))
+        return sep.join(map(_json_token, text[1:-1].split(sep)))
     return text[1:-1]
 
 
-def _float_tokens(row) -> list[str]:
-    """json's text of ``round9(x)`` for each float x of ``row``: one ``%.9g``
-    pass over the row does round9's rounding, and ``_json_tokens`` mends the
-    tokens json writes differently."""
-    text = ("%.9g\n" * len(row)) % tuple(row)
-    tokens = text.split("\n")
-    tokens.pop()  # the empty string after the last newline
-    return _json_tokens(tokens)
-
-
-def _json_tokens(tokens: list[str]) -> list[str]:
-    """``%.9g`` tokens rewritten, in place, as json writes their values.
-
-    A token with a point and no exponent is a fraction of at least 1e-4 in
-    magnitude, and json writes the rounded value just so. Every other token
-    (``123``, ``1e+09``, ``1e-05``, ``nan``, ``inf``) is parsed back and
-    written by ``_float_text``: json writes ``123.0``, ``1000000000.0``,
-    ``NaN`` and ``Infinity``, and ``0.0`` where the value snaps.
-    """
-    for i, t in enumerate(tokens):
-        if "." not in t or "e" in t:
-            tokens[i] = _float_text(float(t))
-    return tokens
+def _json_token(t: str) -> str:
+    """json's text of the value of ``t``, a ``%.9g`` token. A token with a
+    point and no exponent is a fraction of at least 1e-4 in magnitude, which
+    json writes just so. Every other token (``123``, ``1e+09``, ``1e-05``,
+    ``nan``, ``inf``) is parsed back and written by ``_float_text``: json
+    writes ``123.0``, ``1000000000.0``, ``NaN`` and ``Infinity``, and ``0.0``
+    where the value snaps."""
+    return t if "." in t and "e" not in t else _float_text(float(t))
 
 
 def _float_text(v: float) -> str:

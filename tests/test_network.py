@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -278,6 +279,64 @@ def test_generator_deterministic():
     a = generate_random_network(1, 5, 0.5)
     b = generate_random_network(1, 5, 0.5)
     assert network_to_doc(a) == network_to_doc(b)
+
+
+# SHA-256 of json.dumps(network_to_doc(generate_random_network(seed, n, p)))
+# for seeds 0, 1, ...: the 17 + 17 networks perfbench's opf_dense and opf_grid
+# solve, and tree-only draws that take the forced-chord branch
+GENERATOR_SHA256 = {
+    (35, 0.35): [
+        "add885a21a4b89ff4efdb0b8d79e7415761664d2b15c81356c5e268da1971245",
+        "a6f312dead9048b1bb5628e175155eb960cb91b55be5d5d55b98488a4aab885f",
+        "2f27dbbd2d3ee68c99823b2dd96ceb9e0567fd6673a008e2e3705f62341f0d17",
+        "6ff209d6cbb6f0a4e71a0aa4f139e2c9b5a8d9a793503b62a87669042f155ba3",
+        "489d4602c4cb6a9265dfcef13f435b2c370879582817c388bb1b9bbb8636a1dd",
+        "6aeebaa49eea7ff1ce8bc4ae8da772f7a92f0959e50465dbfb5d5f98d5fabd1e",
+        "b08a5b4404a90dae57dd04e2f3ad255264b62d399c8195c31f5d921b7ac91332",
+        "98d8f9d78abab67ebb3b0a3227cca8548089b8360859ef88155f37aa950cf256",
+        "520918b38a01e6ebd87f2c869462f8736d6c91e81ec2964c0a88baf63d968dd6",
+        "6a3a8f7842203774b84e7e678b7d71986936acebb30773a1a05b8deee1ef83f1",
+        "a2b2c159380f320299d519957d0f19f421d08cf3ad09a9e9ebdf00b6cb9cdee4",
+        "12ee429542db4c4d8237f4d078ffcb61621bc33f9d43001305f3b97261376c6a",
+        "bcc60857366d3ce6d847ee48cc89c9d8615d05dec5b10577a03469d632d55ea3",
+        "999968a241b8a34cbd45d0943b831f629a6cb2b086188db6fd187cea071a7a02",
+        "aafc1318598e65bf2c273c9141b863a41128e4e7a4e8b274712dd38237ddaf85",
+        "4eafda08a32a29d2ad4980a9b16f8148739d9742435d222d4a99aaa2feee2318",
+        "94e2a830dd4a33bda7331b2b3f46f2ed38cf8741218119e81f62a9e3361dbf03",
+    ],
+    (50, 0.022): [
+        "4ec49f9a683f1d1c58f5b7a2f16a28da90e2fd1cfbce34ef35b7de25854abb1d",
+        "e4afdc7e03fa8f8bfe4546cf05dfc181013dea4c6fc5757035bc21b994b7c9ad",
+        "ca80d6bcd1a44f4af8e49d58daf1cb65bd11cbacb129cffa58ae32f03b51ecfd",
+        "49e4796f6ac0574f9d3162f43c6b94d0d5c25871e4d8d7454752dacc1b9ab002",
+        "e7834eecda3e3e94326828747425e56c5ef0b390b5519ecca963d6d8b5c5434d",
+        "a16199663cd560dc998ae876689c757fa4db46f61f1f5eb4ed713df5b3138673",
+        "f571e74441632ab12432fa9ea9b6644494e1e549170a00abfe0ee7e6fcc08689",
+        "fa566b90e5059d9a7b3f8d62e0e7fdc30c60239fb253fea583ae5d9348eb2ed2",
+        "57bb0aff3f28b5d70edb3637729dfab14d8f9ab4f6d3a9b62fc3029e420f68e3",
+        "488d5dc0139ac1c205a0f4457e1eefa906f40fb12984c079a5e2ad243e18debe",
+        "49aa7221bb5915e35968b02a213a280c0aec1ad40d531342f0c1928c9af7c952",
+        "4d3cab90859b2a42cdb08ff187bb3944f65e63abb471ef99b12df8fee2dc5740",
+        "d7c6466b6acfe5a43b8e09c4474d03c20c3f63c9809f688ad6c85be4f05cf8d5",
+        "c944f3224569a799fe426c3ca83d0e952dc34b7b3e38cf40147ef80831e46ab0",
+        "82db38b51433f4d04dde50eb9b4eda4951d5ca52a44d92050dc605216885e96c",
+        "5b4506cff89417e99ec047c5ce29525c532707150a679decfc5b4d84eec40483",
+        "aaef907d8abd48e0177d9b5e13d91b0369de4b33f6f457bf848c52248ccecf9f",
+    ],
+    (3, 0.01): [
+        "c4a44c20d41774c8590f981638ecd4f28091db0cd961c5e27f9eab455c68d9a2",
+        "f95694af8fbf77853eab8663e25f8ecbfd2e2a5845e696e3d78ca62a27554408",
+        "2d0dd167d51f7426c5e20e53a17dcec9fc0d791a505a8e2c35bc0d53564156ab",
+        "d259f062380fc4c0ff3d7f1a78dd5340b257068eb3b94776bd6f5e2aae6d4ac9",
+    ],
+}
+
+
+def test_generator_bytes_are_pinned():
+    for (n, edge_prob), digests in GENERATOR_SHA256.items():
+        for seed, want in enumerate(digests):
+            text = json.dumps(network_to_doc(generate_random_network(seed, n, edge_prob)))
+            assert hashlib.sha256(text.encode()).hexdigest() == want, (seed, n, edge_prob)
 
 
 def test_generator_connected_and_meshed():

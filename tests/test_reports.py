@@ -131,19 +131,19 @@ def test_row_fast_path_matches_oracle():
 
 
 def test_row_of_fractions_and_zeros_is_written_in_one_pass(monkeypatch):
-    # only a row json writes differently token by token has its tokens mended,
-    # and those come from the row's one %.9g pass, not from a second one
+    # a row's one %.9g pass is its text unless a token json writes
+    # differently sends the row's tokens through _json_token one by one
     calls = []
-    mend = reports._json_tokens
-    monkeypatch.setattr(reports, "_json_tokens", lambda tokens: calls.append(len(tokens)) or mend(tokens))
-    monkeypatch.setattr(reports, "_float_tokens", lambda row: pytest.fail("row formatted twice"))
+    mend = reports._json_token
+    monkeypatch.setattr(reports, "_json_token", lambda token: calls.append(token) or mend(token))
     rng = np.random.default_rng(13)
     f = _fractions(rng, 400)
     for row in ([0.0] * 400, [0.0] + f + [0.0, 0.0], f):
         assert_same(row)
+        assert_same(np.array(row))
     assert calls == []
     assert_same(f + [-0.0])
-    assert calls == [401]
+    assert len(calls) == 401 and calls[-1] == "-0"
 
 
 def test_small_rows_and_single_values():
