@@ -83,18 +83,24 @@ def infeasible_row(tableau, basis, upper):
     """The row that proves the LP infeasible once ``run_simplex`` returned
     ``STATUS_INFEASIBLE``, and its shortfall: the row whose basic variable
     stays furthest outside its bounds however far the nonbasic columns move
-    within theirs."""
+    within theirs, lowest row on ties. The rows are scanned one block at a
+    time, as the pivot updates them."""
     m = basis.size
     bound = np.abs(upper)
     movable = bound > 0.0
     movable[basis] = False
+    finite = np.where(bound < np.inf, bound, 0.0)
     beta = tableau[:m, -1]
     top = bound[basis]
     viol = np.maximum(-beta, beta - top)
-    gain = np.where((beta > top)[:, None], tableau[:m, :-1], -tableau[:m, :-1])
-    helps = movable & (gain > TOL_PIVOT)
-    left = viol - np.where(helps, gain * np.where(bound < np.inf, bound, 0.0), 0.0).sum(axis=1)
-    left[(helps & (bound == np.inf)).any(axis=1) | (viol <= TOL_PRIMAL)] = -np.inf
+    left = np.empty(m)
+    for start in range(0, m, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, m))
+        gain = np.where((beta[block] > top[block])[:, None], tableau[block, :-1], -tableau[block, :-1])
+        helps = movable & (gain > TOL_PIVOT)
+        left[block] = viol[block] - np.where(helps, gain * finite, 0.0).sum(axis=1)
+        left[block][(helps & (bound == np.inf)).any(axis=1)] = -np.inf
+    left[viol <= TOL_PRIMAL] = -np.inf
     r = int(np.argmax(left))
     return r, float(left[r])
 

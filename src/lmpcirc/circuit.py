@@ -14,6 +14,7 @@ toward the lower-priced end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
@@ -21,7 +22,7 @@ from operator import sub
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network, _columns, _laplacian, _spanning_tree
+from .network import Network, _columns, _inject, _laplacian, _spanning_forest
 
 BINDING_EPS = 1e-7
 
@@ -65,15 +66,17 @@ class EquivalentCircuit:
     """Branches and current sources over nodes 0..n_nodes-1.
 
     ``branches`` holds the (from, to, ohms) arrays of the resistors, one entry
-    per line in line order, read only. The ``Resistor`` tuple is built from
-    them on its first read, and the ground-reduced conductance matrix the
-    first time a solve needs it; both are kept on the object, so its solve,
+    per line in line order, and ``sources`` the (from, to, amps) arrays of the
+    current sources, each driving amps out of from and into to; all are read
+    only. The ``Resistor`` and ``CurrentSource`` tuples are views built from
+    them on their first read, and the ground-reduced conductance matrix the
+    first time a solve needs it; all are kept on the object, so its solve,
     superposition and branch currents share one matrix.
     """
 
     n_nodes: int
     branches: tuple[np.ndarray, np.ndarray, np.ndarray]
-    current_sources: tuple[CurrentSource, ...]
+    sources: tuple[np.ndarray, np.ndarray, np.ndarray]
     ground: int
     offset: float
 
@@ -87,6 +90,11 @@ class EquivalentCircuit:
         """One resistor per branch, in line order."""
         return tuple(map(Resistor, *(a.tolist() for a in self.branches)))
 
+    @cached_property
+    def current_sources(self) -> tuple[CurrentSource, ...]:
+        """One current source per entry of ``sources``, in their order."""
+        return tuple(map(CurrentSource, *(a.tolist() for a in self.sources)))
+
     def conductance_matrix(self) -> np.ndarray:
         """A fresh full conductance matrix: 1/ohms stamped resistor by resistor."""
         f, t, ohms = self.branches
@@ -98,7 +106,7 @@ class EquivalentCircuit:
         node ids it keeps. A disconnected graph raises on every access: a
         raising property caches nothing."""
         f, t, _ = self.branches
-        if len(_spanning_tree(self.n_nodes, zip(f.tolist(), t.tolist()))) < self.n_nodes:
+        if list(_spanning_forest(self.n_nodes, zip(f.tolist(), t.tolist())).values()).count(None) != 1:
             raise CircuitError("circuit graph is disconnected; reduced conductance matrix is singular")
         full, k, m = self.conductance_matrix(), self.ground, self.n_nodes - 1
         g = np.empty((m, m))
@@ -111,11 +119,8 @@ class EquivalentCircuit:
 
     def injections(self) -> np.ndarray:
         """Net source current into each node."""
-        j = np.zeros(self.n_nodes)
-        for s in self.current_sources:
-            j[s.to_node] += s.amps
-            j[s.from_node] -= s.amps
-        return j
+        f, t, amps = self.sources
+        return _inject(self.n_nodes, t, f, amps)
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,8 @@ def circuit_from_parts(n_nodes, lines, sources, ground, offset) -> EquivalentCir
 
 
 def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
-    """Validate (from, to, susceptance) lines and (from, to, amps) sources and
-    build the circuit: one branch of 1/susceptance ohms per line."""
+    """Validate (from, to, susceptance) lines, (from, to, amps) sources, ground
+    and offset, and build the circuit: one branch of 1/susceptance ohms per line."""
     def check_ends(what, i, j):
         for k in (i, j):
             if not 0 <= k < n_nodes:
@@ -179,26 +184,24 @@ def _assemble(n_nodes, lines, sources, ground, offset) -> EquivalentCircuit:
     pairs = set()
     for i, j, sus in lines:
         check_ends("line", i, j)
-        if sus <= 0:
-            raise CircuitError(f"line {i}-{j}: susceptance must be > 0")
+        if not 0 < sus < math.inf:
+            raise CircuitError(f"line {i}-{j}: susceptance must be finite and > 0")
         pairs.add((min(i, j), max(i, j)))
     for i, j, amps in sources:
         check_ends("source", i, j)
-        if amps <= 0:
-            raise CircuitError(f"source {i}->{j}: magnitude must be > 0")
+        if not 0 < amps < math.inf:
+            raise CircuitError(f"source {i}->{j}: magnitude must be finite and > 0")
         if (min(i, j), max(i, j)) not in pairs:
             raise CircuitError(f"source {i}->{j} has no parallel line in the topology")
     if not 0 <= ground < n_nodes:
         raise CircuitError(f"ground node {ground} out of range")
+    if not math.isfinite(offset):
+        raise CircuitError("offset must be a finite number")
     f, t, sus = _columns(lines)
-    branches = (f, t, 1.0 / sus)
-    for a in branches:
+    branches, sources = (f, t, 1.0 / sus), _columns(sources)
+    for a in (*branches, *sources):
         a.flags.writeable = False
-    return EquivalentCircuit(
-        n_nodes=n_nodes, branches=branches,
-        current_sources=tuple(CurrentSource(i, j, a) for i, j, a in sources),
-        ground=ground, offset=offset,
-    )
+    return EquivalentCircuit(n_nodes=n_nodes, branches=branches, sources=sources, ground=ground, offset=offset)
 
 
 def _nodal_solve(c: EquivalentCircuit, injections: np.ndarray) -> np.ndarray:
@@ -226,13 +229,12 @@ def solve_circuit(c: EquivalentCircuit) -> CircuitSolution:
 def superpose(c: EquivalentCircuit) -> CircuitSolution:
     """Full solve plus one solve per source with the others open-circuited,
     all as columns of a single nodal solve."""
-    if not c.current_sources:
+    f, t, amps = c.sources
+    if not amps.size:
         raise NoCongestion("superposition needs at least one source")
-    j = np.zeros((c.n_nodes, 1 + len(c.current_sources)))
+    j = np.zeros((c.n_nodes, 1 + amps.size))
     j[:, 0] = c.injections()
-    for k, s in enumerate(c.current_sources, start=1):
-        j[s.to_node, k] += s.amps
-        j[s.from_node, k] -= s.amps
+    j[np.stack([t, f]), np.arange(1, 1 + amps.size)] = np.stack([amps, -amps])
     v = _nodal_solve(c, j)
     return CircuitSolution(
         voltages=v[:, 0], branch_currents=_branch_currents(c, v[:, 0]),
@@ -266,11 +268,12 @@ def kcl_residuals(c: EquivalentCircuit, s: CircuitSolution) -> np.ndarray:
 
 
 def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Cycle basis from a lowest-id-first spanning tree (one cycle per chord).
+    """Cycle basis from a lowest-id-first spanning forest (one cycle per chord).
 
-    Each cycle is returned as a closed node walk without repeating the start.
+    Each cycle is returned as a closed node walk without repeating the start;
+    a disconnected graph gives the cycles of every tree.
     """
-    parent = _spanning_tree(n_nodes, edges)
+    parent = _spanning_forest(n_nodes, edges)
     tree_edges = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
     chords = sorted(
         {(min(u, v), max(u, v)) for u, v in edges} - tree_edges

@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .network import KIND_GENERATOR, Network, OpfLp, _slot, assemble_lp, balance_residual
+from .network import (KIND_GENERATOR, Network, OpfLp, _inject, _slot, _spanning_forest, assemble_lp,
+                      balance_residual)
 
 MARGINAL_EPS = 1e-6
 
@@ -177,13 +178,10 @@ def _injection_problem(opf: OpfLp) -> lp.LpProblem:
 
 
 def _source_currents(opf: OpfLp, mu_rows: np.ndarray) -> np.ndarray:
-    """``D' mu_rows``, the price circuit's source currents: ``mu_rows[2r] -
-    mu_rows[2r + 1]`` into line r's from end, the negative into its to end,
-    added by one unbuffered ``np.add.at`` in the row order of ``D``."""
-    out = np.zeros(opf.n)
-    up, down = mu_rows[0::2], mu_rows[1::2]
-    np.add.at(out, np.stack([*opf.ends, *opf.ends], 1).ravel(), np.stack([up, -up, -down, down], 1).ravel())
-    return out
+    """``D' mu_rows``, the price circuit's source currents: row 2r drives
+    ``mu_rows[2r]`` into line r's from end and out of its to end, row 2r + 1
+    drives ``mu_rows[2r + 1]`` the other way, in the row order of ``D``."""
+    return _inject(opf.n, np.stack(opf.ends, 1).ravel(), np.stack(opf.ends[::-1], 1).ravel(), mu_rows)
 
 
 def solve_opf(net: Network, ref_bus: int = 0) -> DcopfSolution:
@@ -262,18 +260,13 @@ def _listing(residuals) -> str:
 
 
 def _zones(net: Network) -> list[int]:
-    """Per bus, the label of its zone: its component once every limited line is removed."""
-    zone = list(range(net.n))
-
-    def root(i):
-        while zone[i] != i:
-            i = zone[i]
-        return i
-
-    for ln in net.lines:
-        if ln.flow_limit is None:
-            zone[root(ln.from_bus)] = root(ln.to_bus)
-    return [root(i) for i in range(net.n)]
+    """Per bus, the label of its zone: its component once every limited line
+    is removed, named by the root of its tree in the spanning forest."""
+    forest = _spanning_forest(net.n, [(ln.from_bus, ln.to_bus) for ln in net.lines if ln.flow_limit is None])
+    root: dict[int, int] = {}
+    for x, p in forest.items():               # breadth-first: every parent comes first
+        root[x] = x if p is None else root[p]
+    return [root[i] for i in range(net.n)]
 
 
 def _infeasibility_details(net: Network, opf: OpfLp, sol: lp.LpSolution):

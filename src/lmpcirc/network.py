@@ -14,6 +14,8 @@ Conventions
 - Flow limits are stored in MW but canonicalized to angle differences across
   the limited line's ends (divide by b_ij), so the flow-limit duals are
   directly the circuit source magnitudes; the MW-basis shadow price is mu/b.
+- For the OPF, the circuit and the reports alike, ``_laplacian`` stamps the
+  branches, ``_inject`` the source currents and ``_spanning_forest`` walks a graph.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class Network:
         return [k for k, ln in enumerate(self.lines) if ln.flow_limit is not None]
 
     def is_connected(self) -> bool:
-        return len(_spanning_tree(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])) == self.n
+        forest = _spanning_forest(self.n, [(ln.from_bus, ln.to_bus) for ln in self.lines])
+        return list(forest.values()).count(None) == 1
 
     def _validate(self) -> None:
         n = len(self.buses)
@@ -149,21 +152,24 @@ class Network:
             raise NetworkError("network graph is not connected")
 
 
-def _spanning_tree(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, int | None]:
-    """Breadth-first spanning tree from node 0, lowest id first: node -> parent
-    (the root maps to None). Covers only node 0's component."""
+def _spanning_forest(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, int | None]:
+    """Breadth-first spanning forest, lowest id first: node -> parent in the
+    order reached, each tree grown from the lowest node not yet reached, its
+    root, which maps to None. A connected graph has one root, node 0."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    parent: dict[int, int | None] = {0: None} if n else {}
-    queue = deque(parent)
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
+    parent: dict[int, int | None] = {}
+    for root in (r for r in range(n) if r not in parent):    # read after each tree is grown
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in sorted(adj[u]):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
     return parent
 
 
@@ -186,6 +192,15 @@ def _laplacian(size: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.nda
     np.add.at(g, (np.stack([i, j, i, j], 1).ravel(), np.stack([j, i, i, j], 1).ravel()),
               np.stack([-w, -w, w, w], 1).ravel())
     return g
+
+
+def _inject(size: int, into: np.ndarray, out_of: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Net source current into each of ``size`` nodes: one unbuffered
+    ``np.add.at`` adds +amps[k] at into[k], then -amps[k] at out_of[k], source
+    after source, so every node sums its terms in the order given."""
+    j = np.zeros(size)
+    np.add.at(j, np.stack([into, out_of], 1).ravel(), np.stack([amps, -amps], 1).ravel())
+    return j
 
 
 def build_b_matrix(net: Network) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import EquivalentCircuit, _binding_sources, kvl_loop_sums, to_voltage_sources
 from .dcopf import DcopfSolution, verify_optimality
-from .network import Network, _slot, line_flows
+from .network import Network, _columns, _inject, _slot, line_flows
 from .analysis import CongestionImpact, NegativePriceReport, RecoveredPrices
 
 
@@ -297,38 +297,27 @@ def netlist_lines(c: EquivalentCircuit, voltage_sources: bool = False) -> list[s
 def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
     """Per-bus ledger of price-flow terms: inflows, outflows, residual.
 
-    Works for uncongested solutions too (no source terms, zero flows).
+    Each line drives its price current ``b (lmp_from - lmp_to)`` out of its
+    from end and into its to end, and each binding source its amps into its
+    import end: the lines first, then the sources. Works for uncongested
+    solutions too (no source terms, zero flows).
     """
-    n = net.n
-    inflows = [[] for _ in range(n)]
-    outflows = [[] for _ in range(n)]
-    net_in = np.zeros(n)
-    for ln in net.lines:
-        cur = float(ln.susceptance * (sol.lmp[ln.from_bus] - sol.lmp[ln.to_bus]))
-        if cur > 1e-9:
-            outflows[ln.from_bus].append(cur)
-            inflows[ln.to_bus].append(cur)
-        elif cur < -1e-9:
-            outflows[ln.to_bus].append(-cur)
-            inflows[ln.from_bus].append(-cur)
-        net_in[ln.from_bus] -= cur
-        net_in[ln.to_bus] += cur
-    for lo, hi, amps in _binding_sources(sol):
-        inflows[hi].append(amps)
-        outflows[lo].append(amps)
-        net_in[hi] += amps
-        net_in[lo] -= amps
-    ledger = []
-    for i in range(n):
-        residual = float(-net_in[i])  # sum of currents out minus sources in
-        ledger.append({
-            "node": i,
-            "inflows": inflows[i],
-            "outflows": outflows[i],
-            "residual": abs(residual),
-            "passed": abs(residual) <= tol,
-        })
-    return ledger
+    f, t, sus = _columns((ln.from_bus, ln.to_bus, ln.susceptance) for ln in net.lines)
+    lo, hi, amps = _columns(_binding_sources(sol))
+    into, out_of = np.concatenate([t, hi]), np.concatenate([f, lo])
+    cur = np.concatenate([sus * (sol.lmp[f] - sol.lmp[t]), amps])
+    inflows, outflows = [[] for _ in range(net.n)], [[] for _ in range(net.n)]
+    for i, o, a in zip(into.tolist(), out_of.tolist(), cur.tolist()):
+        if a > 1e-9:
+            inflows[i].append(a)
+            outflows[o].append(a)
+        elif a < -1e-9:
+            inflows[o].append(-a)
+            outflows[i].append(-a)
+    # the sum of currents out minus sources in
+    residual = np.abs(_inject(net.n, into, out_of, cur)).tolist()
+    return [{"node": i, "inflows": inflows[i], "outflows": outflows[i], "residual": r, "passed": r <= tol}
+            for i, r in enumerate(residual)]
 
 
 def check_doc(net: Network, sol: DcopfSolution, tol: float) -> dict:

@@ -9,24 +9,30 @@ from lmpcirc import (
     CircuitError,
     CurrentSource,
     Injector,
+    LimitedInfo,
     Line,
     Network,
     NoCongestion,
+    NoMarginalInjector,
     Resistor,
+    assemble_lp,
     build_b_matrix,
     build_circuit,
     cheapest_marginal,
     circuit_from_parts,
+    generate_random_network,
     kcl_residuals,
     kvl_loop_sums,
     loop_sum_along,
+    recover_lmps,
     solve_circuit,
     solve_opf,
     superpose,
     to_voltage_sources,
 )
-from lmpcirc.circuit import fundamental_cycles
-from lmpcirc.reports import netlist_lines
+from lmpcirc.circuit import _binding_sources, fundamental_cycles
+from lmpcirc.dcopf import _source_currents
+from lmpcirc.reports import dual_kcl_ledger, netlist_lines
 
 import oracles
 
@@ -195,8 +201,11 @@ def _bad_line_cases():
     for bad, message in (((-1, 3, 1.0), r"line \(-1, 3\): node -1 out of range \[0, 400\)"),
                          ((3, 400, 1.0), r"line \(3, 400\): node 400 out of range \[0, 400\)"),
                          ((7, 7, 1.0), r"line \(7, 7\): both ends on node 7"),
-                         ((7, 8, 0.0), r"line 7-8: susceptance must be > 0"),
-                         ((7, 8, -2.5), r"line 7-8: susceptance must be > 0")):
+                         ((7, 8, 0.0), r"line 7-8: susceptance must be finite and > 0"),
+                         ((7, 8, -2.5), r"line 7-8: susceptance must be finite and > 0"),
+                         ((7, 8, np.nan), r"line 7-8: susceptance must be finite and > 0"),
+                         ((7, 8, np.inf), r"line 7-8: susceptance must be finite and > 0"),
+                         ((7, 8, -np.inf), r"line 7-8: susceptance must be finite and > 0")):
         yield chain + [bad], message                       # after every valid line
         yield chain[:500] + [bad] + chain[500:], message   # in the middle
         yield chain[:500] + [bad, (5, 5, 1.0)] + chain[500:], message  # the first bad one is named
@@ -204,10 +213,13 @@ def _bad_line_cases():
 
 @pytest.mark.parametrize("sources, ground, error, match", [
     ([(0, 1, 3.0), (0, 2, 3.0), (1, 1, 3.0)], 0, CircuitError, r"source 0->2 has no parallel line"),
-    ([(0, 1, 3.0), (2, 1, -1.0), (0, 2, 3.0)], 0, CircuitError, r"source 2->1: magnitude must be > 0"),
-    ([(0, 1, 3.0), (1, 2, 0.0)], 0, CircuitError, r"source 1->2: magnitude must be > 0"),
+    ([(0, 1, 3.0), (2, 1, -1.0), (0, 2, 3.0)], 0, CircuitError, r"source 2->1: magnitude must be finite and > 0"),
+    ([(0, 1, 3.0), (1, 2, 0.0)], 0, CircuitError, r"source 1->2: magnitude must be finite and > 0"),
     ([(0, 1, 3.0)], 3, CircuitError, r"ground node 3 out of range"),
     ([(0, 1, 3.0), (1, 2)], 0, ValueError, r"not enough values to unpack"),
+    # a NaN compares false with everything, so "> 0" alone lets it through
+    ([(0, 1, 3.0), (2, 1, np.nan)], 0, CircuitError, r"source 2->1: magnitude must be finite and > 0"),
+    ([(0, 1, 3.0), (1, 2, np.inf)], 0, CircuitError, r"source 1->2: magnitude must be finite and > 0"),
 ])
 def test_first_bad_source_is_named(sources, ground, error, match):
     with pytest.raises(error, match=match):
@@ -220,6 +232,29 @@ def test_invalid_line_among_many_valid_ones_is_named(lines, match):
         circuit_from_parts(400, lines, [(0, 1, 3.0)], ground=0, offset=0.0)
 
 
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_non_finite_offset_raises(offset):
+    # a NaN offset would come back as NaN prices at every node, with no error
+    with pytest.raises(CircuitError, match="^offset must be a finite number$"):
+        circuit_from_parts(3, [(0, 1, 1.0), (1, 2, 1.0)], [(0, 1, 3.0)], ground=0, offset=offset)
+    with pytest.raises(CircuitError, match="^offset must be a finite number$"):
+        recover_lmps(LimitedInfo(3, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 1, 3.0),), ground=0, offset=offset))
+
+
+@pytest.mark.parametrize("lines, sources, match", [
+    (((0, 1, np.nan), (1, 2, 1.0)), ((0, 1, 3.0),), r"line 0-1: susceptance must be finite and > 0"),
+    (((0, 1, 1.0), (1, 2, np.inf)), ((0, 1, 3.0),), r"line 1-2: susceptance must be finite and > 0"),
+    (((0, 1, 1.0), (1, 2, 1.0)), ((1, 2, np.nan),), r"source 1->2: magnitude must be finite and > 0"),
+    (((0, 1, 1.0), (1, 2, 1.0)), ((0, 1, -np.inf),), r"source 0->1: magnitude must be finite and > 0"),
+])
+def test_recovery_refuses_non_finite_limited_info(lines, sources, match):
+    # a LimitedInfo built directly skips load_limited_info's checks, and the
+    # circuit assembly is then what refuses it
+    for ground, offset in ((0, 2.0), (None, None)):
+        with pytest.raises(CircuitError, match="^" + match + "$"):
+            recover_lmps(LimitedInfo(3, lines, sources, ground=ground, offset=offset))
+
+
 def test_non_numeric_node_id_raises():
     with pytest.raises(TypeError):
         circuit_from_parts(3, [("1", 2, 1.0), (0, 1, 1.0)], [(0, 1, 3.0)], ground=0, offset=0.0)
@@ -230,7 +265,7 @@ def test_resistor_on_a_node_past_the_last_raises():
     # circuit with its last node cut off); its conductance matrix drops no
     # branch, it refuses one it cannot place
     four = circuit_from_parts(4, [(0, 1, 1.0), (1, 3, 0.5)], [(0, 1, 5.0)], ground=0, offset=0.0)
-    c = replace(four, n_nodes=3, current_sources=())
+    c = replace(four, n_nodes=3, sources=tuple(a[:0] for a in four.sources))
     with pytest.raises(IndexError):
         c.conductance_matrix()
     with pytest.raises(IndexError):
@@ -353,6 +388,79 @@ def test_writing_into_the_conductance_matrix_changes_no_later_solve():
         g *= -3.0                                    # after it
         _same_solution(solve_circuit(circ), want)
         assert np.array_equal(circ.conductance_matrix(), replace(c).conductance_matrix())
+
+
+# ---------------------------------------------------------------------------
+# one source-current stamp
+# ---------------------------------------------------------------------------
+
+def _loop_source_currents(opf, mu_rows):
+    """D' mu_rows written line by line: row 2r's price into the from end and
+    out of the to end, then row 2r + 1's out of the from end and into the to end."""
+    out = np.zeros(opf.n)
+    for r, (i, j) in enumerate(zip(opf.ends[0].tolist(), opf.ends[1].tolist())):
+        up, down = mu_rows[2 * r], mu_rows[2 * r + 1]
+        out[i] += up
+        out[j] -= up
+        out[i] -= down
+        out[j] += down
+    return out
+
+
+def _loop_injections(c):
+    """The circuit's net source currents written source by source."""
+    j = np.zeros(c.n_nodes)
+    for s in c.current_sources:
+        j[s.to_node] += s.amps
+        j[s.from_node] -= s.amps
+    return j
+
+
+def _loop_ledger(net, sol, tol):
+    """dual_kcl_ledger written line by line, then binding source by source."""
+    inflows, outflows = [[] for _ in range(net.n)], [[] for _ in range(net.n)]
+    net_in = np.zeros(net.n)
+    for ln in net.lines:
+        cur = float(ln.susceptance * (sol.lmp[ln.from_bus] - sol.lmp[ln.to_bus]))
+        if cur > 1e-9:
+            outflows[ln.from_bus].append(cur)
+            inflows[ln.to_bus].append(cur)
+        elif cur < -1e-9:
+            outflows[ln.to_bus].append(-cur)
+            inflows[ln.from_bus].append(-cur)
+        net_in[ln.from_bus] -= cur
+        net_in[ln.to_bus] += cur
+    for lo, hi, amps in _binding_sources(sol):
+        inflows[hi].append(amps)
+        outflows[lo].append(amps)
+        net_in[hi] += amps
+        net_in[lo] -= amps
+    return [{"node": i, "inflows": inflows[i], "outflows": outflows[i], "residual": abs(float(-net_in[i])),
+             "passed": abs(float(-net_in[i])) <= tol} for i in range(net.n)]
+
+
+def test_source_stamps_match_the_per_source_loops():
+    # bit for bit, on perfbench's 17 dense and 17 grid-like OPF networks and
+    # on two circuits the size of its circuit_large ones
+    rng = np.random.default_rng(27)
+    circuits = [_random_circuit(seed, n=400, extra=601, n_sources=60) for seed in range(2)]
+    for n, edge_prob in ((35, 0.35), (50, 0.022)):
+        for seed in range(17):
+            net = generate_random_network(seed, n, edge_prob)
+            sol, opf = solve_opf(net), assemble_lp(net)
+            # random duals price both rows of a line, which orders two terms at each end
+            for mu_rows in (sol.mu_rows, rng.normal(size=sol.mu_rows.size)):
+                assert _source_currents(opf, mu_rows).tobytes() == _loop_source_currents(opf, mu_rows).tobytes()
+            # moved prices leave residuals whose last bits follow the order of their terms
+            for point in (sol, replace(sol, lmp=sol.lmp + rng.normal(size=net.n))):
+                assert repr(dual_kcl_ledger(net, point, 1e-7)) == repr(_loop_ledger(net, point, 1e-7))
+            try:
+                circuits.append(build_circuit(net, sol))
+            except (NoCongestion, NoMarginalInjector):
+                pass
+    assert len(circuits) > 20
+    for c in circuits:
+        assert c.injections().tobytes() == _loop_injections(c).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +659,28 @@ def test_kvl_telescopes_for_any_prices():
             assert abs(loop.total) <= 1e-9
 
 
+def test_disconnected_edges_give_every_components_loops():
+    # two components: the 0-1 tree and the 2-3-4 loop, which is found though
+    # node 0's tree does not reach it
+    loops = kvl_loop_sums([(0, 1), (2, 3), (3, 4), (4, 2)], [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert [(set(l.nodes), l.total) for l in loops] == [({2, 3, 4}, 0.0)]
+    rng = np.random.default_rng(3)
+    for sizes, isolated in (((30, 40), 0), ((50, 5, 60), 2), ((8, 80, 12, 45), 3)):
+        # the components' nodes, and some isolated ones, interleaved by a shuffle of the ids
+        n = sum(sizes) + isolated
+        ids, comp = rng.permutation(n), np.full(n, -1)
+        edges, start = [], 0
+        for k, size in enumerate(sizes):
+            block = ids[start:start + size]
+            comp[block] = k
+            edges += [(int(block[u]), int(block[v])) for u, v in _random_connected_edges(rng, size)]
+            start += size
+        cycles = fundamental_cycles(n, edges)
+        assert cycles == _cycles_by_root_paths(n, edges)
+        assert len(cycles) == len(edges) - n + len(sizes) + isolated   # chords = m - (n - components)
+        assert all(len(set(comp[cyc].tolist())) == 1 for cyc in cycles)
+
+
 def test_tree_has_empty_cycle_basis():
     edges = [(0, 1), (1, 2), (1, 3)]
     assert fundamental_cycles(4, edges) == []
@@ -570,9 +700,9 @@ def _random_connected_edges(rng, n):
 def _cycles_by_root_paths(n, edges):
     """fundamental_cycles written the long way: each chord's two paths to the
     root, cut at the first node they share."""
-    from lmpcirc.network import _spanning_tree
+    from lmpcirc.network import _spanning_forest
 
-    parent = _spanning_tree(n, edges)
+    parent = _spanning_forest(n, edges)
     tree = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
 
     def path_to_root(x):

@@ -1,8 +1,11 @@
-"""Kernel checks: the blocked pivot against the one-shot dense update."""
+"""Kernel checks: the blocked pivot and the blocked infeasibility scan
+against their one-shot dense forms."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from lmpcirc import _kernels, generate_random_network, solve_opf
+from lmpcirc import Bus, Network, OpfInfeasible, _kernels, generate_random_network, solve_opf
 
 PIVOT = _kernels._pivot
 
@@ -71,3 +74,46 @@ def test_start_moves_nothing_at_an_optimal_basis(monkeypatch):
         again = tableau.copy(), basis.copy(), upper.copy()
         assert run(*again) == (_kernels.STATUS_OPTIMAL, 0), spec
         assert again[0].tobytes() == tableau.tobytes() and np.array_equal(again[2], upper), spec
+
+
+def _one_shot_infeasible_row(tableau, basis, upper):
+    """infeasible_row over every row in one step."""
+    m = basis.size
+    bound = np.abs(upper)
+    movable = bound > 0.0
+    movable[basis] = False
+    beta = tableau[:m, -1]
+    top = bound[basis]
+    viol = np.maximum(-beta, beta - top)
+    gain = np.where((beta > top)[:, None], tableau[:m, :-1], -tableau[:m, :-1])
+    helps = movable & (gain > _kernels.TOL_PIVOT)
+    left = viol - np.where(helps, gain * np.where(bound < np.inf, bound, 0.0), 0.0).sum(axis=1)
+    left[(helps & (bound == np.inf)).any(axis=1) | (viol <= _kernels.TOL_PRIMAL)] = -np.inf
+    r = int(np.argmax(left))
+    return r, float(left[r])
+
+
+def test_blocked_infeasible_row_matches_one_shot_scan(monkeypatch):
+    # three-row blocks, so every tableau spans several and most end in a
+    # short one; the networks have their demand tripled and their limits cut
+    scan, seen = _kernels.infeasible_row, []
+
+    def checked(tableau, basis, upper):
+        got = scan(tableau, basis, upper)
+        assert got == _one_shot_infeasible_row(tableau, basis, upper)
+        seen.append(basis.size)
+        return got
+
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(_kernels, "infeasible_row", checked)
+    for seed in range(40):
+        base = generate_random_network(seed, 5 + seed % 26, 0.35)
+        for cut in (0.05, 0.2):
+            net = Network([Bus(b.id, 3 * b.fixed_demand) for b in base.buses],
+                          [replace(ln, flow_limit=ln.flow_limit and cut * ln.flow_limit) for ln in base.lines],
+                          base.injectors)
+            try:
+                solve_opf(net)
+            except OpfInfeasible:
+                pass
+    assert len(seen) > 60 and {size % 3 for size in seen} == {0, 1, 2}
