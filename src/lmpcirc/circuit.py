@@ -22,7 +22,7 @@ from operator import sub
 import numpy as np
 
 from .dcopf import DcopfSolution, cheapest_marginal
-from .network import Network, _columns, _inject, _laplacian, _spanning_forest
+from .network import Network, _columns, _inject, _laplacian, _spanning_forest, fundamental_cycles
 
 BINDING_EPS = 1e-7
 
@@ -267,37 +267,6 @@ def kcl_residuals(c: EquivalentCircuit, s: CircuitSolution) -> np.ndarray:
     return g @ s.voltages - c.injections()
 
 
-def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Cycle basis from a lowest-id-first spanning forest (one cycle per chord).
-
-    Each cycle is returned as a closed node walk without repeating the start;
-    a disconnected graph gives the cycles of every tree.
-    """
-    parent = _spanning_forest(n_nodes, edges)
-    tree_edges = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
-    chords = sorted(
-        {(min(u, v), max(u, v)) for u, v in edges} - tree_edges
-    )
-
-    depth = {}
-    for x, p in parent.items():               # breadth-first: every parent comes first
-        depth[x] = 0 if p is None else depth[p] + 1
-
-    cycles = []
-    for u, v in chords:
-        up, down = [u], [v]                   # walk both ends up to their meeting node
-        while depth[up[-1]] > depth[down[-1]]:
-            up.append(parent[up[-1]])
-        while depth[down[-1]] > depth[up[-1]]:
-            down.append(parent[down[-1]])
-        while up[-1] != down[-1]:
-            up.append(parent[up[-1]])
-            down.append(parent[down[-1]])
-        down.pop()                            # the meeting node, already ending up
-        cycles.append(up + down[::-1])        # u -> meet -> v (-> u via chord)
-    return cycles
-
-
 def kvl_loop_sums(edges, lmps) -> list[LoopSum]:
     """Sum of price drops around each fundamental cycle of the (from, to)
     edges over nodes 0..len(lmps)-1 (each sum telescopes to zero)."""
@@ -311,6 +280,13 @@ def loop_sum_along(nodes: list[int], lmps) -> LoopSum:
 
 
 def _loop_sum(nodes: list[int], lam: list[float]) -> LoopSum:
+    terms, total = _price_drops(nodes, lam)
+    return LoopSum(nodes=tuple(nodes), terms=tuple(terms), total=total)
+
+
+def _price_drops(nodes: list[int] | tuple[int, ...], lam: list[float]) -> tuple[list[float], float]:
+    """The price drops around the closed walk ``nodes`` and their sum, one
+    ``sum`` over the walk's terms in order."""
     prices = [lam[k] for k in nodes]
-    terms = tuple(map(sub, prices, prices[1:] + prices[:1]))
-    return LoopSum(nodes=tuple(nodes), terms=terms, total=float(sum(terms)))
+    terms = list(map(sub, prices, prices[1:] + prices[:1]))
+    return terms, float(sum(terms))

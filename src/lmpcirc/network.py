@@ -15,7 +15,8 @@ Conventions
   the limited line's ends (divide by b_ij), so the flow-limit duals are
   directly the circuit source magnitudes; the MW-basis shadow price is mu/b.
 - For the OPF, the circuit and the reports alike, ``_laplacian`` stamps the
-  branches, ``_inject`` the source currents and ``_spanning_forest`` walks a graph.
+  branches, ``_inject`` the source currents and ``_spanning_forest`` walks a
+  graph; ``fundamental_cycles`` closes its chords into a cycle basis.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class Network:
         self.injectors = tuple(injectors)
         self._validate()
         self._opf_lp: OpfLp | None = None  # assemble_lp's blocks, built on first use
+        self._cycles: tuple[tuple[int, ...], ...] | None = None  # cycle_basis's loops, likewise
 
     @property
     def n(self) -> int:
@@ -171,6 +173,49 @@ def _spanning_forest(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, int 
                     parent[w] = u
                     queue.append(w)
     return parent
+
+
+def fundamental_cycles(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Cycle basis from a lowest-id-first spanning forest (one cycle per chord).
+
+    Each cycle is returned as a closed node walk without repeating the start;
+    a disconnected graph gives the cycles of every tree.
+    """
+    parent = _spanning_forest(n_nodes, edges)
+    tree_edges = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
+    chords = sorted(
+        {(min(u, v), max(u, v)) for u, v in edges} - tree_edges
+    )
+
+    depth = {}
+    for x, p in parent.items():               # breadth-first: every parent comes first
+        depth[x] = 0 if p is None else depth[p] + 1
+
+    cycles = []
+    for u, v in chords:
+        up, down = [u], [v]                   # walk both ends up to their meeting node
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        down.pop()                            # the meeting node, already ending up
+        cycles.append(up + down[::-1])        # u -> meet -> v (-> u via chord)
+    return cycles
+
+
+def cycle_basis(net: Network) -> tuple[tuple[int, ...], ...]:
+    """``fundamental_cycles`` of the network's lines, each loop a tuple.
+
+    It is walked on the first call and kept on the network, which is
+    immutable, so repeated reports of one network share one basis.
+    """
+    if net._cycles is None:
+        edges = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+        net._cycles = tuple(map(tuple, fundamental_cycles(net.n, edges)))
+    return net._cycles
 
 
 def _slot(n: int, inj: Injector) -> int:

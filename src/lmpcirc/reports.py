@@ -12,23 +12,33 @@ written where the walk meets it. A row of floats is the one batch: one
 ``%.9g`` pass with the separators baked into the format writes it whole, its
 exact zeros, counted once, are mended by a replace that stops at the last of
 them, and only a row holding another token json writes differently (an
-integral value, an exponent, ``nan`` or ``inf``) is split and its tokens put
-through the rule. A numpy array is written as its ``tolist()``: a matrix row
-by row, and a float64 row from one ``tolist()`` with no scan of its element
-types, so the report builders pass their arrays through.
+integral value, an exponent outside ``e-05`` to ``e-12``, ``nan`` or ``inf``)
+is split and its tokens put through the rule. A numpy array is written as its
+``tolist()``: a matrix row by row, and a float64 row from one ``tolist()``
+with no scan of its element types, so the report builders pass their arrays
+through.
+
+A list of records, dicts with the same str keys in the same order, is written
+column by column: each key's values (floats, ints, bools or strs, or flat
+lists of one of those) become tokens in one pass, a float column by the row
+batch above, and each record is one ``%`` of a template holding the keys and
+the indentation. Any other list is walked item by item.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import chain, islice
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .circuit import EquivalentCircuit, _binding_sources, kvl_loop_sums, to_voltage_sources
+from .circuit import EquivalentCircuit, _binding_sources, _price_drops, to_voltage_sources
 from .dcopf import DcopfSolution, verify_optimality
-from .network import Network, _columns, _inject, _slot, line_flows
+from .network import Network, _columns, _inject, _slot, cycle_basis, line_flows
 from .analysis import CongestionImpact, NegativePriceReport, RecoveredPrices
 
 
@@ -55,9 +65,9 @@ def dumps(doc) -> str:
     """``doc`` as ``json.dumps(doc, indent=2)`` writes it, every float through
     ``round9`` first, plus a final newline. numpy integers are written as ints,
     and a numpy array as its ``tolist()``. A float's ``%.9g`` token goes
-    through ``_json_token``: a scalar's where the walk meets it, a row's only
-    when ``_float_row``'s one pass over the row holds a token json writes
-    differently."""
+    through ``_json_token``: a scalar's where the walk meets it, a row's or a
+    record column's only when ``_float_row``'s one pass over it holds a token
+    json writes differently."""
     out: list[str] = []
     _walk(doc, "\n", out)
     out.append("\n")
@@ -92,11 +102,13 @@ def _walk(x, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        types = set(map(type, x))
-        if types == {float}:
+        t = _sole_type(x)
+        if t is float:
             out.append("[" + inner + _float_row(x, "," + inner, x.count(0.0)) + nl + "]")
-        elif types == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+        elif t in _TOKEN:
+            out.append("[" + inner + ("," + inner).join(map(_TOKEN[t], x)) + nl + "]")
+        elif t is dict and _records(x, nl, out):
+            pass
         else:
             sep = "[" + inner
             for v in x:
@@ -150,27 +162,117 @@ def _key(k) -> str:
     return json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]
 
 
+# an exponent json does not write as %.9g does: json writes a larger value in
+# full, and a smaller one snaps to 0.0 (each token is followed by a comma)
+_ODD_EXPONENT = re.compile(r"e(?!-0[5-9],|-1[0-2],)")
+
+# json's text of an int, a str and a bool, by exact type
+_TOKEN = {int: int.__repr__, str: _quote, bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _records(rows: list, nl: str, out: list[str]) -> bool:
+    """Append json's text of ``rows``, a list of dicts, to ``out`` column by
+    column and return True; or append nothing and return False (the walk
+    writes them) unless every record has the same str keys in the same order
+    and ``_column`` writes every column.
+
+    Each record is one ``%`` of a template that holds its keys and its
+    indentation, filled from the columns' tokens.
+    """
+    # each record's keys are compared and freed one by one, and a column is
+    # read with itemgetter: no container per record stays alive at once to
+    # set off the cyclic garbage collector while a report is written
+    keys = tuple(rows[0])
+    if not keys or _sole_type(keys) is not str or not all(map(keys.__eq__, map(tuple, rows))):
+        return False
+    inner = nl + "  "
+    kin = inner + "  "
+    columns = []
+    for k in keys:
+        cells = _column(list(map(itemgetter(k), rows)), kin)
+        if cells is None:
+            return False
+        columns.append(cells)
+    record = "{" + kin + ("," + kin).join(_quote(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}"
+    out.append("[" + inner + ("," + inner).join(map(record.__mod__, zip(*columns))) + nl + "]")
+    return True
+
+
+def _column(col: list, nl: str) -> list[str] | None:
+    """json's text of each value of ``col``, the values of one key of the
+    records, whose key lines have the indentation ``nl``. Every value must be
+    of one type: float, int, bool or str, or list or tuple with every item of
+    the column's lists of one of those four; otherwise None.
+
+    The items of all the lists are written in one pass and cut back into
+    their lists.
+    """
+    t = _sole_type(col)
+    if t is not list and t is not tuple:
+        return _cells(t, col)
+    flat = list(chain.from_iterable(col))
+    tokens = _cells(_sole_type(flat), flat) if flat else []
+    if tokens is None:
+        return None
+    inner = nl + "  "
+    head, sep, tail, it = "[" + inner, "," + inner, nl + "]", iter(tokens)
+    return [head + sep.join(islice(it, len(c))) + tail if c else "[]" for c in col]
+
+
+def _sole_type(values):
+    """The type of every one of ``values``; None if they have several, or none."""
+    types = set(map(type, values))
+    return types.pop() if len(types) == 1 else None
+
+
+def _cells(t, values) -> list[str] | None:
+    """json's text of each of ``values``, all of exact type ``t``: a float's
+    by ``_float_row``'s one pass, an int's, a str's or a bool's by ``_TOKEN``;
+    None for any other ``t``."""
+    if t is float:
+        return _float_row(values, ", ", values.count(0.0)).split(", ")
+    token = _TOKEN.get(t)
+    return None if token is None else list(map(token, values))
+
+
 def _float_row(row, sep: str, zeros: int) -> str:
     """json's text of ``round9(x)`` for each float x of ``row``, joined by
-    ``sep`` (a comma, a newline and the indentation, so it ends in a space);
-    ``zeros`` counts the row's exact zeros, -0.0 among them.
+    ``sep`` (a comma, then spaces or a newline and the indentation, so it ends
+    in a space); ``zeros`` counts the row's exact zeros, -0.0 among them.
 
     One ``%.9g`` pass writes the whole row with the separators in place, and
     each exact zero's ``0`` becomes json's ``0.0`` by a replace that stops after
-    ``zeros`` of them. If then no token has an exponent and every token a
-    point, each is a fraction of at least 1e-4 in magnitude that json writes
-    just so. In any other row (one holding an integral value, ``-0.0``,
-    ``1e-05``, ``nan`` or ``inf``) the row is split and each token goes through
-    ``_json_token``.
+    ``zeros`` of them. A token with a point and no exponent is then json's
+    text, and so is one with an exponent from ``e-05`` to ``e-12``. Only a row
+    holding a token json writes differently (an integral value, ``-0``,
+    ``nan``, ``inf``, ``1e+16`` or ``1e-13``: see ``_odd``) is split and each
+    of its tokens put through ``_json_token``.
     """
     # a space before the first token and a comma after the last, so that
     # every token, like those inside, follows a space and precedes a comma
     text = (" " + ("%.9g" + sep) * (len(row) - 1) + "%.9g,") % tuple(row)
     if zeros:  # -0.0 writes "-0", left for _json_token
         text = text.replace(" 0,", " 0.0,", zeros)
-    if "e" in text or text.count(".") != len(row):
+    if _odd(text, len(row)):
         return sep.join(map(_json_token, text[1:-1].split(sep)))
     return text[1:-1]
+
+
+def _odd(text: str, n: int) -> bool:
+    """Whether ``text``, n ``%.9g`` tokens each after a space and before a
+    comma, holds one json writes differently: an exponent outside ``e-05`` to
+    ``e-12``, or a token with neither a point nor an exponent. The few
+    exponents are found one by one, so that one without a point (``1e-05``)
+    counts as a token that needs none."""
+    points = text.count(".")
+    if "e" in text:
+        if _ODD_EXPONENT.search(text):
+            return True
+        i = text.find("e")
+        while i >= 0:
+            points += "." not in text[text.rfind(" ", 0, i):i]
+            i = text.find("e", i + 1)
+    return points != n
 
 
 def _json_token(t: str) -> str:
@@ -323,7 +425,10 @@ def dual_kcl_ledger(net: Network, sol: DcopfSolution, tol: float):
 def check_doc(net: Network, sol: DcopfSolution, tol: float) -> dict:
     report = verify_optimality(net, sol, tol=tol)
     kcl = dual_kcl_ledger(net, sol, tol)
-    loops = kvl_loop_sums([(ln.from_bus, ln.to_bus) for ln in net.lines], sol.lmp)
+    lam, kvl = sol.lmp.tolist(), []
+    for cycle in cycle_basis(net):     # kvl_loop_sums' loops, over the basis the network keeps
+        terms, total = _price_drops(cycle, lam)
+        kvl.append({"loop": list(cycle), "terms": terms, "total": total, "passed": abs(total) <= tol})
     return {
         "tolerance": tol,
         "optimality": [
@@ -331,14 +436,10 @@ def check_doc(net: Network, sol: DcopfSolution, tol: float) -> dict:
             for c in report.checks
         ],
         "kcl": kcl,
-        "kvl": [
-            {"loop": list(l.nodes), "terms": list(l.terms), "total": l.total,
-             "passed": abs(l.total) <= tol}
-            for l in loops
-        ],
+        "kvl": kvl,
         "passed": report.all_passed
                   and all(e["passed"] for e in kcl)
-                  and all(abs(l.total) <= tol for l in loops),
+                  and all(l["passed"] for l in kvl),
     }
 
 

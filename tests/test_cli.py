@@ -133,6 +133,17 @@ def test_check_case7_json(capsys):
     assert len(doc["kvl"]) == 3  # 9 lines - 6 tree edges
 
 
+def test_check_fig4_json(capsys):
+    # its flows and price drops are integral, so every float column of its
+    # kcl and kvl records, lists of one to three floats each, is split and mended
+    code, out, _ = run_cli(capsys, "check", "-i", str(case_path("fig4_3bus_negative.json")))
+    assert code == 0
+    check_golden("fig4_check.json", out)
+    doc = json.loads(out)
+    assert doc["passed"]
+    assert [l["loop"] for l in doc["kvl"]] == [[1, 0, 2]]
+
+
 def test_check_random_network_passes(capsys, tmp_path):
     path = tmp_path / "random.json"
     assert run_cli(capsys, "gen", "--seed", "11", "-n", "9", "-o", str(path))[0] == 0

@@ -6,6 +6,7 @@ same bytes for every document, and raise ``TypeError`` where it did.
 """
 
 import enum
+import gc
 import json
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 from lmpcirc import (LimitedInfo, build_circuit, congestion_impact, generate_random_network, network_to_doc,
                      predict_negative_prices, recover_lmps, solve_circuit, solve_opf)
-from lmpcirc import reports
+from lmpcirc import circuit, kvl_loop_sums, network, reports
 from lmpcirc.reports import dumps, round9
 
 
@@ -151,6 +152,188 @@ def test_small_rows_and_single_values():
         assert_same([x])
         assert_same(x)
         assert_same({"v": x})
+
+
+# %.9g writes e-05 to e-12 as json does; every other exponent, and an
+# integral value, json writes differently
+EXPONENTS = [1e-12, 9.99999999e-13, 1e-05, 1.5e-05, -1e-07, 1e+16, 123456789.5]
+
+
+def test_exponent_tokens_match_oracle():
+    rng = np.random.default_rng(15)
+    f = _fractions(rng, 40)
+    for x in EXPONENTS + [-x for x in EXPONENTS]:
+        assert_same(x)
+        for at in (0, 17, 39):
+            row = f[:at] + [x] + f[at + 1:]
+            assert_same(row)
+            assert_same([{"v": x, "row": row}, {"v": 0.5, "row": [x]}])
+    assert_same(EXPONENTS)
+    assert_same([[x, 0.0, x] for x in EXPONENTS])
+
+
+def test_only_tokens_json_writes_differently_split_a_row(monkeypatch):
+    calls = []
+    mend = reports._json_token
+    monkeypatch.setattr(reports, "_json_token", lambda token: calls.append(token) or mend(token))
+    rng = np.random.default_rng(16)
+    f = _fractions(rng, 50)
+    alike = [1e-12, 1e-05, 1.5e-05, -1e-07, 2.5e-09, -9.87654321e-11, 0.0]
+    for row in (f[:10] + alike + f[10:], alike, [1e-05] * 3):
+        assert_same(row)
+        assert_same(np.array(row))
+        assert_same([{"a": x, "b": [x, x]} for x in row])
+    assert calls == []
+    for odd in (9.99999999e-13, 1e+16, 123456789.5, 1e-100, -0.0, 3.0, float("nan"), float("-inf")):
+        calls.clear()
+        assert_same(f + [odd] + alike)
+        assert len(calls) == len(f) + 1 + len(alike)
+
+
+# ---------------------------------------------------------------------------
+# lists of records, written column by column
+# ---------------------------------------------------------------------------
+
+def _by_columns(rows) -> bool:
+    """Whether ``dumps(rows)`` writes ``rows`` by their columns, which must
+    then write json's text of them; otherwise the columns must leave them to
+    the walk untouched."""
+    took = []
+    records = reports._records
+
+    def spy(x, nl, out):
+        size = len(out)
+        took.append(records(x, nl, out))
+        if x is rows:
+            assert "".join(out[size:]) + "\n" == oracle(rows) if took[-1] else len(out) == size
+        return took[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "_records", spy)
+        assert dumps(rows) == oracle(rows)
+    return bool(took) and took[0]
+
+
+def _random_value(rng, kind):
+    if kind == "float":
+        return float(rng.choice(EDGES)) if rng.random() < 0.2 else random_floats(rng, 1)[0]
+    if kind == "int":
+        return int(rng.integers(-10 ** 6, 10 ** 6))
+    if kind == "bool":
+        return bool(rng.random() < 0.5)
+    if kind == "str":
+        return "".join(rng.choice(list("ab\"\\%\n\x00é☃ 0"), size=int(rng.integers(0, 6))))
+    return [_random_value(rng, kind[:-1]) for _ in range(int(rng.integers(0, 5)))]
+
+
+def _random_records(rng):
+    kinds = ["float", "int", "bool", "str", "floats", "ints", "bools", "strs"]
+    keys = [f"k{j}%s" if j % 3 == 2 else f"k{j}" for j in range(int(rng.integers(1, 7)))]
+    column_kinds = [str(rng.choice(kinds)) for _ in keys]
+    return [{k: _random_value(rng, kind) for k, kind in zip(keys, column_kinds)}
+            for _ in range(int(rng.integers(1, 30)))]
+
+
+def test_random_records_are_written_by_columns():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        rows = _random_records(rng)
+        assert _by_columns(rows)
+        assert_same(rows)
+        assert_same({"a": [rows, {"b": rows}], "c": tuple(rows)})
+
+
+def _record_cases():
+    """(rows, whether the columns write them)."""
+    nan, inf = float("nan"), float("inf")
+    yield [{"a": 1, "b": 2.5}, {"a": 3}], False                       # ragged keys
+    yield [{"a": 1, "b": 2.5}, {"a": 3, "b": 0.5, "c": 1}], False
+    yield [{"a": 1, "b": 2.5}, {"b": 0.5, "a": 3}], False             # reordered keys
+    yield [{1: 0.5}, {1: 0.25}], False                                # int keys
+    yield [{"a": 0.5, 2: 0.25}], False
+    yield [{"a": 0.5, "b": [1, 2], "c": "x", "d": False}], True       # a single record
+    yield [{}], False                                                 # empty dicts
+    yield [{}, {}], False
+    yield [{"a": 1}, {}], False
+    yield [{"a": None}, {"a": None}], False                           # None values
+    yield [{"a": 1.5}, {"a": None}], False
+    yield [{"a": [1.5, None]}], False
+    yield [{"a": 1}, {"a": 1.5}], False                               # mixed int and float
+    yield [{"a": [1, 2]}, {"a": [1.5]}], False
+    yield [{"a": True}, {"a": 1}], False                              # mixed bool and int
+    yield [{"a": [True, 0]}], False
+    yield [{"a": np.float64(1.5)}, {"a": np.float64(2.5)}], False     # numpy scalars
+    yield [{"a": np.int64(1)}, {"a": 2}], False
+    yield [{"a": [np.float64(0.5), 1.5]}], False
+    yield [{"a": np.array([0.5, 1.5])}], False
+    yield [{"a": (0.5, 1.5)}, {"a": (2.5,)}], True                    # tuples
+    yield [{"a": (0.5, 1.5)}, {"a": [2.5]}], False
+    yield ({"a": 1, "b": (2, 3)}, {"a": 4, "b": ()}), True
+    yield [{"a": [], "b": 1}, {"a": [0.5, -0.0], "b": 2}, {"a": [], "b": 3}], True   # empty cells
+    yield [{"a": []}, {"a": ()}], False
+    yield [{"a": []}, {"a": []}], True
+    yield [{"a": [[1.5]]}, {"a": [[2.5]]}], False                      # nested cells
+    yield [{"a": [{"b": 1.5}]}], False
+    yield [{"a": {"b": 1.5}}], False
+    yield [{"a": -0.0, "b": [nan, -0.0, inf, -inf]}, {"a": -inf, "b": [1e-13, 2e9]}], True
+    yield [{"a": nan}, {"a": inf}, {"a": 0.0}, {"a": -0.0}], True
+    yield [{"%s": 1.5, 'q"%%\n': "x\n", "é\x00": ["%d", "\x00"]}], True
+    yield [{"a": "x", "b": [True, False]}, {"a": "y", "b": []}], True
+    yield [{"a": Tagged("x")}], False                                 # subclasses
+    yield [{"a": Price(0.5)}], False
+    yield [OrderedDict(a=1)], False
+    yield [{Tagged("a"): 1}], False
+
+
+def test_record_cases_match_oracle_or_fall_back():
+    for rows, by_columns in _record_cases():
+        assert _by_columns(rows) is by_columns, rows
+        assert_same(rows)
+        assert_same({"x": rows, "y": [rows, (rows, 1.5)]})
+
+
+def test_records_nested_at_several_depths_match_oracle():
+    rng = np.random.default_rng(18)
+    inner = _random_records(rng)
+    doc = {"top": inner, "a": {"b": {"c": [inner, {"d": inner}]}},
+           "outer": [{"name": "x", "rows": inner}, {"name": "y", "rows": inner[:1]}]}
+    seen = []
+    records = reports._records
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "_records", lambda rows, nl, out: seen.append(records(rows, nl, out)) or seen[-1])
+        assert_same(doc)
+    # the outer records hold lists of records, which the walk writes, each by its columns
+    assert seen.count(False) == 1 and seen.count(True) == 5
+
+
+def test_records_are_written_with_no_container_per_record():
+    # the cyclic collector runs after 700 net container allocations; a
+    # container kept per record while the list is written would set it off
+    rows = [{"node": i, "flows": [0.5, 1.5 * i], "total": 0.25, "passed": True} for i in range(3000)]
+    assert _by_columns(rows)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        dumps(rows)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
+def test_report_records_are_written_by_columns(corpus200):
+    net, sol = corpus200[0]
+    circ = build_circuit(net, sol)
+    for doc in (reports.solution_doc(net, sol), reports.check_doc(net, sol, 1e-7), reports.circuit_doc(circ),
+                reports.superpose_doc(circ, congestion_impact(circ))):
+        for key, value in doc.items():
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                assert _by_columns(value), key
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +571,33 @@ def test_every_report_kind_matches_oracle(corpus200):
         full = recover_lmps(LimitedInfo(net.n, lines, sources, ground=circ.ground, offset=circ.offset))
         assert_same(reports.recover_doc(full))
         assert_same(reports.recover_doc(recover_lmps(LimitedInfo(net.n, lines, sources))))
+
+
+def test_check_doc_walks_the_cycle_basis_once(monkeypatch):
+    # a fresh network: its basis is walked on the first report and kept
+    net = generate_random_network(21, 25, 0.35)
+    sol = solve_opf(net)
+    walk = network.fundamental_cycles
+    walks = []
+
+    def spy(n, edges):
+        walks.append(n)
+        return walk(n, edges)
+
+    assert circuit.fundamental_cycles is walk   # circuit re-exports the one walk
+    monkeypatch.setattr(network, "fundamental_cycles", spy)
+    monkeypatch.setattr(circuit, "fundamental_cycles", spy)
+    docs = [reports.check_doc(net, sol, 1e-7) for _ in range(4)]
+    assert walks == [net.n] and len(set(map(dumps, docs))) == 1
+
+    edges = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+    basis = network.cycle_basis(net)
+    assert basis is network.cycle_basis(net) and walks == [net.n]
+    assert basis == tuple(map(tuple, walk(net.n, edges))) and len(basis) == len(edges) - net.n + 1
+    assert all(type(cycle) is tuple for cycle in basis)
+    # the report's loops are kvl_loop_sums' over the lines, float for float
+    assert [(l["loop"], l["terms"], l["total"]) for l in docs[0]["kvl"]] == [
+        (list(l.nodes), list(l.terms), l.total) for l in kvl_loop_sums(edges, sol.lmp)]
 
 
 def test_large_recover_delta_matches_oracle():
